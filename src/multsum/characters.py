@@ -203,7 +203,19 @@ class RecursionState:
 
 
 def recursion_state(chi: DirichletCharacter, r: int, z: complex) -> RecursionState:
+    """Recursion data for chi_{r,z}; chi must be non-principal.
+
+    The recursion identities need S(r*q) = 0, which holds exactly when chi
+    is non-principal.  The float period sum cannot decide that (it carries
+    rounding noise for characters of order above 4), so the character's
+    own flag does.
+    """
     _validate_modification(chi, r, z)
+    if chi.principal:
+        raise ValueError(
+            f"the principal character mod {chi.modulus} has a nonzero period "
+            "sum S(r*q); the recursion needs a non-principal character"
+        )
     z = complex(z)
     q = chi.modulus
     period = r * q

@@ -22,7 +22,6 @@ import time
 from . import __version__
 from .characters import (
     character_by_index,
-    find_window_prime,
     first_nonzero_sigma,
     modified_spec,
     recursion_state,

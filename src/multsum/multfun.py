@@ -11,6 +11,7 @@ tracked in exact integer arithmetic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -22,9 +23,11 @@ from .errors import CapacityError
 
 EVAL_CAPACITY = 130_000_000  # largest materialized range (memory bound)
 STREAM_LIMIT = 10**9  # largest streamed profile
-BLOCK = 1 << 22
+BLOCK = 1 << 18  # shortest block: a 2 MB int64 array stays in one core's L2
+# Block length for consumers that reduce each block with np.sum: the grouping
+# is part of their float results, so it stays fixed whatever block_length says.
+SUM_BLOCK = 1 << 22
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAUSSIAN_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
@@ -222,10 +225,12 @@ def spec_config(spec: MultFnSpec) -> str:
 
 def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     """SplitMix64 finalizer; operates on uint64 scalars or arrays."""
-    with np.errstate(over="ignore"):  # wraparound is the point
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9) & _MASK64
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB) & _MASK64
+    with np.errstate(over="ignore"):  # uint64 wraparound is the point
+        x = x + np.uint64(0x9E3779B97F4A7C15)  # a new array: x is not the caller's
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
         return x ^ (x >> np.uint64(31))
 
 
@@ -371,8 +376,14 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
     real = is_real_spec(spec)
     dtype = np.float64 if real else np.complex128
 
-    mult = np.ones(length, dtype=dtype)
-    u = n.copy()  # n with exception primes divided out
+    # mult is the product of exception values; without exceptions it is the
+    # scalar 1, which gives the same products (1+0j clears signed zeros
+    # exactly as an all-ones array would) with no block-length array
+    mult = 1.0 if real else 1 + 0j
+    u = n  # n with exception primes divided out
+    if spec.exceptions:
+        mult = np.ones(length, dtype=dtype)
+        u = n.copy()
     for p, w in sorted(spec.exceptions.items()):
         pk = p
         while pk < hi:
@@ -389,23 +400,21 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
         omega = np.zeros(length, dtype=np.uint8)
         rem = u.copy()
         exc = spec.exceptions
-        for p in base_primes:
-            p = int(p)
-            if p * p >= hi:
-                break
+        primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), "right")]
+        if isinstance(base, Liouville):
+            minus = np.ones(len(primes), dtype=bool)
+        else:
+            minus = rademacher_signs(base.seed, primes) < 0
+        for p, p_minus in zip(primes.tolist(), minus.tolist()):
             if p in exc:
                 continue
-            if isinstance(base, Liouville):
-                minus = True
-            else:
-                minus = rademacher_signs(base.seed, np.array([p], dtype=np.int64))[0] < 0
             pk = p
             while pk < hi:
                 start = _stride_starts(max(lo, pk), hi, pk)
                 if start is not None:
                     idx = slice(start - lo, length, pk)
                     rem[idx] //= p
-                    if minus:
+                    if p_minus:
                         omega[idx] += 1
                 if pk > hi // p:
                     break
@@ -419,7 +428,7 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
         vals = np.where((omega & 1).astype(bool), -1.0, 1.0)
         out = mult * vals if real else mult * vals.astype(np.complex128)
     elif isinstance(base, One):
-        out = mult
+        out = mult if spec.exceptions else np.ones(length, dtype=dtype)
     elif isinstance(base, CoprimeIndicator):
         coprime = np.gcd(u, base.Q) == 1
         out = np.where(coprime, mult, 0)
@@ -435,12 +444,28 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
     return out
 
 
-def iter_blocks(spec: MultFnSpec, x: int, block: int = BLOCK) -> Iterator[np.ndarray]:
-    """Yield f(1..x) in consecutive blocks of at most `block` values."""
+def block_length(x: int) -> int:
+    """Values per block when streaming f(1..x).
+
+    BLOCK up to x near 1.7e7, then the power of two at or above 64 sqrt(x), so
+    the per-block Python loop over the pi(sqrt x) base primes stays small
+    next to the block's array work.  A power of two >= CHUNK keeps the
+    compensated-sum chunks on the same n whatever the length, so float
+    results do not depend on it.
+    """
+    return max(BLOCK, 1 << (64 * math.isqrt(x) - 1).bit_length())
+
+
+def iter_blocks(
+    spec: MultFnSpec, x: int, block: int | None = None
+) -> Iterator[np.ndarray]:
+    """Yield f(1..x) in consecutive blocks of at most `block` values
+    (default block_length(x))."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > STREAM_LIMIT:
         raise CapacityError(f"x={x} exceeds the streaming limit {STREAM_LIMIT}")
+    block = block or block_length(x)
     base_primes = arith.primes_upto(math.isqrt(x))
     for lo in range(1, x + 1, block):
         hi = min(lo + block, x + 1)
@@ -458,7 +483,7 @@ class SievedRange:
     real: bool
 
 
-def eval_range(spec: MultFnSpec, N: int, block: int = BLOCK) -> SievedRange:
+def eval_range(spec: MultFnSpec, N: int, block: int | None = None) -> SievedRange:
     """Materialize f(1..N).  Capacity: N <= EVAL_CAPACITY (memory bound)."""
     if not 1 <= N <= EVAL_CAPACITY:
         raise CapacityError(f"N={N} outside 1..{EVAL_CAPACITY} for eval_range")
@@ -511,33 +536,44 @@ class _ProfileState:
             return complex(self.re_int, self.im_int)
         return complex(self.re.total(), self.im.total())
 
-    def feed(self, blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Consume one block; returns (prefix sums, |prefix| array) for it."""
+    def feed(
+        self, blk: np.ndarray, ends: list[int]
+    ) -> tuple[np.ndarray, np.ndarray | None, list[float]]:
+        """Consume one block.
+
+        `ends` are ascending offsets into blk (the checkpoints inside it).
+        Returns the block's real prefix sums, its imaginary prefix sums (None
+        for a real block) and max |M| up to each end.
+        """
+        im = None
         if self.exact:
-            re = np.cumsum(blk.real) + self.re_int
-            im = (np.cumsum(blk.imag) + self.im_int) if np.iscomplexobj(blk) else None
+            re = np.cumsum(blk.real)
+            re += self.re_int
             self.re_int = int(round(re[-1]))
-            if im is None:
-                prefix = re.astype(np.complex128)
-                absval = np.abs(re)
-            else:
+            if np.iscomplexobj(blk):
+                im = np.cumsum(blk.imag)
+                im += self.im_int
                 self.im_int = int(round(im[-1]))
-                prefix = re + 1j * im
-                absval = np.hypot(re, im)
         else:
             re = compensated_cumsum(np.ascontiguousarray(blk.real), self.re)
             if np.iscomplexobj(blk):
                 im = compensated_cumsum(np.ascontiguousarray(blk.imag), self.im)
-                prefix = re + 1j * im
-                absval = np.hypot(re, im)
             else:
                 self.im.add(0.0)
-                prefix = re.astype(np.complex128)
-                absval = np.abs(re)
-        blk_sup = float(np.max(absval)) if len(absval) else 0.0
-        self.sup = max(self.sup, blk_sup)
+        # max |M| over the segments ending at each end, plus the rest of the
+        # block, from one reduction each instead of a block-long running max
+        cuts = [0] + [i + 1 for i in ends if i + 1 < len(blk)]
+        if im is None:
+            seg = np.maximum(np.maximum.reduceat(re, cuts),
+                             -np.minimum.reduceat(re, cuts))
+        else:
+            seg = np.maximum.reduceat(np.hypot(re, im), cuts)
+        sups = []
+        for m in seg.tolist():
+            self.sup = max(self.sup, m)
+            sups.append(self.sup)
         self.n_done += len(blk)
-        return prefix, absval
+        return re, im, sups[: len(ends)]
 
     def snapshot(self) -> dict:
         """JSON-safe resume state; floats stored exactly as hex."""
@@ -566,10 +602,11 @@ class _ProfileState:
 
 
 def partial_sum_profile(
-    rng: SievedRange, checkpoints: list[int], block: int = BLOCK
+    rng: SievedRange, checkpoints: list[int], block: int | None = None
 ) -> PartialSumProfile:
     """Profile over a materialized range; checkpoints ascending, <= rng.N."""
     _check_checkpoints(checkpoints, rng.N)
+    block = block or block_length(rng.N)
 
     def blocks() -> Iterator[np.ndarray]:
         for lo in range(1, rng.N + 1, block):
@@ -582,20 +619,24 @@ def stream_profile(
     spec: MultFnSpec,
     x: int,
     checkpoints: list[int],
-    block: int = BLOCK,
+    block: int | None = None,
     state: _ProfileState | None = None,
     on_checkpoint: Callable[[int, complex, float], None] | None = None,
 ) -> PartialSumProfile:
     """Profile f over 1..x without materializing values.
 
-    `state` (from a previous run's snapshot) resumes mid-scan; rows already
-    covered by the restored state are not re-emitted.
+    Blocks hold `block` values (default block_length(x)).  `state` (from a
+    previous run's snapshot) resumes mid-scan; rows already covered by the
+    restored state are not re-emitted.
     """
     _check_checkpoints(checkpoints, x)
     exact, real = is_exact_spec(spec), is_real_spec(spec)
     if state is not None and (state.exact != exact or state.real != real):
         raise ValueError("resume state does not match the spec's value modes")
+    if x > STREAM_LIMIT:
+        raise CapacityError(f"x={x} exceeds the streaming limit {STREAM_LIMIT}")
     start = state.n_done + 1 if state is not None else 1
+    block = block or block_length(x)
     base_primes = arith.primes_upto(math.isqrt(x))
 
     def blocks() -> Iterator[np.ndarray]:
@@ -603,8 +644,6 @@ def stream_profile(
             hi = min(lo + block, x + 1)
             yield _eval_block(spec, lo, hi, base_primes)
 
-    if x > STREAM_LIMIT:
-        raise CapacityError(f"x={x} exceeds the streaming limit {STREAM_LIMIT}")
     return _profile_scan(
         spec, blocks(), checkpoints, exact, real, state=state,
         on_checkpoint=on_checkpoint,
@@ -633,26 +672,22 @@ def _profile_scan(
         state = _ProfileState(exact, real)
     sums: list[complex] = []
     sups: list[float] = []
-    emitted: list[int] = []
-    ck = 0
-    while ck < len(checkpoints) and checkpoints[ck] <= state.n_done:
-        ck += 1  # already covered by a resumed state
+    ck = bisect_right(checkpoints, state.n_done)  # skip rows a resumed state covers
+    first = ck
     for blk in blocks:
         lo = state.n_done + 1
-        sup_before = state.sup
-        prefix, absval = state.feed(blk)
-        if ck < len(checkpoints) and checkpoints[ck] <= state.n_done:
-            run_max = np.maximum.accumulate(absval)
-            while ck < len(checkpoints) and checkpoints[ck] <= state.n_done:
-                i = checkpoints[ck] - lo
-                sup_here = max(sup_before, float(run_max[i]))
-                s = complex(prefix[i])
-                emitted.append(checkpoints[ck])
-                sums.append(s)
-                sups.append(sup_here)
-                if on_checkpoint is not None:
-                    on_checkpoint(checkpoints[ck], s, sup_here)
-                ck += 1
+        stop = bisect_right(checkpoints, state.n_done + len(blk), ck)
+        here = checkpoints[ck:stop]
+        ends = [c - lo for c in here]
+        re, im, blk_sups = state.feed(blk, ends)
+        for c, i, sup in zip(here, ends, blk_sups):
+            s = complex(re[i], 0.0 if im is None else im[i])
+            sums.append(s)
+            sups.append(sup)
+            if on_checkpoint is not None:
+                on_checkpoint(c, s, sup)
+        ck = stop
     return PartialSumProfile(
-        spec=spec, checkpoints=emitted, sums=sums, sups=sups, exact=exact
+        spec=spec, checkpoints=checkpoints[first:ck], sums=sums, sups=sups,
+        exact=exact,
     )

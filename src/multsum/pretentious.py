@@ -18,6 +18,7 @@ from .multfun import (
     MultFnSpec,
     One,
     RandomRademacher,
+    SUM_BLOCK,
     iter_blocks,
     prime_unit_value,
     value_at_primes,
@@ -118,7 +119,7 @@ def delange_mean(
     re_acc, im_acc = NeumaierSum(), NeumaierSum()
     base_primes = arith.primes_upto(math.isqrt(x))
     pos = 1
-    for blk in iter_blocks(f, x):
+    for blk in iter_blocks(f, x, SUM_BLOCK):
         hi = pos + len(blk)
         if squarefree_support:
             mask = arith.squarefree_block(pos, hi, base_primes)
@@ -146,7 +147,7 @@ def logmean_density(f: MultFnSpec, x: int) -> float:
         raise ValueError(f"x must be >= 2, got {x}")
     acc = NeumaierSum()
     pos = 1
-    for blk in iter_blocks(f, x):
+    for blk in iter_blocks(f, x, SUM_BLOCK):
         n = np.arange(pos, pos + len(blk), dtype=np.float64)
         acc.add(float(np.sum(np.abs(blk) ** 2 / n)))
         pos += len(blk)

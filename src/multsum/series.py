@@ -12,7 +12,13 @@ import numpy as np
 
 from . import arith
 from .accum import NeumaierSum
-from .multfun import CharacterTwist, MultFnSpec, iter_blocks, prime_unit_value
+from .multfun import (
+    SUM_BLOCK,
+    CharacterTwist,
+    MultFnSpec,
+    iter_blocks,
+    prime_unit_value,
+)
 
 # B_2, B_4, ..., B_16: enough correction terms for 1e-13 accuracy once the
 # cutoff clears |Im s|
@@ -154,7 +160,7 @@ def dirichlet_partial(
     re_acc, im_acc = NeumaierSum(), NeumaierSum()
     base_primes = arith.primes_upto(math.isqrt(N)) if squarefree_support else None
     pos = 1
-    for blk in iter_blocks(f, N):
+    for blk in iter_blocks(f, N, SUM_BLOCK):
         hi = pos + len(blk)
         n = np.arange(pos, hi, dtype=np.float64)
         terms = blk * np.exp(-s * np.log(n))

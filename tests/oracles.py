@@ -121,3 +121,32 @@ def ruzsa_density(exceptions: dict[int, Fraction]) -> Fraction:
 def window_sum_modified(chi, r: int, z: complex, lo: int, hi: int) -> complex:
     """Sum of chi_{r,z}(n) over lo < n <= hi by full factorization."""
     return sum(modified_value(chi, r, z, n) for n in range(lo + 1, hi + 1))
+
+
+def naive_profile(values, checkpoints, exact: bool, resume_at: int = 0):
+    """(sums, sups) at checkpoints from a materialized f(1..x), values[n] = f(n).
+
+    One prefix sum over the whole range, then a running max of |M|.  Exact
+    specs use a plain cumsum (integers below 2^53 add exactly).  Float specs
+    use accum.compensated_cumsum, whose chunks are laid from n = 1 (and from
+    n = resume_at + 1, carry kept, as a resumed scan lays them); a streaming
+    scan must reproduce that whatever its block length.
+    """
+    import numpy as np
+    from multsum.accum import NeumaierSum, compensated_cumsum
+
+    vals = np.asarray(values)[1:]
+    parts = [vals.real, vals.imag]
+    if exact:
+        re, im = (np.cumsum(p) for p in parts)
+    else:
+        re, im = (
+            np.concatenate([compensated_cumsum(np.ascontiguousarray(seg), carry)
+                            for seg in (p[:resume_at], p[resume_at:])])
+            for p, carry in zip(parts, (NeumaierSum(), NeumaierSum()))
+        )
+    absval = np.hypot(re, im) if np.iscomplexobj(vals) else np.abs(re)
+    run_max = np.maximum.accumulate(absval)
+    sums = [complex(re[c - 1], im[c - 1]) for c in checkpoints]
+    sups = [float(run_max[c - 1]) for c in checkpoints]
+    return sums, sups

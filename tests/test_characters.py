@@ -118,6 +118,16 @@ def test_modification_validation(chi4, chi5):
         recursion_state(chi5, 5, 1)
 
 
+def test_recursion_refuses_principal_character():
+    """S(r*q) != 0 for the principal character, so the recursion identities
+    fail: iterate_check(state, 28, 20, 20) used to return a residual of
+    2.44e10 here instead of an error."""
+    chi0 = character_by_index(4, 0)
+    assert chi0.principal
+    with pytest.raises(ValueError, match="non-principal"):
+        recursion_state(chi0, 3, -1)
+
+
 def test_s_restricted_values(chi4):
     st = recursion_state(chi4, 3, 1)
     assert s_restricted(st, 10) == 1  # frozen: chi4 over n <= 10 coprime to 3

@@ -137,12 +137,12 @@ def test_baseline_missing_and_incomparable(tmp_path, capsys):
 
 
 def test_profile_resume_completes_identically(tmp_path, monkeypatch):
-    """Crash after the last checkpoint of the first scan block, then resume.
+    """Crash after a checkpoint that ends a scan block, then resume.
 
     The state snapshot is only usable when no further checkpoint of the same
     block was pending, so the injected crash fires at the block boundary.
     """
-    n = 1 << 23  # two scan blocks
+    n = 1 << 23  # 2^22 ends a scan block (block lengths are powers of two)
     argv = ["profile", "--spec", "char:q=4,index=1;except=3~1~0", "--n", str(n)]
     _, full_prefix = run(tmp_path / "full", *argv)
     with open(full_prefix + ".csv", "rb") as fh:

@@ -1,6 +1,8 @@
 """Tests for multfun: spec construction, sieved evaluation, profiles."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,17 @@ from multsum import (
     spec_config,
     stream_profile,
 )
-from multsum.multfun import _ProfileState, rademacher_signs, unit_pow
+from multsum.accum import CHUNK
+from multsum.arith import primes_upto
+from multsum.multfun import (
+    BLOCK,
+    STREAM_LIMIT,
+    _eval_block,
+    _ProfileState,
+    block_length,
+    rademacher_signs,
+    unit_pow,
+)
 
 # first values of the frozen bases, n = 1..10
 ONE_VALUES = [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
@@ -154,6 +166,25 @@ def test_build_spec_round_trip(chi4):
     assert spec_config(spec) == "char:q=4,index=1;except=3~1.0~0.0"
 
 
+def test_readme_grammar_examples_parse():
+    """Every base in the README's grammar and every example spec builds."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("Function specs use a one-line grammar", 1)[1]
+    section = section.split("Long `profile` runs", 1)[0]
+    bases_line = next(ln for ln in section.splitlines() if ln.startswith("bases:"))
+    placeholders = {"Q": "5", "I": "1", "T": "0.5", "S": "3"}
+    bases = [
+        re.sub(r"=([A-Z])\b", lambda m: "=" + placeholders[m.group(1)],
+               alt.strip().replace("[", "").replace("]", ""))
+        for alt in bases_line.removeprefix("bases:").split("|")
+    ]
+    examples = re.findall(r"`([^`\s]+)` is ", section)
+    assert len(bases) == 5 and len(examples) == 3, (bases, examples)
+    for cfg in bases + examples:
+        spec = build_spec(cfg)
+        assert spec_config(build_spec(spec_config(spec))) == spec_config(spec), cfg
+
+
 def test_build_spec_rejects_bad_grammar():
     bad = [
         "",
@@ -273,6 +304,85 @@ def test_snapshot_resume_matches_full_run(chi5):
             assert abs(got - want) <= tol, (spec_config(spec), got, want)
         for got, want in zip(sups, full.sups):
             assert abs(got - want) <= tol, (spec_config(spec), got, want)
+
+
+SCAN_MODES = [  # one spec per value mode: (exact, real)
+    "char:q=4,index=1;except=3~1~0",  # exact real
+    "char:q=5,index=1;except=5~0~1",  # exact complex
+    "liouville;except=2~0.5~0;scale_r=0.25",  # float real
+    "char:q=5,index=1,t=0.5;except=2~0.5~0",  # float complex
+]
+
+
+@pytest.mark.parametrize("block", [4096, None])
+@pytest.mark.parametrize("cfg", SCAN_MODES)
+def test_stream_profile_matches_naive_scan(cfg, block):
+    """stream_profile equals a materialized prefix sum and running max bit
+    for bit, with checkpoints on the first and last element of a block,
+    several in one block, a final one-element block, and a resume that
+    starts mid-block."""
+    spec = build_spec(cfg)
+    exact, real = is_exact_spec(spec), is_real_spec(spec)
+    B = block or BLOCK
+    x = 3 * B + 1
+    if block is None:
+        assert block_length(x) == B
+    cps = [1, 2, B - 1, B, B + 1, B + 7, B + 100, 2 * B, 2 * B + 1, 3 * B, x]
+    values = eval_range(spec, x).values
+
+    def bits(sums, sups):  # float hex, so signed zeros count too
+        return ([(s.real.hex(), s.imag.hex()) for s in sums],
+                [float(v).hex() for v in sups])
+
+    prof = stream_profile(spec, x, cps, block=block)
+    assert prof.checkpoints == cps
+    assert bits(prof.sums, prof.sups) == bits(*oracles.naive_profile(values, cps, exact))
+
+    mid = B + B // 2 + 3
+    st_live = _ProfileState(exact, real)
+    first = stream_profile(spec, mid, [c for c in cps if c <= mid], block=block,
+                           state=st_live)
+    rest = stream_profile(spec, x, cps, block=block,
+                          state=_ProfileState.restore(st_live.snapshot()))
+    assert first.checkpoints + rest.checkpoints == cps
+    assert bits(first.sums + rest.sums, first.sups + rest.sups) == bits(
+        *oracles.naive_profile(values, cps, exact, resume_at=mid))
+
+
+def test_block_length_rule():
+    # block_length depends on x only through isqrt(x)
+    xs = [s * s for s in range(1, math.isqrt(STREAM_LIMIT) + 1)] + [STREAM_LIMIT]
+    lengths = [block_length(x) for x in xs]
+    for x, b in zip(xs, lengths):
+        assert b % CHUNK == 0 and b & (b - 1) == 0, (x, b)
+    assert lengths == sorted(lengths)
+    assert block_length(5 * 10**6) == block_length(10**7) == 1 << 18
+    assert lengths[-1] >= 64 * math.isqrt(STREAM_LIMIT)
+
+
+HIGH_SPECS = [
+    ("one;except=2~0.5~0", 0.0),
+    ("liouville", 0.0),
+    ("rademacher:seed=3", 0.0),
+    ("coprime:Q=30", 0.0),
+    ("char:q=5,index=1,t=2.0", 1e-14),
+]
+
+
+@pytest.mark.parametrize("cfg,rel", HIGH_SPECS)
+def test_eval_block_near_stream_limit(cfg, rel):
+    """A derived-length block ending at 1e9 agrees with factorization on its
+    last 1001 values."""
+    spec = build_spec(cfg)
+    hi = STREAM_LIMIT + 1
+    lo = hi - block_length(STREAM_LIMIT)
+    vals = _eval_block(spec, lo, hi, primes_upto(math.isqrt(STREAM_LIMIT)))
+    for n in range(STREAM_LIMIT - 1000, hi):
+        got, want = complex(vals[n - lo]), oracles.spec_value(spec, n)
+        if rel:
+            assert abs(got - want) <= rel * abs(want), (cfg, n, got, want)
+        else:
+            assert got == want, (cfg, n, got, want)
 
 
 def test_resume_state_mode_mismatch(chi5):
