@@ -35,7 +35,6 @@ from .characters import (
     s_restricted,
     sigma_many,
     sigma_recursion,
-    zero_sum_scan,
 )
 from .errors import CapacityError, InfeasibleError, SearchError
 from .lab import (
@@ -71,7 +70,6 @@ from .multfun import (
     is_real_spec,
     iter_blocks,
     make_spec,
-    partial_sum_profile,
     prime_unit_value,
     spec_config,
     stream_profile,

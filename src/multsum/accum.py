@@ -39,22 +39,6 @@ class NeumaierSum:
         return self.hi + self.lo
 
 
-def compensated_total(values: np.ndarray) -> complex | float:
-    """Compensated sum of a 1-d float or complex array, in index order.
-
-    Chunk totals come from numpy's pairwise reduction; the cross-chunk
-    accumulation is Neumaier-compensated.
-    """
-    if np.iscomplexobj(values):
-        re = compensated_total(values.real)
-        im = compensated_total(values.imag)
-        return complex(re, im)
-    acc = NeumaierSum()
-    for lo in range(0, len(values), CHUNK):
-        acc.add(float(np.sum(values[lo : lo + CHUNK])))
-    return acc.total()
-
-
 def compensated_cumsum(values: np.ndarray, carry: NeumaierSum | None = None) -> np.ndarray:
     """Prefix sums of a 1-d real array with a compensated cross-chunk carry.
 

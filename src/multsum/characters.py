@@ -187,9 +187,9 @@ def _validate_modification(chi: DirichletCharacter, r: int, z: complex) -> None:
 class RecursionState:
     """Precomputed data for restricted partial sums of a modified character.
 
-    s_table[j] = S(j) = sum_{n<=j, gcd(n,r)=1} chi(n) for 0 <= j <= r*q, so
-    S(x) = (x // (r*q)) * s_period + s_table[x % (r*q)] in O(1), and the full
-    modified sum needs one S value per power of r below x.
+    s_table[j] = S(j) = sum_{n<=j, gcd(n,r)=1} chi(n) for 0 <= j <= r*q.
+    chi is non-principal, so S(r*q) = 0 and S(x) = s_table[x % (r*q)] in
+    O(1); the full modified sum needs one S value per power of r below x.
     """
 
     chi: DirichletCharacter
@@ -197,7 +197,6 @@ class RecursionState:
     z: complex
     period: int
     s_table: np.ndarray
-    s_period: complex
     exact: bool
     degenerate: bool  # z == chi(r): the modification changes nothing
 
@@ -233,7 +232,6 @@ def recursion_state(chi: DirichletCharacter, r: int, z: complex) -> RecursionSta
         z=z,
         period=period,
         s_table=s_table,
-        s_period=complex(s_table[period]),
         exact=exact,
         degenerate=degenerate,
     )
@@ -243,10 +241,7 @@ def s_restricted(state: RecursionState, x: int) -> complex:
     """S(x) = sum_{n<=x, gcd(n,r)=1} chi(n), O(1) via the period table."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    k, j = divmod(x, state.period)
-    if k and state.s_period != 0:
-        return k * state.s_period + complex(state.s_table[j])
-    return complex(state.s_table[j])
+    return complex(state.s_table[x % state.period])
 
 
 def sigma_recursion(state: RecursionState, x: int) -> complex:
@@ -270,11 +265,7 @@ def sigma_many(state: RecursionState, xs: np.ndarray) -> np.ndarray:
     cur = xs.copy()
     k = 0
     while np.any(cur > 0):
-        quot, rem = np.divmod(cur, state.period)
-        sval = state.s_table[rem]
-        if state.s_period != 0:
-            sval = sval + quot * state.s_period
-        total += unit_pow(state.z, k) * sval
+        total += unit_pow(state.z, k) * state.s_table[cur % state.period]
         cur //= state.r
         k += 1
     return total
@@ -402,9 +393,6 @@ def first_nonzero_sigma(
         if len(hits):
             return int(ms[hits[0]])
     return None
-
-
-zero_sum_scan = first_nonzero_sigma
 
 
 # ---------------------------------------------------------------------------

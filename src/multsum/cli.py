@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from bisect import bisect_right
 
 from . import __version__
 from .characters import (
@@ -113,11 +114,6 @@ def _parse_flips(text: str) -> dict[int, complex]:
         else:
             raise ValueError(f"bad flip entry {item!r}; use p~re or p~re~im")
     return out
-
-
-def _cnum(v) -> float:
-    """CSV cell coercion; bools become 0/1."""
-    return float(v)
 
 
 def _config_hash(experiment: str, config: str, params: dict) -> str:
@@ -237,6 +233,10 @@ def _run_profile(args, prefix: str):
         rows.append(row)
         fh.write(",".join(_fmt(v) for v in row) + "\n")
         fh.flush()
+        # the state covers its whole block, so it only matches the rows once
+        # the block's last checkpoint is written
+        if len(rows) != bisect_right(checkpoints, state.n_done):
+            return
         snap = {
             "config_hash": chash,
             "snapshot": state.snapshot(),
@@ -307,7 +307,7 @@ def _run_witness_rotation(args, prefix: str):
         wit.window_prime_sum.real, wit.window_prime_sum.imag,
         wit.measured.real, wit.measured.imag,
         wit.predicted.real, wit.predicted.imag,
-        _cnum(wit.ok),
+        float(wit.ok),
     ]]
     config = spec_config(f)
     params = {
@@ -345,7 +345,7 @@ def _run_sf_pair(args, prefix: str):
         pair.window_prime_sum.real, pair.window_prime_sum.imag,
         pair.measured.real, pair.measured.imag,
         pair.predicted.real, pair.predicted.imag,
-        float(pair.sign), _cnum(pair.ok),
+        float(pair.sign), float(pair.ok),
     ]]
     config = spec_config(g)
     params = {

@@ -27,7 +27,6 @@ from .multfun import (
     RandomRademacher,
     eval_range,
     is_exact_spec,
-    is_real_spec,
     make_spec,
     prime_unit_value,
     stream_profile,
@@ -517,7 +516,7 @@ def growth_profile(
         raise ValueError(f"unknown profile kind {kind!r}")
     if checkpoints is None:
         checkpoints = dyadic_checkpoints(N)
-    prof = _masked_stream(f, N, checkpoints, kind == "squarefree")
+    prof = stream_profile(f, N, checkpoints, squarefree=kind == "squarefree")
     xs = np.log(np.array(prof.checkpoints, dtype=np.float64))
     ys = np.array(prof.sups, dtype=np.float64)
     half = len(xs) // 2
@@ -541,26 +540,6 @@ def growth_profile(
         sups=prof.sups,
         slope=slope,
         regime=regime,
-    )
-
-
-def _masked_stream(f: MultFnSpec, N: int, checkpoints: list[int], mask: bool):
-    if not mask:
-        return stream_profile(f, N, checkpoints)
-    from . import multfun as _mf
-
-    _mf._check_checkpoints(checkpoints, N)
-    base_primes = arith.primes_upto(math.isqrt(N))
-
-    def blocks():
-        pos = 1
-        for blk in _mf.iter_blocks(f, N):
-            hi = pos + len(blk)
-            yield blk * arith.squarefree_block(pos, hi, base_primes)
-            pos = hi
-
-    return _mf._profile_scan(
-        f, blocks(), checkpoints, is_exact_spec(f), is_real_spec(f)
     )
 
 

@@ -24,8 +24,8 @@ from .errors import CapacityError
 EVAL_CAPACITY = 130_000_000  # largest materialized range (memory bound)
 STREAM_LIMIT = 10**9  # largest streamed profile
 BLOCK = 1 << 18  # shortest block: a 2 MB int64 array stays in one core's L2
-# Block length for consumers that reduce each block with np.sum: the grouping
-# is part of their float results, so it stays fixed whatever block_length says.
+# Block length of sum_blocks: its per-block np.sum grouping is part of the
+# float results, so it stays fixed whatever block_length says.
 SUM_BLOCK = 1 << 22
 
 _GAUSSIAN_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -457,19 +457,56 @@ def block_length(x: int) -> int:
 
 
 def iter_blocks(
-    spec: MultFnSpec, x: int, block: int | None = None
+    spec: MultFnSpec,
+    x: int,
+    block: int | None = None,
+    start: int = 1,
+    squarefree: bool = False,
 ) -> Iterator[np.ndarray]:
-    """Yield f(1..x) in consecutive blocks of at most `block` values
-    (default block_length(x))."""
+    """Yield f(start..x) in consecutive blocks of at most `block` values
+    (default block_length(x)), laid from `start`; with `squarefree`, each
+    value is multiplied by mu^2(n)."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > STREAM_LIMIT:
         raise CapacityError(f"x={x} exceeds the streaming limit {STREAM_LIMIT}")
+    if not 1 <= start <= x + 1:
+        raise ValueError(f"start must lie in 1..{x + 1}, got {start}")
     block = block or block_length(x)
     base_primes = arith.primes_upto(math.isqrt(x))
-    for lo in range(1, x + 1, block):
+    for lo in range(start, x + 1, block):
         hi = min(lo + block, x + 1)
-        yield _eval_block(spec, lo, hi, base_primes)
+        if not squarefree:
+            yield _eval_block(spec, lo, hi, base_primes)
+        else:
+            # blk stays bound while the product is consumed: freeing it first
+            # lets glibc trim the heap and fault the next block's pages back in
+            blk = _eval_block(spec, lo, hi, base_primes)
+            yield blk * arith.squarefree_block(lo, hi, base_primes)
+
+
+def sum_blocks(
+    spec: MultFnSpec,
+    x: int,
+    term: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    squarefree: bool = False,
+) -> complex:
+    """sum_{n<=x} term(n, f(n)), or sum f(n) without a term; f is multiplied
+    by mu^2(n) when `squarefree`, and term gets n as float64.
+
+    Each SUM_BLOCK-value block is reduced by np.sum into compensated real and
+    imaginary totals, so the float result depends on that fixed grouping only.
+    """
+    re, im = NeumaierSum(), NeumaierSum()
+    lo = 1
+    for blk in iter_blocks(spec, x, SUM_BLOCK, squarefree=squarefree):
+        if term is not None:
+            blk = term(np.arange(lo, lo + len(blk), dtype=np.float64), blk)
+        re.add(float(np.sum(blk.real)))
+        if np.iscomplexobj(blk):
+            im.add(float(np.sum(blk.imag)))
+        lo += len(blk)
+    return complex(re.total(), im.total())
 
 
 @dataclass(eq=False)
@@ -601,20 +638,6 @@ class _ProfileState:
         return st
 
 
-def partial_sum_profile(
-    rng: SievedRange, checkpoints: list[int], block: int | None = None
-) -> PartialSumProfile:
-    """Profile over a materialized range; checkpoints ascending, <= rng.N."""
-    _check_checkpoints(checkpoints, rng.N)
-    block = block or block_length(rng.N)
-
-    def blocks() -> Iterator[np.ndarray]:
-        for lo in range(1, rng.N + 1, block):
-            yield rng.values[lo : min(lo + block, rng.N + 1)]
-
-    return _profile_scan(rng.spec, blocks(), checkpoints, rng.exact, rng.real)
-
-
 def stream_profile(
     spec: MultFnSpec,
     x: int,
@@ -622,59 +645,31 @@ def stream_profile(
     block: int | None = None,
     state: _ProfileState | None = None,
     on_checkpoint: Callable[[int, complex, float], None] | None = None,
+    squarefree: bool = False,
 ) -> PartialSumProfile:
-    """Profile f over 1..x without materializing values.
+    """Profile f (times mu^2(n) when `squarefree`) over 1..x without
+    materializing values.
 
     Blocks hold `block` values (default block_length(x)).  `state` (from a
     previous run's snapshot) resumes mid-scan; rows already covered by the
     restored state are not re-emitted.
     """
-    _check_checkpoints(checkpoints, x)
-    exact, real = is_exact_spec(spec), is_real_spec(spec)
-    if state is not None and (state.exact != exact or state.real != real):
-        raise ValueError("resume state does not match the spec's value modes")
-    if x > STREAM_LIMIT:
-        raise CapacityError(f"x={x} exceeds the streaming limit {STREAM_LIMIT}")
-    start = state.n_done + 1 if state is not None else 1
-    block = block or block_length(x)
-    base_primes = arith.primes_upto(math.isqrt(x))
-
-    def blocks() -> Iterator[np.ndarray]:
-        for lo in range(start, x + 1, block):
-            hi = min(lo + block, x + 1)
-            yield _eval_block(spec, lo, hi, base_primes)
-
-    return _profile_scan(
-        spec, blocks(), checkpoints, exact, real, state=state,
-        on_checkpoint=on_checkpoint,
-    )
-
-
-def _check_checkpoints(checkpoints: list[int], x: int) -> None:
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     if checkpoints[0] < 1 or checkpoints[-1] > x:
         raise ValueError(f"checkpoints must lie in 1..{x}")
-
-
-def _profile_scan(
-    spec: MultFnSpec,
-    blocks: Iterator[np.ndarray],
-    checkpoints: list[int],
-    exact: bool,
-    real: bool,
-    state: _ProfileState | None = None,
-    on_checkpoint: Callable[[int, complex, float], None] | None = None,
-) -> PartialSumProfile:
+    exact, real = is_exact_spec(spec), is_real_spec(spec)
     if state is None:
         state = _ProfileState(exact, real)
+    elif state.exact != exact or state.real != real:
+        raise ValueError("resume state does not match the spec's value modes")
     sums: list[complex] = []
     sups: list[float] = []
     ck = bisect_right(checkpoints, state.n_done)  # skip rows a resumed state covers
     first = ck
-    for blk in blocks:
+    for blk in iter_blocks(spec, x, block, state.n_done + 1, squarefree):
         lo = state.n_done + 1
         stop = bisect_right(checkpoints, state.n_done + len(blk), ck)
         here = checkpoints[ck:stop]

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .accum import NeumaierSum
 from .errors import CapacityError
 from .multfun import (
     CharacterTwist,
@@ -18,9 +17,8 @@ from .multfun import (
     MultFnSpec,
     One,
     RandomRademacher,
-    SUM_BLOCK,
-    iter_blocks,
     prime_unit_value,
+    sum_blocks,
     value_at_primes,
 )
 
@@ -116,19 +114,7 @@ def delange_mean(
     )
     predicted = prefactor * product
 
-    re_acc, im_acc = NeumaierSum(), NeumaierSum()
-    base_primes = arith.primes_upto(math.isqrt(x))
-    pos = 1
-    for blk in iter_blocks(f, x, SUM_BLOCK):
-        hi = pos + len(blk)
-        if squarefree_support:
-            mask = arith.squarefree_block(pos, hi, base_primes)
-            blk = blk * mask
-        re_acc.add(float(np.sum(blk.real)))
-        if np.iscomplexobj(blk):
-            im_acc.add(float(np.sum(blk.imag)))
-        pos = hi
-    empirical = complex(re_acc.total(), im_acc.total()) / x
+    empirical = sum_blocks(f, x, squarefree=squarefree_support) / x
     return MeanValueReport(
         x=x,
         t=t,
@@ -145,13 +131,8 @@ def logmean_density(f: MultFnSpec, x: int) -> float:
     """(sum_{n<=x} |f(n)|^2 / n) / log x; near 1 for unimodular f."""
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    acc = NeumaierSum()
-    pos = 1
-    for blk in iter_blocks(f, x, SUM_BLOCK):
-        n = np.arange(pos, pos + len(blk), dtype=np.float64)
-        acc.add(float(np.sum(np.abs(blk) ** 2 / n)))
-        pos += len(blk)
-    return acc.total() / math.log(x)
+    total = sum_blocks(f, x, lambda n, v: np.abs(v) ** 2 / n)
+    return total.real / math.log(x)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .accum import NeumaierSum
 from .multfun import (
-    SUM_BLOCK,
     CharacterTwist,
     MultFnSpec,
-    iter_blocks,
     prime_unit_value,
+    sum_blocks,
 )
 
 # B_2, B_4, ..., B_16: enough correction terms for 1e-13 accuracy once the
@@ -157,19 +155,9 @@ def dirichlet_partial(
     s = complex(s)
     if s.real <= 0:
         raise ValueError(f"partial Dirichlet sums need Re(s) > 0, got {s.real}")
-    re_acc, im_acc = NeumaierSum(), NeumaierSum()
-    base_primes = arith.primes_upto(math.isqrt(N)) if squarefree_support else None
-    pos = 1
-    for blk in iter_blocks(f, N, SUM_BLOCK):
-        hi = pos + len(blk)
-        n = np.arange(pos, hi, dtype=np.float64)
-        terms = blk * np.exp(-s * np.log(n))
-        if squarefree_support:
-            terms = terms * arith.squarefree_block(pos, hi, base_primes)
-        re_acc.add(float(np.sum(terms.real)))
-        im_acc.add(float(np.sum(terms.imag)))
-        pos = hi
-    return complex(re_acc.total(), im_acc.total())
+    return sum_blocks(
+        f, N, lambda n, v: v * np.exp(-s * np.log(n)), squarefree_support
+    )
 
 
 def _series_prime_set(g: MultFnSpec, chi) -> list[int]:

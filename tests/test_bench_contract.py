@@ -1,0 +1,32 @@
+"""The names perfbench binds in multsum still exist with the shapes it uses."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from multsum import lab, multfun
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _targets():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.TARGETS
+
+
+def test_tracer_targets_resolve():
+    targets = _targets()
+    assert targets
+    for module, name in targets:
+        fn = getattr(importlib.import_module(f"multsum.{module}"), name, None)
+        assert callable(fn), (module, name)
+
+
+def test_bound_names_exist():
+    assert callable(lab._first_admissible)
+    assert isinstance(multfun.BLOCK, int)
+    assert isinstance(next(multfun.iter_blocks(multfun.build_spec("one"), 10)), np.ndarray)

@@ -22,7 +22,6 @@ from multsum import (
     s_restricted,
     sigma_many,
     sigma_recursion,
-    zero_sum_scan,
 )
 
 # (q, index, conductor, real) facts small enough to check by hand
@@ -138,6 +137,18 @@ def test_s_restricted_values(chi4):
         s_restricted(st, -1)
 
 
+def test_s_restricted_is_periodic():
+    """S(k*rq + j) = S(j) exactly: the period sum of a non-principal
+    character is 0, and its float value (rounding noise for characters of
+    order above 4) must not leak into large arguments."""
+    st = recursion_state(character_by_index(39, 23), 11, -1)
+    for k in (1, 7, 10**6, 10**12 // st.period, 10**15):
+        for j in (0, 1, 17, st.period - 1):
+            assert s_restricted(st, k * st.period + j) == s_restricted(st, j), (k, j)
+    x = 10**12
+    assert complex(sigma_many(st, np.array([x]))[0]) == sigma_recursion(st, x)
+
+
 def test_sigma_recursion_frozen(chi4, chi5):
     assert sigma_recursion(recursion_state(chi4, 3, 1), 10) == 3
     assert sigma_recursion(recursion_state(chi4, 3, 1j), 10) == 1j
@@ -227,7 +238,6 @@ def test_growth_witness_zero_sum_regime(chi4):
 def test_first_nonzero_sigma(chi4):
     st = recursion_state(chi4, 3, 1)
     assert first_nonzero_sigma(st, 100) == 1
-    assert zero_sum_scan is first_nonzero_sigma
     degenerate = recursion_state(chi4, 3, chi4(3))
     assert first_nonzero_sigma(degenerate, 200) is None
     with pytest.raises(ValueError):

@@ -139,8 +139,8 @@ def test_baseline_missing_and_incomparable(tmp_path, capsys):
 def test_profile_resume_completes_identically(tmp_path, monkeypatch):
     """Crash after a checkpoint that ends a scan block, then resume.
 
-    The state snapshot is only usable when no further checkpoint of the same
-    block was pending, so the injected crash fires at the block boundary.
+    The injected crash fires at a block boundary, so the state file written
+    there is the one the resume continues from.
     """
     n = 1 << 23  # 2^22 ends a scan block (block lengths are powers of two)
     argv = ["profile", "--spec", "char:q=4,index=1;except=3~1~0", "--n", str(n)]
@@ -173,6 +173,37 @@ def test_profile_resume_completes_identically(tmp_path, monkeypatch):
         assert fh.read() == want
 
 
+def test_profile_resume_after_mid_block_crash(tmp_path, monkeypatch):
+    """A crash after a checkpoint that is not the last of its block leaves
+    the state of an earlier block (here none), never one ahead of its rows."""
+    argv = ["profile", "--spec", "char:q=4,index=1", "--n", str(1 << 20)]
+    _, full_prefix = run(tmp_path / "full", *argv)
+    with open(full_prefix + ".csv", "rb") as fh:
+        want = fh.read()
+
+    real_stream = cli.stream_profile
+
+    def crashing_stream(spec, x, checkpoints, state=None, on_checkpoint=None):
+        def wrapped(cx, cs, csup):
+            on_checkpoint(cx, cs, csup)
+            if cx == 1024:
+                raise RuntimeError("injected crash")
+
+        return real_stream(spec, x, checkpoints, state=state,
+                           on_checkpoint=wrapped)
+
+    monkeypatch.setattr(cli, "stream_profile", crashing_stream)
+    prefix = str(tmp_path / "part")
+    with pytest.raises(RuntimeError):
+        cli.main([*argv, "--out", prefix])
+    monkeypatch.setattr(cli, "stream_profile", real_stream)
+
+    code = cli.main([*argv, "--out", prefix, "--resume"])
+    assert code == 0
+    with open(prefix + ".csv", "rb") as fh:
+        assert fh.read() == want
+
+
 def test_profile_resume_guards(tmp_path, monkeypatch, capsys):
     argv = ["profile", "--spec", "char:q=4,index=1", "--n", "4096"]
     real_stream = cli.stream_profile
@@ -180,7 +211,7 @@ def test_profile_resume_guards(tmp_path, monkeypatch, capsys):
     def crashing_stream(spec, x, checkpoints, state=None, on_checkpoint=None):
         def wrapped(cx, cs, csup):
             on_checkpoint(cx, cs, csup)
-            if cx >= 64:
+            if cx >= 4096:
                 raise RuntimeError("injected crash")
 
         return real_stream(spec, x, checkpoints, state=state,

@@ -24,7 +24,6 @@ from multsum import (
     is_real_spec,
     iter_blocks,
     make_spec,
-    partial_sum_profile,
     prime_unit_value,
     spec_config,
     stream_profile,
@@ -216,6 +215,43 @@ def test_rademacher_block_independence():
     )
 
 
+PRODUCER_SPECS = [
+    build_spec("char:q=4,index=1;except=3~1~0"),  # exact real
+    build_spec("char:q=5,index=1,t=0.5;except=2~0.5~0"),  # float complex
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pick=st.integers(min_value=0, max_value=1),
+    x=st.integers(min_value=1, max_value=3 * CHUNK + 5),
+    start_frac=st.floats(min_value=0.0, max_value=1.0),
+    block=st.sampled_from([CHUNK, 2 * CHUNK, 1, 97, 1001, None]),
+    squarefree=st.booleans(),
+)
+def test_iter_blocks_start_and_mask(pick, x, start_frac, block, squarefree):
+    """Blocks laid from any start, of any length, masked or not, concatenate
+    to eval_range's values from that start, times mu^2 when masked."""
+    spec = PRODUCER_SPECS[pick]
+    start = 1 + int(start_frac * (x - 1))
+    if block == 1:
+        start = max(start, x - 50)  # one value per block: keep the run short
+    got = np.concatenate(list(iter_blocks(spec, x, block, start, squarefree)))
+    want = eval_range(spec, x).values[start:]
+    if squarefree:
+        want = want * np.array([oracles.naive_squarefree(n) for n in range(start, x + 1)])
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_iter_blocks_start_bounds():
+    spec = make_spec(One())
+    assert list(iter_blocks(spec, 10, start=11)) == []
+    for start in (0, 12):
+        with pytest.raises(ValueError):
+            list(iter_blocks(spec, 10, start=start))
+
+
 def spec_value_sign(spec, p: int) -> float:
     return float(prime_unit_value(spec, p).real)
 
@@ -248,7 +284,7 @@ def test_profile_matches_brute_cumsum(chi4):
     rng = eval_range(spec, N)
     cum = np.cumsum(rng.values[1:])
     cps = [10, 100, 777, 4096, 5000]
-    prof = partial_sum_profile(rng, cps, block=512)
+    prof = stream_profile(spec, N, cps, block=512)
     assert prof.checkpoints == cps
     for i, x in enumerate(cps):
         assert prof.sums[i] == complex(cum[x - 1]), x
@@ -259,12 +295,12 @@ def test_stream_profile_matches_materialized(chi5):
     spec = make_spec(CharacterTwist(chi5, t=0.25), exceptions={2: 0.5})
     N = 20000
     cps = [64, 4096, 20000]
-    via_stream = stream_profile(spec, N, cps, block=1 << 11)
-    via_range = partial_sum_profile(eval_range(spec, N, block=1 << 11), cps,
-                                    block=1 << 11)
-    assert via_stream.checkpoints == via_range.checkpoints
-    assert via_stream.sums == via_range.sums
-    assert via_stream.sups == via_range.sups
+    # the block is a CHUNK multiple: the oracle lays its chunks from n = 1
+    via_stream = stream_profile(spec, N, cps, block=1 << 12)
+    sums, sups = oracles.naive_profile(eval_range(spec, N).values, cps, False)
+    assert via_stream.checkpoints == cps
+    assert via_stream.sums == sums
+    assert via_stream.sups == sups
 
 
 def test_profile_checkpoint_validation():
