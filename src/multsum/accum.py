@@ -44,15 +44,28 @@ def compensated_cumsum(values: np.ndarray, carry: NeumaierSum | None = None) -> 
 
     If `carry` is given, it is the running total before values[0]; it is
     updated in place so consecutive calls chain across blocks.
+
+    Each CHUNK-value chunk is summed by np.cumsum and np.sum and shifted by
+    the carry at its start; the full chunks are done as rows of one 2-d
+    array, which gives the same bits as one call per chunk.
     """
-    out = np.empty(len(values), dtype=np.float64)
     if carry is None:
         carry = NeumaierSum()
-    for lo in range(0, len(values), CHUNK):
-        chunk = values[lo : lo + CHUNK]
-        pc = np.cumsum(chunk)
-        out[lo : lo + len(chunk)] = pc + (carry.hi + carry.lo)
-        acc_next = NeumaierSum(carry.hi, carry.lo)
-        acc_next.add(float(np.sum(chunk)))
-        carry.hi, carry.lo = acc_next.hi, acc_next.lo
+    n = len(values)
+    full = n - n % CHUNK
+    rows = values[:full].reshape(-1, CHUNK)
+    sums = np.sum(rows, axis=1).tolist()
+    if full < n:
+        sums.append(float(np.sum(values[full:])))
+    starts = []
+    for s in sums:
+        starts.append(carry.hi + carry.lo)
+        carry.add(s)
+    out = np.empty(n, dtype=np.float64)
+    body = out[:full].reshape(-1, CHUNK)
+    np.cumsum(rows, axis=1, out=body)
+    body += np.array(starts[: len(rows)])[:, None]
+    if full < n:
+        np.cumsum(values[full:], out=out[full:])
+        out[full:] += starts[-1]
     return out

@@ -41,7 +41,7 @@ from .lab import (
 from .multfun import (
     CharacterTwist,
     RandomRademacher,
-    _ProfileState,
+    ProfileState,
     build_spec,
     is_exact_spec,
     is_real_spec,
@@ -211,7 +211,7 @@ def _run_profile(args, prefix: str):
                 "resume state was written by a different invocation; "
                 "rerun without --resume"
             )
-        state = _ProfileState.restore(saved["snapshot"])
+        state = ProfileState.restore(saved["snapshot"])
         rows = [list(map(float, r)) for r in saved["rows"]]
         covered = [c for c in checkpoints if c <= state.n_done]
         if [int(r[0]) for r in rows] != covered:
@@ -220,7 +220,7 @@ def _run_profile(args, prefix: str):
                 "--resume"
             )
     if state is None:
-        state = _ProfileState(is_exact_spec(spec), is_real_spec(spec))
+        state = ProfileState(is_exact_spec(spec), is_real_spec(spec))
 
     fh = open(csv_path, "w", newline="")
     fh.write(",".join(PROFILE_COLUMNS) + "\n")

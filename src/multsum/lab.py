@@ -12,9 +12,11 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 import sympy
@@ -24,7 +26,9 @@ from .errors import SearchError
 from .multfun import (
     CharacterTwist,
     MultFnSpec,
-    RandomRademacher,
+    ProfileState,
+    RademacherSeeds,
+    check_checkpoints,
     eval_range,
     is_exact_spec,
     make_spec,
@@ -37,16 +41,37 @@ from .pretentious import distance, f_of_q_sum
 TRIAL_LIMIT = 10**6
 BIG_LIMIT = 4 * 10**18  # int64-safe bound for certified arithmetic
 
+T = TypeVar("T")
+
 
 def thread_cap() -> int:
     """Worker cap: MULTSUM_THREADS when set, else the CPU count."""
     raw = os.environ.get("MULTSUM_THREADS", "").strip()
     if raw:
-        cap = int(raw)
+        try:
+            cap = int(raw)
+        except ValueError:
+            cap = 0
         if cap < 1:
-            raise ValueError(f"MULTSUM_THREADS must be >= 1, got {cap}")
+            raise ValueError(f"MULTSUM_THREADS must be a positive integer, got {raw!r}")
         return cap
     return os.cpu_count() or 1
+
+
+def _evaluated_ahead(fn: Callable[[int], T], count: int, workers: int) -> Iterator[T]:
+    """Yield fn(0), ..., fn(count - 1) in order while a pool of `workers`
+    threads evaluates the next ones, at most workers + 1 results alive."""
+    if workers <= 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque[Future[T]] = deque()
+        for k in range(count):
+            pending.append(pool.submit(fn, k))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 @lru_cache(maxsize=1)
@@ -563,26 +588,27 @@ def random_walk_mc(
     """Profile f(n) = eps(n) n^(-scale_r) for hashed Rademacher eps over the
     given seeds (an int means range(seeds)); reports per-checkpoint medians.
 
-    Seeds run in a thread pool capped by MULTSUM_THREADS; results are merged
-    in seed order so the output never depends on scheduling.
+    All seeds share one sieve per block.  A thread pool capped by
+    MULTSUM_THREADS evaluates blocks ahead of an in-order scan of every
+    seed's partial sums, so the output never depends on the thread count.
     """
     if isinstance(seeds, int):
         seeds = list(range(seeds))
-    if not seeds:
-        raise ValueError("need at least one seed")
+    family = RademacherSeeds(seeds, scale_r, N)
     if checkpoints is None:
         checkpoints = decade_checkpoints(N)
-
-    def one(seed: int) -> list[float]:
-        spec = make_spec(RandomRademacher(seed=seed), scale_r=scale_r)
-        return stream_profile(spec, N, checkpoints).sups
-
-    cap = min(thread_cap(), len(seeds))
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            sups = list(pool.map(one, seeds))
-    else:
-        sups = [one(s) for s in seeds]
+    check_checkpoints(checkpoints, N)
+    states = [ProfileState(family.exact, real=True) for _ in seeds]
+    sups: list[list[float]] = [[] for _ in seeds]
+    workers = min(thread_cap(), len(family))
+    # one values array for every seed and block: with the pool running, a
+    # fresh 2 MB array per seed was faulted in anew each time (glibc hands
+    # freed pages back), which cost more than the pool saved
+    buf = np.empty(family.block_len)
+    for blk in _evaluated_ahead(family.block, len(family), workers):
+        vals = buf[: len(blk)]
+        for i, (state, row) in enumerate(zip(states, sups)):
+            row.extend(sup for _, _, sup in state.feed(blk.values(i, vals), checkpoints))
     medians = np.median(np.array(sups, dtype=np.float64), axis=0).tolist()
     return RandomWalkSummary(
         seeds=list(seeds),

@@ -29,6 +29,7 @@ BLOCK = 1 << 18  # shortest block: a 2 MB int64 array stays in one core's L2
 SUM_BLOCK = 1 << 22
 
 _GAUSSIAN_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +100,17 @@ def make_spec(
                 f"exception value at p={p} has |w|={abs(w):.6g} > 1; values "
                 "must stay in the closed unit disc"
             )
-    if not (scale_r >= 0 and math.isfinite(scale_r)):
-        raise ValueError(f"scale_r must be a finite nonnegative real, got {scale_r}")
+    _check_scale_r(scale_r)
     if isinstance(base, CoprimeIndicator) and base.Q < 1:
         raise ValueError(f"Q must be >= 1, got {base.Q}")
     if isinstance(base, CharacterTwist) and not math.isfinite(base.t):
         raise ValueError("twist exponent t must be finite")
     return MultFnSpec(base=base, scale_r=scale_r, exceptions=exceptions)
+
+
+def _check_scale_r(scale_r: float) -> None:
+    if not (scale_r >= 0 and math.isfinite(scale_r)):
+        raise ValueError(f"scale_r must be a finite nonnegative real, got {scale_r}")
 
 
 def _is_prime_small(n: int) -> bool:
@@ -223,22 +228,38 @@ def spec_config(spec: MultFnSpec) -> str:
 # scalar evaluation
 
 
-def _splitmix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer; operates on uint64 scalars or arrays."""
+def _splitmix64(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer of a uint64 array, computed in place; tmp is
+    uint64 scratch of x's shape, allocated when None.  Returns x."""
+    if tmp is None:
+        tmp = np.empty_like(x)
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        x = x + np.uint64(0x9E3779B97F4A7C15)  # a new array: x is not the caller's
-        x ^= x >> np.uint64(30)
+        x += np.uint64(0x9E3779B97F4A7C15)
+        x ^= np.right_shift(x, np.uint64(30), out=tmp)
         x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=tmp)
         x *= np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
+        x ^= np.right_shift(x, np.uint64(31), out=tmp)
+    return x
+
+
+def _rademacher_minus(
+    seed: int, ps: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """1 where seed's hashed sign at the primes ps is -1, else 0, as uint64.
+
+    out and tmp are optional uint64 scratch arrays of ps's shape.
+    """
+    key = _splitmix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+    x = np.bitwise_xor(ps, key, out=out, dtype=np.uint64, casting="unsafe")
+    _splitmix64(x, tmp)
+    x >>= np.uint64(63)
+    return x
 
 
 def rademacher_signs(seed: int, ps: np.ndarray) -> np.ndarray:
     """+-1 signs at the primes ps, keyed by seed; independent of sieve size."""
-    s = _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    h = _splitmix64(ps.astype(np.uint64) ^ s)
-    return np.where((h >> np.uint64(63)).astype(bool), -1.0, 1.0)
+    return np.where(_rademacher_minus(seed, ps), -1.0, 1.0)
 
 
 def unit_pow(w: complex, k: int) -> complex:
@@ -364,6 +385,65 @@ def _stride_starts(lo: int, hi: int, step: int) -> int | None:
     return start if start < hi else None
 
 
+def _sieving_primes(base_primes: np.ndarray, hi: int) -> np.ndarray:
+    """The base primes <= sqrt(hi - 1): all a block [lo, hi) is sieved by."""
+    return base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), "right")]
+
+
+def _parity_dtype(k: int) -> type:
+    """Smallest unsigned integer dtype holding k bits (k <= 64)."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if k <= np.iinfo(t).bits)
+
+
+def _signed(
+    bit: np.ndarray, magnitude: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(-1)^bit * magnitude (1.0 when None) as float64, for bit in {0, 1}.
+
+    Writing the float sign bit gives exactly the bits of
+    np.where(bit, -magnitude, magnitude), several times faster.
+    """
+    if out is None:
+        out = np.empty(len(bit), dtype=np.float64)
+    bits = out.view(np.uint64)
+    np.left_shift(bit, np.uint64(63), out=bits, casting="unsafe")
+    if magnitude is None:
+        bits |= _ONE_BITS
+    else:
+        bits ^= magnitude.view(np.uint64)
+    return out
+
+
+def _sign_parity(
+    u: np.ndarray, lo: int, hi: int, primes: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-parity skeleton of the block [lo, hi) for up to 64 +-1 functions.
+
+    u is n with the exception primes divided out; primes are the base primes
+    <= sqrt(hi - 1) that are not exceptions, and bit i of masks[j] is 1 when
+    function i is -1 at primes[j].  Returns the parity word per n, whose bit
+    i is the parity of function i's -1 prime factors counted with
+    multiplicity, and the cofactor u // smooth: 1 or one prime > sqrt(hi - 1).
+    """
+    length = hi - lo
+    parity = np.zeros(length, dtype=masks.dtype)
+    smooth = np.ones(length, dtype=np.int64)  # divides u <= 1e9: no overflow
+    for p, m in zip(primes.tolist(), masks.tolist()):
+        pk = p
+        while pk < hi:
+            start = _stride_starts(max(lo, pk), hi, pk)
+            if start is not None:
+                idx = slice(start - lo, length, pk)
+                smooth[idx] *= p
+                if m:
+                    parity[idx] ^= m
+            if pk > hi // p:
+                break
+            pk *= p
+    return parity, np.floor_divide(u, smooth, out=smooth)
+
+
 def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """f(n) for n in [lo, hi) as a complex128 (or float64 when real) array.
 
@@ -397,35 +477,20 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
             pk *= p
 
     if isinstance(base, (Liouville, RandomRademacher)):
-        omega = np.zeros(length, dtype=np.uint8)
-        rem = u.copy()
-        exc = spec.exceptions
-        primes = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), "right")]
+        primes = _sieving_primes(base_primes, hi)
+        if spec.exceptions:
+            primes = primes[~np.isin(primes, list(spec.exceptions))]
         if isinstance(base, Liouville):
-            minus = np.ones(len(primes), dtype=bool)
+            masks = np.ones(len(primes), dtype=np.uint8)
         else:
-            minus = rademacher_signs(base.seed, primes) < 0
-        for p, p_minus in zip(primes.tolist(), minus.tolist()):
-            if p in exc:
-                continue
-            pk = p
-            while pk < hi:
-                start = _stride_starts(max(lo, pk), hi, pk)
-                if start is not None:
-                    idx = slice(start - lo, length, pk)
-                    rem[idx] //= p
-                    if p_minus:
-                        omega[idx] += 1
-                if pk > hi // p:
-                    break
-                pk *= p
-        big = rem > 1  # leftover cofactors are single primes > sqrt(hi - 1)
+            masks = _rademacher_minus(base.seed, primes).astype(np.uint8)
+        parity, cof = _sign_parity(u, lo, hi, primes, masks)
+        big = cof > 1
         if isinstance(base, Liouville):
-            omega[big] += 1
+            parity ^= big
         else:
-            signs = rademacher_signs(base.seed, rem[big])
-            omega[big] += (signs < 0).astype(np.uint8)
-        vals = np.where((omega & 1).astype(bool), -1.0, 1.0)
+            parity[big] ^= _rademacher_minus(base.seed, cof[big]).astype(np.uint8)
+        vals = _signed(parity)
         out = mult * vals if real else mult * vals.astype(np.complex128)
     elif isinstance(base, One):
         out = mult if spec.exceptions else np.ones(length, dtype=dtype)
@@ -456,6 +521,13 @@ def block_length(x: int) -> int:
     return max(BLOCK, 1 << (64 * math.isqrt(x) - 1).bit_length())
 
 
+def _check_stream_x(x: int) -> None:
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    if x > STREAM_LIMIT:
+        raise CapacityError(f"x={x} exceeds the streaming limit {STREAM_LIMIT}")
+
+
 def iter_blocks(
     spec: MultFnSpec,
     x: int,
@@ -466,10 +538,7 @@ def iter_blocks(
     """Yield f(start..x) in consecutive blocks of at most `block` values
     (default block_length(x)), laid from `start`; with `squarefree`, each
     value is multiplied by mu^2(n)."""
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if x > STREAM_LIMIT:
-        raise CapacityError(f"x={x} exceeds the streaming limit {STREAM_LIMIT}")
+    _check_stream_x(x)
     if not 1 <= start <= x + 1:
         raise ValueError(f"start must lie in 1..{x + 1}, got {start}")
     block = block or block_length(x)
@@ -483,6 +552,91 @@ def iter_blocks(
             # lets glibc trim the heap and fault the next block's pages back in
             blk = _eval_block(spec, lo, hi, base_primes)
             yield blk * arith.squarefree_block(lo, hi, base_primes)
+
+
+@dataclass(eq=False)
+class SeedBlock:
+    """One block of RademacherSeeds: the sign parities of every seed.
+
+    Bit i % 64 of words[i // 64] is 1 where seed i's value is negative; damp
+    is n^(-scale_r) over the block, or None when scale_r is 0.
+    """
+
+    words: list[np.ndarray]
+    damp: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.words[0])
+
+    def values(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Seed i's f(n) over the block as float64, written into `out` when
+        given (a float64 array of the block's length)."""
+        word = self.words[i >> 6]
+        return _signed((word >> word.dtype.type(i & 63)) & 1, self.damp, out)
+
+
+class RademacherSeeds:
+    """f_s(n) = eps_s(n) n^(-scale_r) over 1..x for many seeds s, where eps_s
+    is the RandomRademacher(seed=s) function.
+
+    Each block is sieved once for all seeds, so block(k) costs one sieve plus
+    one cofactor hash per seed; blocks are independent and laid out exactly
+    as iter_blocks lays them, so seed i's values equal its own spec's.
+    """
+
+    def __init__(self, seeds: list[int], scale_r: float, x: int, block: int | None = None):
+        if not seeds:
+            raise ValueError("need at least one seed")
+        _check_scale_r(scale_r)
+        _check_stream_x(x)
+        self.groups = [list(seeds[j : j + 64]) for j in range(0, len(seeds), 64)]
+        self.scale_r = scale_r
+        self.exact = scale_r == 0
+        self.block_len = block or block_length(x)
+        self.ranges = [(lo, min(lo + self.block_len, x + 1))
+                       for lo in range(1, x + 1, self.block_len)]
+        self.base_primes = arith.primes_upto(math.isqrt(x))
+        # bit i of masks[g][j]: seed groups[g][i] is -1 at base_primes[j]
+        self.masks = []
+        for group in self.groups:
+            dt = _parity_dtype(len(group))
+            m = np.zeros(len(self.base_primes), dtype=dt)
+            for i, seed in enumerate(group):
+                m |= _rademacher_minus(seed, self.base_primes).astype(dt) << dt(i)
+            self.masks.append(m)
+
+    def __len__(self) -> int:
+        return len(self.ranges)
+
+    def block(self, k: int) -> SeedBlock:
+        """Evaluate the k-th block; safe to call from several threads.
+
+        The cofactor hash writes into three arrays made once per block, not
+        into fresh temporaries for every seed.
+        """
+        lo, hi = self.ranges[k]
+        n = np.arange(lo, hi, dtype=np.int64)
+        count = len(_sieving_primes(self.base_primes, hi))
+        words = []
+        for group, masks in zip(self.groups, self.masks):
+            parity, cof = _sign_parity(n, lo, hi, self.base_primes[:count], masks[:count])
+            big = cof > 1  # a prime above the sieve: hash its sign per seed
+            cof = cof[big]
+            minus, tmp = np.empty(len(cof), np.uint64), np.empty(len(cof), np.uint64)
+            flips = np.zeros(len(cof), dtype=np.uint64)
+            for i, seed in enumerate(group):
+                _rademacher_minus(seed, cof, minus, tmp)
+                minus <<= np.uint64(i)
+                flips |= minus
+            parity[big] ^= flips.astype(parity.dtype)
+            words.append(parity)
+        damp = None
+        if self.scale_r:  # n^(-r) as exp(-r log n), the bits _eval_block makes
+            damp = n.astype(np.float64)
+            np.log(damp, out=damp)
+            damp *= -self.scale_r
+            np.exp(damp, out=damp)
+        return SeedBlock(words, damp)
 
 
 def sum_blocks(
@@ -553,7 +707,7 @@ class PartialSumProfile:
     exact: bool
 
 
-class _ProfileState:
+class ProfileState:
     """Running partial-sum scan state; supports checkpointed resume."""
 
     def __init__(self, exact: bool, real: bool):
@@ -574,14 +728,14 @@ class _ProfileState:
         return complex(self.re.total(), self.im.total())
 
     def feed(
-        self, blk: np.ndarray, ends: list[int]
-    ) -> tuple[np.ndarray, np.ndarray | None, list[float]]:
-        """Consume one block.
-
-        `ends` are ascending offsets into blk (the checkpoints inside it).
-        Returns the block's real prefix sums, its imaginary prefix sums (None
-        for a real block) and max |M| up to each end.
-        """
+        self, blk: np.ndarray, checkpoints: list[int]
+    ) -> list[tuple[int, complex, float]]:
+        """Consume the block of values following n_done; returns
+        (c, M(c), max_{y<=c} |M(y)|) for each checkpoint c inside it."""
+        lo = self.n_done + 1
+        first = bisect_right(checkpoints, self.n_done)
+        here = checkpoints[first : bisect_right(checkpoints, self.n_done + len(blk), first)]
+        ends = [c - lo for c in here]
         im = None
         if self.exact:
             re = np.cumsum(blk.real)
@@ -610,7 +764,8 @@ class _ProfileState:
             self.sup = max(self.sup, m)
             sups.append(self.sup)
         self.n_done += len(blk)
-        return re, im, sups[: len(ends)]
+        return [(c, complex(re[i], 0.0 if im is None else im[i]), sup)
+                for c, i, sup in zip(here, ends, sups)]
 
     def snapshot(self) -> dict:
         """JSON-safe resume state; floats stored exactly as hex."""
@@ -625,7 +780,7 @@ class _ProfileState:
         return d
 
     @classmethod
-    def restore(cls, d: dict) -> "_ProfileState":
+    def restore(cls, d: dict) -> "ProfileState":
         st = cls(bool(d["exact"]), bool(d["real"]))
         st.n_done = int(d["n_done"])
         st.sup = float.fromhex(d["sup"])
@@ -638,12 +793,22 @@ class _ProfileState:
         return st
 
 
+def check_checkpoints(checkpoints: list[int], x: int) -> None:
+    """Refuse empty, unsorted or out-of-range (outside 1..x) checkpoints."""
+    if not checkpoints:
+        raise ValueError("need at least one checkpoint")
+    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    if checkpoints[0] < 1 or checkpoints[-1] > x:
+        raise ValueError(f"checkpoints must lie in 1..{x}")
+
+
 def stream_profile(
     spec: MultFnSpec,
     x: int,
     checkpoints: list[int],
     block: int | None = None,
-    state: _ProfileState | None = None,
+    state: ProfileState | None = None,
     on_checkpoint: Callable[[int, complex, float], None] | None = None,
     squarefree: bool = False,
 ) -> PartialSumProfile:
@@ -654,35 +819,19 @@ def stream_profile(
     previous run's snapshot) resumes mid-scan; rows already covered by the
     restored state are not re-emitted.
     """
-    if not checkpoints:
-        raise ValueError("need at least one checkpoint")
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
-    if checkpoints[0] < 1 or checkpoints[-1] > x:
-        raise ValueError(f"checkpoints must lie in 1..{x}")
+    check_checkpoints(checkpoints, x)
     exact, real = is_exact_spec(spec), is_real_spec(spec)
     if state is None:
-        state = _ProfileState(exact, real)
+        state = ProfileState(exact, real)
     elif state.exact != exact or state.real != real:
         raise ValueError("resume state does not match the spec's value modes")
-    sums: list[complex] = []
-    sups: list[float] = []
-    ck = bisect_right(checkpoints, state.n_done)  # skip rows a resumed state covers
-    first = ck
+    rows = []  # a resumed state skips the rows it covers
     for blk in iter_blocks(spec, x, block, state.n_done + 1, squarefree):
-        lo = state.n_done + 1
-        stop = bisect_right(checkpoints, state.n_done + len(blk), ck)
-        here = checkpoints[ck:stop]
-        ends = [c - lo for c in here]
-        re, im, blk_sups = state.feed(blk, ends)
-        for c, i, sup in zip(here, ends, blk_sups):
-            s = complex(re[i], 0.0 if im is None else im[i])
-            sums.append(s)
-            sups.append(sup)
+        for row in state.feed(blk, checkpoints):
+            rows.append(row)
             if on_checkpoint is not None:
-                on_checkpoint(c, s, sup)
-        ck = stop
+                on_checkpoint(*row)
     return PartialSumProfile(
-        spec=spec, checkpoints=checkpoints[first:ck], sums=sums, sups=sups,
-        exact=exact,
+        spec=spec, checkpoints=[c for c, _, _ in rows],
+        sums=[s for _, s, _ in rows], sups=[sup for _, _, sup in rows], exact=exact,
     )

@@ -150,3 +150,20 @@ def naive_profile(values, checkpoints, exact: bool, resume_at: int = 0):
     sums = [complex(re[c - 1], im[c - 1]) for c in checkpoints]
     sups = [float(run_max[c - 1]) for c in checkpoints]
     return sums, sups
+
+
+def chunked_cumsum(values, carry):
+    """accum.compensated_cumsum one CHUNK at a time: np.cumsum of the chunk
+    shifted by the running total before it, which then absorbs np.sum of
+    the chunk by two-sum.  `carry` is updated in place."""
+    import numpy as np
+    from multsum.accum import CHUNK, NeumaierSum
+
+    out = np.empty(len(values), dtype=np.float64)
+    for lo in range(0, len(values), CHUNK):
+        chunk = values[lo : lo + CHUNK]
+        out[lo : lo + len(chunk)] = np.cumsum(chunk) + (carry.hi + carry.lo)
+        step = NeumaierSum(carry.hi, carry.lo)
+        step.add(float(np.sum(chunk)))
+        carry.hi, carry.lo = step.hi, step.lo
+    return out

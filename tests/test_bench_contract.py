@@ -30,3 +30,13 @@ def test_bound_names_exist():
     assert callable(lab._first_admissible)
     assert isinstance(multfun.BLOCK, int)
     assert isinstance(next(multfun.iter_blocks(multfun.build_spec("one"), 10)), np.ndarray)
+
+
+def test_random_walk_mc_summary_shape():
+    """perfbench's worker reads these three fields of the summary."""
+    out = lab.random_walk_mc([1, 2], 0.25, 10)
+    assert out.checkpoints == [1, 10]
+    assert len(out.sups_per_seed) == 2
+    for row in out.sups_per_seed + [out.median_sups]:
+        assert len(row) == len(out.checkpoints)
+        assert all(type(v) is float for v in row)

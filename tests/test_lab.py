@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from multsum import (
+    CapacityError,
     CharacterTwist,
     Liouville,
     One,
@@ -27,8 +28,11 @@ from multsum import (
     random_walk_mc,
     rotation_witness,
     squarefree_pair,
+    stream_profile,
     thread_cap,
 )
+from multsum import lab
+from multsum.multfun import STREAM_LIMIT, RademacherSeeds
 
 
 def test_is_squarefree_big_matches_naive():
@@ -236,21 +240,83 @@ def test_random_walk_mc_thread_count_invariance():
     assert rows[0] == rows[1]
 
 
+MC_N = 3 * (1 << 18) + 5  # three full 2^18-value blocks and a 5-value one
+MC_CPS = [1, 10, 1000, (1 << 18) - 1, 1 << 18, (1 << 18) + 1, 1 << 19, MC_N]
+
+
+def test_random_walk_mc_multi_block_thread_invariance():
+    """Over several blocks the pool evaluates ahead of the scan; the bytes
+    match for one worker, two, three and more workers than blocks."""
+    script = (
+        "import json, multsum\n"
+        f"out = multsum.random_walk_mc([0, 1, 2, 3, 4, 5, 6, -1, 2**64 + 5], 0.25, "
+        f"{MC_N}, {MC_CPS})\n"
+        "print(json.dumps([[v.hex() for v in r] for r in out.sups_per_seed]"
+        " + [[v.hex() for v in out.median_sups]]))\n"
+    )
+    rows = []
+    for threads in ("1", "2", "3", "8"):
+        env = dict(os.environ, MULTSUM_THREADS=threads)
+        r = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert r.returncode == 0, r.stderr
+        rows.append(r.stdout)
+    assert len(set(rows)) == 1, rows
+
+
+@pytest.mark.parametrize("seeds, r, n", [
+    ([5], 0.25, MC_N),
+    (list(range(8)), 1.0, MC_N),  # a full uint8 word
+    (list(range(8)) + [3], 0.0, MC_N),  # uint16, a duplicated seed
+    (list(range(15)) + [-1, 2**64 + 5], 0.25, MC_N),  # uint32; keys mod 2^64
+    (list(range(-1, 64)), 0.0, (1 << 18) + 5),  # a second 64-seed group
+])
+def test_random_walk_mc_rows_match_standalone_profiles(seeds, r, n):
+    cps = [c for c in MC_CPS if c < n] + [n]
+    out = random_walk_mc(seeds, r, n, cps)
+    assert out.checkpoints == cps
+    assert len(out.sups_per_seed) == len(seeds)
+    for seed, row in zip(seeds, out.sups_per_seed):
+        solo = stream_profile(make_spec(RandomRademacher(seed=seed), scale_r=r), n, cps)
+        assert [v.hex() for v in row] == [v.hex() for v in solo.sups], seed
+
+
 def test_thread_cap_env(monkeypatch):
     monkeypatch.setenv("MULTSUM_THREADS", "3")
     assert thread_cap() == 3
     monkeypatch.setenv("MULTSUM_THREADS", "0")
     with pytest.raises(ValueError):
         thread_cap()
+    monkeypatch.setenv("MULTSUM_THREADS", "abc")
+    with pytest.raises(ValueError, match="MULTSUM_THREADS must be a positive "
+                       "integer, got 'abc'"):
+        thread_cap()
     monkeypatch.delenv("MULTSUM_THREADS", raising=False)
     assert thread_cap() >= 1
 
 
-def test_random_walk_mc_validation():
+def test_random_walk_mc_validation(monkeypatch):
     with pytest.raises(ValueError):
         random_walk_mc(0, 0.0, 100)
     with pytest.raises(ValueError):
         random_walk_mc([1, 2], -0.5, 100)
+
+    # every refusal comes before a block is evaluated or a thread started
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setenv("MULTSUM_THREADS", "2")
+    monkeypatch.setattr(lab, "ThreadPoolExecutor", no_work)
+    monkeypatch.setattr(RademacherSeeds, "block", no_work)
+    for r in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale_r"):
+            random_walk_mc([1, 2], r, MC_N)
+    with pytest.raises(CapacityError):
+        random_walk_mc([1, 2], 0.25, STREAM_LIMIT + 1)
+    for cps in ([], [10, 10], [100, 10], [0, 10], [10, MC_N + 1]):
+        with pytest.raises(ValueError, match="checkpoint"):
+            random_walk_mc([1, 2], 0.25, MC_N, cps)
 
 
 def test_concentration_exact_character(chi4):

@@ -34,7 +34,8 @@ from multsum.multfun import (
     BLOCK,
     STREAM_LIMIT,
     _eval_block,
-    _ProfileState,
+    ProfileState,
+    RademacherSeeds,
     block_length,
     rademacher_signs,
     unit_pow,
@@ -252,6 +253,22 @@ def test_iter_blocks_start_bounds():
             list(iter_blocks(spec, 10, start=start))
 
 
+def test_rademacher_seeds_match_single_specs():
+    """Each seed's values from the shared per-block sieve are its own spec's
+    bytes, over three seed groups (64 + 64 + 2 seeds) and a short last block."""
+    seeds = list(range(-1, 127)) + [2**64 + 5, 3]
+    x = 3 * CHUNK + 5
+    for r in (0.0, 0.5):
+        family = RademacherSeeds(seeds, r, x, CHUNK)
+        assert len(family) == 4 and family.exact == (r == 0)
+        blocks = [family.block(k) for k in range(len(family))]
+        assert [w.dtype for w in blocks[0].words] == [np.uint64, np.uint64, np.uint8]
+        for i, seed in enumerate(seeds):
+            got = np.concatenate([b.values(i) for b in blocks])
+            spec = make_spec(RandomRademacher(seed), scale_r=r)
+            assert got.tobytes() == eval_range(spec, x).values[1:].tobytes(), seed
+
+
 def spec_value_sign(spec, p: int) -> float:
     return float(prime_unit_value(spec, p).real)
 
@@ -328,9 +345,9 @@ def test_snapshot_resume_matches_full_run(chi5):
         cps = [2500, 5000, 10000]
         full = stream_profile(spec, 10000, cps, block=512)
 
-        st_live = _ProfileState(exact, real)
+        st_live = ProfileState(exact, real)
         first = stream_profile(spec, 5000, [2500, 5000], block=512, state=st_live)
-        resumed = _ProfileState.restore(st_live.snapshot())
+        resumed = ProfileState.restore(st_live.snapshot())
         rest = stream_profile(spec, 10000, cps, block=512, state=resumed)
 
         assert first.checkpoints + rest.checkpoints == cps
@@ -375,11 +392,11 @@ def test_stream_profile_matches_naive_scan(cfg, block):
     assert bits(prof.sums, prof.sups) == bits(*oracles.naive_profile(values, cps, exact))
 
     mid = B + B // 2 + 3
-    st_live = _ProfileState(exact, real)
+    st_live = ProfileState(exact, real)
     first = stream_profile(spec, mid, [c for c in cps if c <= mid], block=block,
                            state=st_live)
     rest = stream_profile(spec, x, cps, block=block,
-                          state=_ProfileState.restore(st_live.snapshot()))
+                          state=ProfileState.restore(st_live.snapshot()))
     assert first.checkpoints + rest.checkpoints == cps
     assert bits(first.sums + rest.sums, first.sups + rest.sups) == bits(
         *oracles.naive_profile(values, cps, exact, resume_at=mid))
@@ -422,7 +439,7 @@ def test_eval_block_near_stream_limit(cfg, rel):
 
 
 def test_resume_state_mode_mismatch(chi5):
-    st = _ProfileState(exact=True, real=True)
+    st = ProfileState(exact=True, real=True)
     spec = make_spec(CharacterTwist(chi5, t=0.3))
     with pytest.raises(ValueError):
         stream_profile(spec, 100, [100], state=st)
