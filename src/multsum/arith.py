@@ -209,7 +209,7 @@ def kronecker(d: int, n: int) -> int:
     return sign * _jacobi(d % n, n)
 
 
-def _factor_small(n: int) -> list[tuple[int, int]]:
+def factor_small(n: int) -> list[tuple[int, int]]:
     """Trial-division factorization for moduli-sized integers."""
     out = []
     d = 2
@@ -228,14 +228,14 @@ def _factor_small(n: int) -> list[tuple[int, int]]:
 
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in _factor_small(n):
+    for p, e in factor_small(n):
         out *= (p - 1) * p ** (e - 1)
     return out
 
 
 def _primitive_root(p: int, e: int) -> int:
     """Primitive root modulo p^e for odd prime p."""
-    parts = [ell for ell, _ in _factor_small(p - 1)]
+    parts = [ell for ell, _ in factor_small(p - 1)]
     g = next(
         g
         for g in range(2, p)
@@ -265,7 +265,7 @@ def unit_group(q: int) -> UnitGroup:
     if not 1 <= q <= UNIT_GROUP_LIMIT:
         raise CapacityError(f"unit_group modulus {q} outside 1..{UNIT_GROUP_LIMIT}")
     gens: list[tuple[int, int]] = []
-    for p, e in _factor_small(q):
+    for p, e in factor_small(q):
         pe = p**e
         rest = q // pe
         local: list[tuple[int, int]] = []

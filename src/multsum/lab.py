@@ -135,7 +135,7 @@ def value_from_factors(spec: MultFnSpec, factors: list[tuple[int, int]]) -> comp
 def deviation_primes(f: MultFnSpec, chi) -> set[int]:
     """Primes where f's unit value differs from chi (the set S)."""
     out = set()
-    for p in set(f.exceptions) | {p for p, _ in arith._factor_small(chi.modulus)}:
+    for p in set(f.exceptions) | {p for p, _ in arith.factor_small(chi.modulus)}:
         if prime_unit_value(f, p) != chi(p):
             out.add(p)
     return out
@@ -155,7 +155,7 @@ def _require_char_base(f: MultFnSpec, chi, who: str) -> None:
 
 
 def _check_window_modulus(W: int, q: int, H: int) -> None:
-    for p, e in arith._factor_small(q):
+    for p, e in arith.factor_small(q):
         v = 0
         m = W
         while m % p == 0:
@@ -392,7 +392,7 @@ def squarefree_pair(
     for p, w_ in g.exceptions.items():
         if w_ not in (1 + 0j, -1 + 0j):
             raise ValueError(f"g({p}) must be +-1, got {w_}")
-    for p, _ in arith._factor_small(q):
+    for p, _ in arith.factor_small(q):
         if p not in g.exceptions:
             raise ValueError(
                 f"g must choose a +-1 value at p={p} dividing the modulus"
@@ -516,7 +516,13 @@ class GrowthProfile:
     regime: str
 
 
+def _check_checkpoint_range(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"checkpoints need N >= 1, got N={N}")
+
+
 def dyadic_checkpoints(N: int) -> list[int]:
+    _check_checkpoint_range(N)
     out = [1 << k for k in range(N.bit_length()) if (1 << k) <= N]
     if out[-1] != N:
         out.append(N)
@@ -524,6 +530,7 @@ def dyadic_checkpoints(N: int) -> list[int]:
 
 
 def decade_checkpoints(N: int) -> list[int]:
+    _check_checkpoint_range(N)
     out = [10**k for k in range(len(str(N))) if 10**k <= N]
     if out[-1] != N:
         out.append(N)

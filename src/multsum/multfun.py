@@ -424,11 +424,13 @@ def _sign_parity(
     <= sqrt(hi - 1) that are not exceptions, and bit i of masks[j] is 1 when
     function i is -1 at primes[j].  Returns the parity word per n, whose bit
     i is the parity of function i's -1 prime factors counted with
-    multiplicity, and the cofactor u // smooth: 1 or one prime > sqrt(hi - 1).
+    multiplicity, and the smooth part of u over primes as int32.  smooth
+    divides u, and u // smooth is 1 or one prime > sqrt(hi - 1), so
+    smooth < u marks the n with a prime factor above the sieve.
     """
     length = hi - lo
     parity = np.zeros(length, dtype=masks.dtype)
-    smooth = np.ones(length, dtype=np.int64)  # divides u <= 1e9: no overflow
+    smooth = np.ones(length, dtype=np.int32)  # divides u <= 1e9 < 2^31
     for p, m in zip(primes.tolist(), masks.tolist()):
         pk = p
         while pk < hi:
@@ -441,29 +443,64 @@ def _sign_parity(
             if pk > hi // p:
                 break
             pk *= p
-    return parity, np.floor_divide(u, smooth, out=smooth)
+    return parity, smooth
+
+
+def _big_primes(u: np.ndarray, smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the block where u has a prime factor above the sieve, and
+    that prime (u // smooth there), from _sign_parity's smooth part."""
+    idx = np.flatnonzero(smooth < u)
+    cof = u.take(idx)
+    cof //= smooth.take(idx)
+    return idx, cof
+
+
+def _periodic(table: np.ndarray, lo: int, length: int) -> np.ndarray:
+    """table[(lo + i) % len(table)] for i in range(length): one period laid
+    from residue lo % len(table), then copied onto itself by doubling."""
+    q = len(table)
+    out = np.empty(length, dtype=table.dtype)
+    s = lo % q
+    filled = min(q - s, length)
+    out[:filled] = table[s : s + filled]
+    rest = min(s, length - filled)
+    out[filled : filled + rest] = table[:rest]
+    filled += rest  # min(q, length): one whole period, or the whole block
+    while filled < length:
+        step = min(filled, length - filled)
+        out[filled : filled + step] = out[:step]
+        filled += step
+    return out
 
 
 def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """f(n) for n in [lo, hi) as a complex128 (or float64 when real) array.
 
     base_primes must cover sqrt(hi - 1).  Blocks are independent: nothing
-    about earlier ranges is needed.
+    about earlier ranges is needed.  No step works per value where residues
+    and strides fix the result: characters copy their period and patch the
+    exception strides, the coprime indicator zeroes the strides of Q's small
+    primes, and +-1 bases divide only where a prime above the sieve remains.
+
+    Complex products are written np.multiply(fresh, factor, out=fresh), the
+    order numpy's temporary elision gives `factor * fresh` in a large block:
+    its complex multiply rounds differently with the operands swapped, and
+    elision swaps them only for temporaries of 2^14 or more values, so the
+    order is fixed here whatever the block length.
     """
-    n = np.arange(lo, hi, dtype=np.int64)
     length = hi - lo
     base = spec.base
     real = is_real_spec(spec)
     dtype = np.float64 if real else np.complex128
 
-    # mult is the product of exception values; without exceptions it is the
-    # scalar 1, which gives the same products (1+0j clears signed zeros
-    # exactly as an all-ones array would) with no block-length array
-    mult = 1.0 if real else 1 + 0j
-    u = n  # n with exception primes divided out
+    # mult is the product of exception values.  Without exceptions it is the
+    # scalar 1+0j for complex specs, which clears signed zeros exactly as an
+    # all-ones array would, and None for real ones, where 1.0 changes nothing
+    mult = None if real else 1 + 0j
+    u = None  # n with the exception primes divided out, made where needed
     if spec.exceptions:
         mult = np.ones(length, dtype=dtype)
-        u = n.copy()
+        u = np.arange(lo, hi, dtype=np.int64)
     for p, w in sorted(spec.exceptions.items()):
         pk = p
         while pk < hi:
@@ -477,6 +514,8 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
             pk *= p
 
     if isinstance(base, (Liouville, RandomRademacher)):
+        if u is None:
+            u = np.arange(lo, hi, dtype=np.int64)
         primes = _sieving_primes(base_primes, hi)
         if spec.exceptions:
             primes = primes[~np.isin(primes, list(spec.exceptions))]
@@ -484,28 +523,56 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
             masks = np.ones(len(primes), dtype=np.uint8)
         else:
             masks = _rademacher_minus(base.seed, primes).astype(np.uint8)
-        parity, cof = _sign_parity(u, lo, hi, primes, masks)
-        big = cof > 1
+        parity, smooth = _sign_parity(u, lo, hi, primes, masks)
         if isinstance(base, Liouville):
-            parity ^= big
+            parity ^= smooth < u
         else:
-            parity[big] ^= _rademacher_minus(base.seed, cof[big]).astype(np.uint8)
-        vals = _signed(parity)
-        out = mult * vals if real else mult * vals.astype(np.complex128)
+            idx, cof = _big_primes(u, smooth)
+            parity[idx] ^= _rademacher_minus(base.seed, cof).astype(np.uint8)
+        del smooth
+        out = _signed(parity)
+        if not real:
+            out = out.astype(np.complex128)
+        if mult is not None:
+            np.multiply(out, mult, out=out)
     elif isinstance(base, One):
         out = mult if spec.exceptions else np.ones(length, dtype=dtype)
     elif isinstance(base, CoprimeIndicator):
-        coprime = np.gcd(u, base.Q) == 1
-        out = np.where(coprime, mult, 0)
+        out = mult if spec.exceptions else np.ones(length, dtype=dtype)
+        # zero the strides of Q's primes <= sqrt(hi - 1); what is left of Q
+        # has only larger prime factors, which one gcd pass finds
+        rest = base.Q
+        primes = _sieving_primes(base_primes, hi)
+        for p in primes[base.Q % primes == 0].tolist():
+            while rest % p == 0:
+                rest //= p
+            start = _stride_starts(lo, hi, p)
+            if p not in spec.exceptions and start is not None:
+                out[start - lo :: p] = 0
+        if rest > 1:
+            if u is None:
+                u = np.arange(lo, hi, dtype=np.int64)
+            out[np.gcd(u, rest) != 1] = 0
     else:  # CharacterTwist
         chi = base.chi
-        table = chi.values.real.astype(np.float64) if real else chi.values
-        out = mult * table[np.mod(u, chi.modulus)]
+        table = chi.values.real if real else chi.values  # .real: a float64 view
+        out = _periodic(table, lo, length)
+        # u differs from n only on the multiples of an exception prime
+        for p in spec.exceptions:
+            start = _stride_starts(lo, hi, p)
+            if start is not None:
+                idx = slice(start - lo, length, p)
+                out[idx] = table[np.mod(u[idx], chi.modulus)]
+        if mult is not None:
+            np.multiply(out, mult, out=out)
         if base.t:
-            out = out * np.exp(1j * base.t * np.log(u.astype(np.float64)))
+            if u is None:
+                u = np.arange(lo, hi, dtype=np.int64)
+            twist = np.exp(1j * base.t * np.log(u.astype(np.float64)))
+            out = np.multiply(twist, out, out=twist)
 
-    if spec.scale_r:
-        out = out * np.exp(-spec.scale_r * np.log(n.astype(np.float64)))
+    if spec.scale_r:  # a real factor: its operand order cannot change bits
+        out = out * np.exp(-spec.scale_r * np.log(np.arange(lo, hi, dtype=np.float64)))
     return out
 
 
@@ -516,7 +583,10 @@ def block_length(x: int) -> int:
     the per-block Python loop over the pi(sqrt x) base primes stays small
     next to the block's array work.  A power of two >= CHUNK keeps the
     compensated-sum chunks on the same n whatever the length, so float
-    results do not depend on it.
+    results do not depend on it for real specs and for complex values in
+    {0, +-1, +-i}.  A complex spec with other exception values can differ in
+    the last bits: numpy rounds the strided exception products differently
+    on some short slices, and their lengths follow the block length.
     """
     return max(BLOCK, 1 << (64 * math.isqrt(x) - 1).bit_length())
 
@@ -612,23 +682,25 @@ class RademacherSeeds:
         """Evaluate the k-th block; safe to call from several threads.
 
         The cofactor hash writes into three arrays made once per block, not
-        into fresh temporaries for every seed.
+        into fresh temporaries for every seed, and only at the n that have a
+        prime factor above the sieve.
         """
         lo, hi = self.ranges[k]
         n = np.arange(lo, hi, dtype=np.int64)
         count = len(_sieving_primes(self.base_primes, hi))
         words = []
         for group, masks in zip(self.groups, self.masks):
-            parity, cof = _sign_parity(n, lo, hi, self.base_primes[:count], masks[:count])
-            big = cof > 1  # a prime above the sieve: hash its sign per seed
-            cof = cof[big]
+            parity, smooth = _sign_parity(n, lo, hi, self.base_primes[:count],
+                                          masks[:count])
+            idx, cof = _big_primes(n, smooth)  # hash these primes' signs per seed
+            del smooth
             minus, tmp = np.empty(len(cof), np.uint64), np.empty(len(cof), np.uint64)
-            flips = np.zeros(len(cof), dtype=np.uint64)
+            flips = np.zeros(len(cof), dtype=parity.dtype)
             for i, seed in enumerate(group):
                 _rademacher_minus(seed, cof, minus, tmp)
                 minus <<= np.uint64(i)
-                flips |= minus
-            parity[big] ^= flips.astype(parity.dtype)
+                np.bitwise_or(flips, minus, out=flips, casting="unsafe")
+            parity[idx] ^= flips
             words.append(parity)
         damp = None
         if self.scale_r:  # n^(-r) as exp(-r log n), the bits _eval_block makes

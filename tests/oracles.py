@@ -167,3 +167,27 @@ def chunked_cumsum(values, carry):
         step.add(float(np.sum(chunk)))
         carry.hi, carry.lo = step.hi, step.lo
     return out
+
+
+def residue_values(spec, lo: int, hi: int):
+    """f(n) for lo <= n < hi of an undamped, untwisted character or coprime
+    spec, the per-value way: u is n with the exception primes divided out,
+    f(n) is chi.values[u mod q] (or [gcd(u, Q) == 1]) times the exception
+    values, with np.mod and np.gcd on every n."""
+    import numpy as np
+    from multsum.multfun import CoprimeIndicator
+
+    u = np.arange(lo, hi, dtype=np.int64)
+    mult = np.ones(len(u), dtype=np.complex128)
+    for p, w in spec.exceptions.items():
+        hit = np.flatnonzero(np.mod(u, p) == 0)
+        while len(hit):
+            u[hit] //= p
+            mult[hit] *= w
+            hit = hit[np.mod(u[hit], p) == 0]
+    base = spec.base
+    if isinstance(base, CoprimeIndicator):
+        vals = (np.gcd(u, base.Q) == 1).astype(np.complex128)
+    else:
+        vals = base.chi.values[np.mod(u, base.chi.modulus)]
+    return vals * mult

@@ -205,6 +205,12 @@ def test_checkpoint_builders():
     assert dyadic_checkpoints(20) == [1, 2, 4, 8, 16, 20]
     assert decade_checkpoints(1000) == [1, 10, 100, 1000]
     assert decade_checkpoints(2500) == [1, 10, 100, 1000, 2500]
+    for build in (dyadic_checkpoints, decade_checkpoints):
+        for N in (0, -3):
+            with pytest.raises(ValueError, match=f"N={N}"):
+                build(N)
+    with pytest.raises(ValueError, match="N=0"):
+        growth_profile(make_spec(One()), 0)
 
 
 def test_random_walk_mc_median():

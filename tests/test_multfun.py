@@ -1,5 +1,6 @@
 """Tests for multfun: spec construction, sieved evaluation, profiles."""
 
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -30,6 +31,7 @@ from multsum import (
 )
 from multsum.accum import CHUNK
 from multsum.arith import primes_upto
+from multsum.characters import DirichletCharacter
 from multsum.multfun import (
     BLOCK,
     STREAM_LIMIT,
@@ -466,3 +468,135 @@ def test_complete_multiplicativity(m, n, pick):
     fn = oracles.spec_value(spec, n)
     fmn = oracles.spec_value(spec, m * n)
     assert abs(fmn - fm * fn) < 1e-12, (m, n)
+
+
+# sha256 of eval_range(spec, 10**6 + 17).values.tobytes(), frozen before the
+# block kernels moved to residue periods and strides.  Every block there holds
+# at least 2^14 values, so a kernel change that moves any bit fails here.
+PINNED_VALUES = {
+    "one":
+        "6e7f112cc866d184190480696261daa0172798f3c0fe36a3e98fa1d0678eb405",
+    "char:q=4,index=1":
+        "08004b3f8a53dce0a4d28580cbed63d4107063d1a9a77103855ac07fa16ff0db",
+    "char:q=5,index=1":
+        "68c50511463b586797aff5a8dfc4753f629dc52039dc62fa09df906a827e73cb",
+    "char:q=5,index=1,t=2.0":
+        "27e7a001c2a833a1727f993b0f3476e5a7c9d02a7a604322bf8a4ca1695f9781",
+    "liouville":
+        "71cb57e25999cd867aa3606126fb5dcf0a721cc607733f087237b1bddfd4368c",
+    "rademacher:seed=1":
+        "a054da78e871fb3087f568a46a5c8dc6fa3bee59d3a909fc7bf1b06065166bae",
+    "coprime:Q=30":
+        "df79bb19078fe6ed330e5cc8065f8f306f146cddf67e2514273edc946d8adf06",
+    "one;except=2~0.5~0":
+        "802e8fa84ad1fc622793a215281293224f979c2afd199da6eca7f4aca1f9f31f",
+    "one;scale_r=0.25":
+        "05f10657999b3716b9620ad64d66d43e0f5793d94125fa3fa8f2b15f9aed2313",
+    "char:q=5,index=real;except=2~1~0":
+        "1466e9c89afa86404b73aed82087911127614dc49cd920816567f1a6c9430175",
+    "char:q=7,index=2;except=3~0.3~0.2":
+        "8ebaf2429e90e6313c82d4ca482da6628ed24345b7da2cf38720714365ddd1ad",
+    "char:q=5,index=1;except=5~-1~0":
+        "4391758b48c4d7650aa6b48ad9874267ac5f9e6a6ac7e2d8f7f289d0bca52395",
+    "coprime:Q=210;except=7~0.5~0":
+        "ded00b68a0bf0a32ee819c627a599cab1fb42ea17492e694cbb587347eb5cceb",
+    "rademacher:seed=7;except=5~-1~0;scale_r=0.25":
+        "79011bdf61a053b67377d8a1463de5e12f28eb3bda9340ca9b9726d11fbaa29c",
+}
+
+
+@pytest.mark.parametrize("cfg", list(PINNED_VALUES))
+def test_eval_range_bytes_pinned(cfg):
+    values = eval_range(build_spec(cfg), 10**6 + 17).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_VALUES[cfg]
+
+
+def test_complex_values_do_not_depend_on_block_length():
+    """A complex character with a non-Gaussian exception gives the same bits
+    at block lengths of 2^14 + 1 values and up.  Products are taken in one
+    operand order whatever the length: numpy elides `a * temp` into
+    `temp *= a` only for temporaries of 2^14 or more complex values, and its
+    complex multiply rounds differently with the operands swapped."""
+    spec = build_spec("char:q=7,index=2;except=3~0.3~0.2")
+    x = 10**6
+    want = eval_range(spec, x).values.tobytes()
+    cps = [1 << k for k in range(20)] + [x]
+    prof = stream_profile(spec, x, cps)
+    for block in (2**14 + 1, 2**16, 2**18):
+        assert eval_range(spec, x, block).values.tobytes() == want, block
+        if block % CHUNK:  # the scan lays its chunks from each block start
+            continue
+        got = stream_profile(spec, x, cps, block=block)
+        assert [(s.real.hex(), s.imag.hex()) for s in got.sums] == [
+            (s.real.hex(), s.imag.hex()) for s in prof.sums], block
+        assert [v.hex() for v in got.sups] == [v.hex() for v in prof.sups], block
+
+
+def _assert_matches_reference(spec, lo, hi):
+    """_eval_block equals oracles.residue_values: bit for bit when every value
+    is in {0, +-1, +-i}, else to a few ulps (the exception products are
+    multiplied in another order)."""
+    got = _eval_block(spec, lo, hi, primes_upto(math.isqrt(hi - 1)))
+    want = oracles.residue_values(spec, lo, hi)
+    assert got.dtype == (np.float64 if is_real_spec(spec) else np.complex128)
+    if is_real_spec(spec):
+        assert not want.imag.any()
+        want = want.real
+    if is_exact_spec(spec):
+        assert np.array_equal(got, want), (spec_config(spec), lo, hi)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15,
+                                   err_msg=f"{spec_config(spec)} [{lo}, {hi})")
+
+
+def _random_character(q: int) -> DirichletCharacter:
+    """Random unit values mod q standing in for a character: the block
+    kernel reads only the table, and a real character mod 999983 takes
+    seconds to build."""
+    ang = np.random.default_rng(q).uniform(0, 2 * np.pi, q)
+    return DirichletCharacter(modulus=q, index=1, values=np.exp(1j * ang),
+                              exponents=(1,), principal=False, real=False,
+                              conductor=q)
+
+
+@pytest.mark.parametrize("q,index,p_in,p_out", [
+    (3, 1, 3, 2),
+    (4, 1, 2, 3),
+    (5, 1, 5, 2),
+    (7, 2, 7, 3),
+    (999983, None, 999983, 2),
+])
+def test_character_block_matches_mod_reference(q, index, p_in, p_out):
+    """Period copies with lo % q != 0 and exception strides at a prime that
+    divides q and at one that does not, against np.mod on every n."""
+    from multsum import character_by_index
+
+    chi = _random_character(q) if index is None else character_by_index(q, index)
+    big = q > 1000
+    blocks = ([(q - 777, q + 20_000), (2 * q - 5, 2 * q + 100), (q + 1, q + 2)] if big
+              else [(q + 1, q + 3), (2, 2 + q), (1, 3 * q + 1), (5 * q + 2, 5 * q + 4099)])
+    for exceptions in ({}, {p_in: -1}, {p_out: 1j}, {p_in: 1j, p_out: 0.5 + 0.25j}):
+        spec = make_spec(CharacterTwist(chi), exceptions=exceptions)
+        for lo, hi in blocks:
+            if not big:
+                assert lo % q != 0
+            _assert_matches_reference(spec, lo, hi)
+
+
+@pytest.mark.parametrize("cfg,x", [
+    ("coprime:Q=1", 1000),
+    ("coprime:Q=30", 10**5),
+    ("coprime:Q=210;except=7~0.5~0,11~-1~0", 10**5),
+    ("coprime:Q=437", 300),  # 19 and 23: above sqrt(300), below 300
+    ("coprime:Q=437;except=23~-1~0", 300),
+    ("coprime:Q=2000006", 3 * 10**6),  # 2 * 1000003
+    ("coprime:Q=2305843009213693951", 10**5),  # 2^61 - 1, prime
+])
+def test_coprime_values_match_gcd_reference(cfg, x):
+    """Strided zeroing of Q's small primes plus one gcd pass over what is
+    left of Q, against np.gcd on every n over the whole range."""
+    spec = build_spec(cfg)
+    got = eval_range(spec, x).values[1:]
+    want = oracles.residue_values(spec, 1, x + 1)
+    assert not want.imag.any()
+    assert np.array_equal(got, want.real)
