@@ -6,15 +6,12 @@ Dirichlet-series checks."""
 __version__ = "0.1.0"
 
 from .arith import (
-    SpfTable,
     UnitGroup,
     crt_solve,
     euler_phi,
-    factorize,
-    kronecker,
-    mobius_square,
+    factor,
+    is_prime,
     primes_upto,
-    spf_sieve,
     squarefree_block,
     unit_group,
 )
@@ -64,7 +61,6 @@ from .multfun import (
     RandomRademacher,
     SievedRange,
     build_spec,
-    eval_at,
     eval_range,
     is_exact_spec,
     is_real_spec,

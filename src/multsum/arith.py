@@ -1,20 +1,22 @@
-"""Integer arithmetic substrate: prime sieves, smallest-prime-factor tables,
-factorization, CRT solving, the Kronecker symbol, and unit groups of Z/qZ."""
+"""Integer arithmetic substrate: prime sieves, factorization and primality,
+CRT solving, and unit groups of Z/qZ.
+
+`factor` and `is_prime` are the package's only factorization and primality
+path, and this is the only module that imports sympy.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import sympy
 
 from .errors import CapacityError, InfeasibleError
 
-SPF_LIMIT = 10**9
-# Above this the full table would not fit in memory; point queries fall back
-# to trial division and range queries to per-segment sieving.
-SPF_DENSE_LIMIT = 10**7
-SPF_SEGMENT = 1 << 20
+FACTOR_LIMIT = 4 * 10**18  # int64-safe bound for certified arithmetic
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -27,104 +29,6 @@ def primes_upto(n: int) -> np.ndarray:
         if not composite[p]:
             composite[p * p :: p] = True
     return np.flatnonzero(~composite).astype(np.int64)
-
-
-@dataclass(eq=False)
-class SpfTable:
-    """Smallest-prime-factor lookups for 2..limit.
-
-    `spf` is the dense table (spf[n] = smallest prime factor of n) when
-    limit <= SPF_DENSE_LIMIT, else None and queries go through the base
-    primes <= sqrt(limit).
-    """
-
-    limit: int
-    spf: np.ndarray | None
-    base_primes: np.ndarray
-
-    def spf_at(self, n: int) -> int:
-        """Smallest prime factor of n (n itself when n is prime)."""
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range 2..{self.limit}")
-        if self.spf is not None:
-            return int(self.spf[n])
-        ps = self.base_primes
-        hits = ps[n % ps == 0]
-        if len(hits):
-            return int(hits[0])
-        return n
-
-    def segment(self, lo: int, hi: int) -> np.ndarray:
-        """Dense spf values for the half-open range [lo, hi), hi <= limit + 1."""
-        if not 2 <= lo < hi <= self.limit + 1:
-            raise ValueError(f"bad segment [{lo}, {hi}) for limit {self.limit}")
-        if self.spf is not None:
-            return self.spf[lo:hi].astype(np.int64)
-        out = np.zeros(hi - lo, dtype=np.int64)
-        for p in self.base_primes:
-            p = int(p)
-            if p * p >= hi:
-                break
-            start = max(p * p, -(-lo // p) * p)
-            if start >= hi:
-                continue
-            sl = out[start - lo :: p]
-            sl[sl == 0] = p
-        unresolved = np.flatnonzero(out == 0)
-        out[unresolved] = unresolved + lo
-        return out
-
-
-def spf_sieve(limit: int) -> SpfTable:
-    """Build an SpfTable for 2..limit.  Capacity: 2 <= limit <= SPF_LIMIT."""
-    if not 2 <= limit <= SPF_LIMIT:
-        raise CapacityError(f"spf_sieve limit {limit} outside 2..{SPF_LIMIT}")
-    base = primes_upto(math.isqrt(limit))
-    if limit > SPF_DENSE_LIMIT:
-        return SpfTable(limit=limit, spf=None, base_primes=base)
-    table = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if table[p] == 0:
-            sl = table[p * p :: p]
-            sl[sl == 0] = p
-    unresolved = np.flatnonzero(table[2:] == 0) + 2
-    table[unresolved] = unresolved
-    return SpfTable(limit=limit, spf=table, base_primes=base)
-
-
-def factorize(n: int, table: SpfTable) -> list[tuple[int, int]]:
-    """Prime factorization of n as an ascending list of (prime, exponent)."""
-    if not 1 <= n <= table.limit:
-        raise ValueError(f"n={n} outside table range 1..{table.limit}")
-    out: list[tuple[int, int]] = []
-    if n == 1:
-        return out
-    if table.spf is not None:
-        while n > 1:
-            p = int(table.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-    ps = table.base_primes
-    for p in ps[n % ps == 0]:
-        p = int(p)
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    if n > 1:
-        # cofactor has no divisor <= sqrt(original n), hence prime
-        out.append((n, 1))
-    return out
-
-
-def mobius_square(n: int, table: SpfTable) -> int:
-    """mu(n)^2: 1 if n is squarefree, else 0."""
-    return int(all(e == 1 for _, e in factorize(n, table)))
 
 
 def squarefree_block(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
@@ -172,70 +76,85 @@ def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     return x, mod
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n."""
-    a %= n
-    t = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                t = -t
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            t = -t
-        a %= n
-    return t if n == 1 else 0
+def _icbrt(n: int) -> int:
+    """Floor of the cube root of n >= 0."""
+    c = round(n ** (1 / 3))
+    while c**3 > n:
+        c -= 1
+    while (c + 1) ** 3 <= n:
+        c += 1
+    return c
 
 
-def kronecker(d: int, n: int) -> int:
-    """Kronecker symbol (d/n), fully extended to all integer pairs."""
-    if n == 0:
-        return 1 if abs(d) == 1 else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if d < 0:
-            sign = -sign
-    if n % 2 == 0:
-        if d % 2 == 0:
-            return 0
-        v = 0
-        while n % 2 == 0:
-            n //= 2
-            v += 1
-        if v % 2 == 1 and d % 8 in (3, 5):
-            sign = -sign
-    return sign * _jacobi(d % n, n)
+TRIAL_BOUND = _icbrt(FACTOR_LIMIT)  # 1587401: trial division never goes past it
 
 
-def factor_small(n: int) -> list[tuple[int, int]]:
-    """Trial-division factorization for moduli-sized integers."""
+@lru_cache(maxsize=None)
+def _cached_primes(bits: int) -> np.ndarray:
+    """Primes below 2^bits, capped at TRIAL_BOUND: one sieve per bit length
+    of the cube root, so small n never sieve to the full bound."""
+    return primes_upto(min((1 << bits) - 1, TRIAL_BOUND))
+
+
+def small_factors(n: int) -> tuple[list[tuple[int, int]], int]:
+    """Divide out every prime <= cbrt(n), for 1 <= n <= FACTOR_LIMIT.
+
+    Returns the ascending (p, e) pairs found and the cofactor.  Every prime
+    left in the cofactor exceeds cbrt(n), so it is 1, p, p^2 or p*q.
+    """
+    if not 1 <= n <= FACTOR_LIMIT:
+        raise ValueError(f"n={n} outside 1..FACTOR_LIMIT={FACTOR_LIMIT}")
+    c = _icbrt(n)
+    ps = _cached_primes(c.bit_length())
+    ps = ps[: np.searchsorted(ps, c, side="right")]
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    for p in ps[n % ps == 0].tolist():
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out, n
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality for n < 2^64; False below 2.
+
+    sympy.isprime runs deterministic Miller-Rabin there (BPSW with gmpy2,
+    which has no pseudoprime below 2^64).
+    """
+    if n < 2:
+        return False
+    if n >= 1 << 64:
+        raise ValueError(f"is_prime is exact only below 2^64, got n={n}")
+    return sympy.isprime(n)
+
+
+def factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of 1 <= n <= FACTOR_LIMIT as ascending (p, e)."""
+    out, cof = small_factors(n)
+    if cof > 1:
+        root = math.isqrt(cof)
+        if root * root == cof:
+            out.append((root, 2))
+        elif is_prime(cof):
+            out.append((cof, 1))
+        else:  # p*q with p < q
+            split = sympy.factorint(cof)
+            out.extend(sorted((int(p), int(e)) for p, e in split.items()))
     return out
 
 
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in factor_small(n):
+    for p, e in factor(n):
         out *= (p - 1) * p ** (e - 1)
     return out
 
 
 def _primitive_root(p: int, e: int) -> int:
     """Primitive root modulo p^e for odd prime p."""
-    parts = [ell for ell, _ in factor_small(p - 1)]
+    parts = [ell for ell, _ in factor(p - 1)]
     g = next(
         g
         for g in range(2, p)
@@ -265,7 +184,7 @@ def unit_group(q: int) -> UnitGroup:
     if not 1 <= q <= UNIT_GROUP_LIMIT:
         raise CapacityError(f"unit_group modulus {q} outside 1..{UNIT_GROUP_LIMIT}")
     gens: list[tuple[int, int]] = []
-    for p, e in factor_small(q):
+    for p, e in factor(q):
         pe = p**e
         rest = q // pe
         local: list[tuple[int, int]] = []

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from . import arith
 from .errors import CapacityError, SearchError
@@ -172,7 +171,7 @@ def modified_spec(chi: DirichletCharacter, r: int, z: complex) -> MultFnSpec:
 
 
 def _validate_modification(chi: DirichletCharacter, r: int, z: complex) -> None:
-    if not sympy.isprime(r):
+    if not arith.is_prime(r):
         raise ValueError(f"redirected prime r={r} is not prime")
     if math.gcd(r, chi.modulus) != 1:
         raise ValueError(
@@ -439,7 +438,7 @@ def final_rotation_check(
     q = chi.modulus
     if m < 1 or (q > 1 and m < 10 * math.log(q) / math.log(r)):
         raise ValueError(f"m={m} below the floor 10*log(q)/log(r) for q={q}, r={r}")
-    if not sympy.isprime(P):
+    if not arith.is_prime(P):
         raise ValueError(f"P={P} is not prime")
     if P == r or P < 10 * q or (P - r) % q != 0:
         raise ValueError(f"P={P} must be a prime != r, >= 10q, congruent to r mod q")
@@ -508,7 +507,7 @@ def find_window_prime(chi: DirichletCharacter, r: int, bound: int = 10**7) -> in
     P = 10 * q + (r - 10 * q) % q if q > 1 else 10
     step = q if q > 1 else 1
     while P <= bound:
-        if P != r and P >= 10 * q and sympy.isprime(P):
+        if P != r and P >= 10 * q and arith.is_prime(P):
             return P
         P += step
     raise SearchError(f"no prime P = {r} mod {q} found below {bound}")

@@ -15,11 +15,9 @@ import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
-import sympy
 
 from . import arith
 from .errors import SearchError
@@ -37,9 +35,6 @@ from .multfun import (
     unit_pow,
 )
 from .pretentious import distance, f_of_q_sum
-
-TRIAL_LIMIT = 10**6
-BIG_LIMIT = 4 * 10**18  # int64-safe bound for certified arithmetic
 
 T = TypeVar("T")
 
@@ -74,52 +69,19 @@ def _evaluated_ahead(fn: Callable[[int], T], count: int, workers: int) -> Iterat
             yield pending.popleft().result()
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> np.ndarray:
-    return arith.primes_upto(TRIAL_LIMIT)
-
-
-def strip_small_factors(n: int) -> tuple[dict[int, int], int]:
-    """Factor out all primes <= 1e6; returns ({p: e}, cofactor).
-
-    The cofactor is 1, a prime, a prime square, or a product of two distinct
-    primes, provided n <= BIG_LIMIT.
-    """
-    if not 1 <= n <= BIG_LIMIT:
-        raise ValueError(f"n={n} outside 1..{BIG_LIMIT}")
-    ps = _trial_primes()
-    hits = ps[np.mod(n, ps) == 0]
-    out: dict[int, int] = {}
-    for p in hits.tolist():
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out[p] = e
-    return out, n
-
-
 def is_squarefree_big(n: int) -> bool:
-    """Certified squarefree test for n <= 4e18 without full factorization."""
-    small, cof = strip_small_factors(n)
-    if any(e >= 2 for e in small.values()):
+    """Certified squarefree test for 1 <= n <= FACTOR_LIMIT without full
+    factorization: the cofactor past the cube root is 1, p, p^2 or p*q, and
+    only p^2 is not squarefree."""
+    small, cof = arith.small_factors(n)
+    if any(e >= 2 for _, e in small):
         return False
-    if cof == 1:
-        return True
-    # cofactor has no prime below 1e6 and is at most 4e18, so it is a prime,
-    # a semiprime, or a prime square; only the square is non-squarefree
-    root = math.isqrt(cof)
-    return root * root != cof
+    return cof == 1 or math.isqrt(cof) ** 2 != cof
 
 
 def factorize_big(n: int) -> list[tuple[int, int]]:
-    """Full factorization for n <= 4e18: trial division then sympy on the
-    bounded cofactor."""
-    small, cof = strip_small_factors(n)
-    out = sorted(small.items())
-    if cof > 1:
-        out.extend(sorted((int(p), int(e)) for p, e in sympy.factorint(cof).items()))
-    return out
+    """Full factorization for 1 <= n <= FACTOR_LIMIT (window elements)."""
+    return arith.factor(n)
 
 
 def value_from_factors(spec: MultFnSpec, factors: list[tuple[int, int]]) -> complex:
@@ -135,7 +97,7 @@ def value_from_factors(spec: MultFnSpec, factors: list[tuple[int, int]]) -> comp
 def deviation_primes(f: MultFnSpec, chi) -> set[int]:
     """Primes where f's unit value differs from chi (the set S)."""
     out = set()
-    for p in set(f.exceptions) | {p for p, _ in arith.factor_small(chi.modulus)}:
+    for p in set(f.exceptions) | {p for p, _ in arith.factor(chi.modulus)}:
         if prime_unit_value(f, p) != chi(p):
             out.add(p)
     return out
@@ -155,7 +117,7 @@ def _require_char_base(f: MultFnSpec, chi, who: str) -> None:
 
 
 def _check_window_modulus(W: int, q: int, H: int) -> None:
-    for p, e in arith.factor_small(q):
+    for p, e in arith.factor(q):
         v = 0
         m = W
         while m % p == 0:
@@ -231,7 +193,7 @@ def rotation_witness(
     seen_p: set[int] = set()
     seen_r: set[int] = set()
     for p, k, r in plan:
-        if not sympy.isprime(p) or p <= H:
+        if not arith.is_prime(p) or p <= H:
             raise ValueError(f"plan prime {p} must be a prime larger than H={H}")
         if k < 1 or not 1 <= r <= H:
             raise ValueError(f"plan entry ({p},{k},{r}) out of range")
@@ -392,7 +354,7 @@ def squarefree_pair(
     for p, w_ in g.exceptions.items():
         if w_ not in (1 + 0j, -1 + 0j):
             raise ValueError(f"g({p}) must be +-1, got {w_}")
-    for p, _ in arith.factor_small(q):
+    for p, _ in arith.factor(q):
         if p not in g.exceptions:
             raise ValueError(
                 f"g must choose a +-1 value at p={p} dividing the modulus"
@@ -416,7 +378,7 @@ def squarefree_pair(
     if len(set(residues)) != len(residues) or len(set(primes)) != len(primes):
         raise ValueError("primes and residues must be distinct")
     for p in primes:
-        if not sympy.isprime(p) or p <= H:
+        if not arith.is_prime(p) or p <= H:
             raise ValueError(f"plan prime {p} must be a prime larger than H={H}")
         if p not in S or chi(p) == 0:
             raise ValueError(

@@ -93,7 +93,7 @@ def make_spec(
     """Validated MultFnSpec constructor."""
     exceptions = {int(p): complex(w) for p, w in (exceptions or {}).items()}
     for p, w in exceptions.items():
-        if not _is_prime_small(p):
+        if not arith.is_prime(p):
             raise ValueError(f"exception key {p} is not prime")
         if abs(w) > 1 + 1e-12:
             raise ValueError(
@@ -101,8 +101,10 @@ def make_spec(
                 "must stay in the closed unit disc"
             )
     _check_scale_r(scale_r)
-    if isinstance(base, CoprimeIndicator) and base.Q < 1:
-        raise ValueError(f"Q must be >= 1, got {base.Q}")
+    if isinstance(base, CoprimeIndicator) and not 1 <= base.Q <= arith.FACTOR_LIMIT:
+        raise ValueError(
+            f"Q must be in 1..FACTOR_LIMIT={arith.FACTOR_LIMIT}, got {base.Q}"
+        )
     if isinstance(base, CharacterTwist) and not math.isfinite(base.t):
         raise ValueError("twist exponent t must be finite")
     return MultFnSpec(base=base, scale_r=scale_r, exceptions=exceptions)
@@ -111,17 +113,6 @@ def make_spec(
 def _check_scale_r(scale_r: float) -> None:
     if not (scale_r >= 0 and math.isfinite(scale_r)):
         raise ValueError(f"scale_r must be a finite nonnegative real, got {scale_r}")
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 def build_spec(config: str) -> MultFnSpec:
@@ -306,18 +297,6 @@ def prime_unit_value(spec: MultFnSpec, p: int) -> complex:
     if w is not None:
         return w
     return _base_prime_value(spec.base, p)
-
-
-def eval_at(spec: MultFnSpec, n: int, table: arith.SpfTable) -> complex:
-    """f(n) by factorization; n must be within the spf table's range."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    val = 1 + 0j
-    for p, e in arith.factorize(n, table):
-        val *= unit_pow(prime_unit_value(spec, p), e)
-    if spec.scale_r:
-        val *= math.exp(-spec.scale_r * math.log(n))
-    return val
 
 
 def value_at_primes(spec: MultFnSpec, ps: np.ndarray) -> np.ndarray:

@@ -153,7 +153,7 @@ def _tail_signature(spec: MultFnSpec):
 def _override_primes(spec: MultFnSpec) -> set[int]:
     out = set(spec.exceptions)
     if isinstance(spec.base, CoprimeIndicator):
-        out |= {p for p, _ in arith.factor_small(spec.base.Q)}
+        out |= {p for p, _ in arith.factor(spec.base.Q)}
     return out
 
 

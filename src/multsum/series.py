@@ -94,7 +94,7 @@ def l_chi(s: complex, chi) -> complex:
         if s.real <= 1.0:
             raise ValueError("principal characters need Re(s) > 1")
         val = zeta(s)
-        for p, _ in arith.factor_small(q):
+        for p, _ in arith.factor(q):
             val *= 1 - cmath.exp(-s * math.log(p))
         return val
     if s.real <= 0.0:
@@ -175,7 +175,7 @@ def _series_prime_set(g: MultFnSpec, chi) -> list[int]:
         raise ValueError("g must be an untwisted, undamped character variant")
     if not chi.real:
         raise ValueError("the factorization needs a real character")
-    out = {p for p, _ in arith.factor_small(chi.modulus)}
+    out = {p for p, _ in arith.factor(chi.modulus)}
     for p, w in g.exceptions.items():
         if w.imag != 0:
             raise ValueError(f"g({p}) is not real")

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from multsum import character_by_index, spf_sieve
+from multsum import character_by_index
 
 
 @pytest.fixture(scope="session")
@@ -16,8 +16,3 @@ def chi4():
 @pytest.fixture(scope="session")
 def chi5():
     return character_by_index(5, "real")
-
-
-@pytest.fixture(scope="session")
-def spf_small():
-    return spf_sieve(10**5)

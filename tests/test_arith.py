@@ -1,4 +1,4 @@
-"""Integer-layer tests: sieves, factorization, CRT, Kronecker, unit groups."""
+"""Integer-layer tests: sieves, factorization, primality, CRT, unit groups."""
 
 import math
 
@@ -12,15 +12,13 @@ from multsum import (
     InfeasibleError,
     crt_solve,
     euler_phi,
-    factorize,
-    kronecker,
-    mobius_square,
+    factor,
+    is_prime,
     primes_upto,
-    spf_sieve,
     squarefree_block,
     unit_group,
 )
-from multsum.arith import SPF_DENSE_LIMIT
+from multsum.arith import FACTOR_LIMIT, TRIAL_BOUND
 
 import oracles
 
@@ -33,22 +31,9 @@ def test_primes_upto_matches_sympy():
     assert primes_upto(2).tolist() == [2]
 
 
-def test_spf_known_values(spf_small):
-    assert spf_small.spf_at(12) == 2
-    assert spf_small.spf_at(91) == 7
-    assert spf_small.spf_at(97) == 97
-    assert spf_small.spf_at(2) == 2
-
-
-def test_spf_exhaustive_small(spf_small):
-    # dense table agrees with trial division everywhere below 10^4
-    for n in range(2, 10**4):
-        assert spf_small.spf_at(n) == oracles.trial_spf(n), n
-
-
-def test_factorize_reconstructs(spf_small):
-    for n in list(range(2, 2000)) + [99991, 2**16, 3**9 * 5]:
-        fac = factorize(n, spf_small)
+def test_factorize_reconstructs():
+    for n in list(range(1, 20_001)) + [99991, 2**16, 3**9 * 5]:
+        fac = factor(n)
         assert fac == oracles.trial_factorize(n), n
         prod = 1
         for p, e in fac:
@@ -56,29 +41,48 @@ def test_factorize_reconstructs(spf_small):
         assert prod == n
 
 
-def test_spf_segment_matches_dense(spf_small):
-    seg = spf_small.segment(50_000, 50_100)
-    want = np.array([oracles.trial_spf(n) for n in range(50_000, 50_100)])
-    assert np.array_equal(seg, want)
+def test_is_prime_matches_sympy_small():
+    for n in range(-3, 20_001):
+        assert is_prime(n) == sympy.isprime(n), n
 
 
-def test_spf_sparse_segment_beyond_dense():
-    # a table over the dense cutoff sieves segments on demand
-    table = spf_sieve(SPF_DENSE_LIMIT * 2)
-    assert table.spf is None
-    lo = SPF_DENSE_LIMIT + 10_000
-    seg = table.segment(lo, lo + 50)
-    want = np.array([oracles.trial_spf(n) for n in range(lo, lo + 50)])
-    assert np.array_equal(seg, want)
-    assert table.spf_at(SPF_DENSE_LIMIT + 7) == oracles.trial_spf(SPF_DENSE_LIMIT + 7)
+def _sympy_factor(n: int) -> list[tuple[int, int]]:
+    return sorted((int(p), int(e)) for p, e in sympy.factorint(n).items())
 
 
-def test_mobius_square_values(spf_small):
-    want = [1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0]  # n = 1..12
-    got = [mobius_square(n, spf_small) for n in range(1, 13)]
-    assert got == want
-    for n in range(1, 500):
-        assert mobius_square(n, spf_small) == (1 if oracles.naive_squarefree(n) else 0)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, FACTOR_LIMIT))
+def test_factor_matches_sympy(n):
+    fac = factor(n)
+    assert fac == _sympy_factor(n)
+    assert all(type(p) is int and type(e) is int for p, e in fac)
+
+
+# primes just above 1e6 and between 1e6 and 2e9: cofactors past the cube root
+BIG_PRIMES = [1_000_003, 1_000_033, 1_000_037]
+SEMI_PRIMES = [1_000_003, 15_485_863, 982_451_653, 1_999_999_973]
+
+
+def test_factor_cofactor_shapes():
+    p, q, r = BIG_PRIMES
+    cases = [p**3, p * p * q, p * q * q, p * q * r, 2**61 - 1]
+    cases += [a * b for i, a in enumerate(SEMI_PRIMES) for b in SEMI_PRIMES[i + 1 :]]
+    cases += [a * a for a in SEMI_PRIMES]
+    for n in cases:
+        assert n <= FACTOR_LIMIT
+        assert factor(n) == _sympy_factor(n), n
+    assert factor(2**61 - 1) == [(2**61 - 1, 1)]
+
+
+def test_factor_and_is_prime_bounds():
+    assert TRIAL_BOUND == 1587401
+    assert TRIAL_BOUND**3 <= FACTOR_LIMIT < (TRIAL_BOUND + 1) ** 3
+    for n in (0, -5, FACTOR_LIMIT + 1):
+        with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+            factor(n)
+    with pytest.raises(ValueError, match="2\\^64"):
+        is_prime(2**64)
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
 
 
 def test_squarefree_block_matches_naive():
@@ -131,41 +135,6 @@ def test_crt_substitution(mods, rnd):
         else:
             with pytest.raises(ValueError):
                 crt_solve(congs)
-
-
-def test_kronecker_known_values():
-    assert kronecker(5, 3) == -1
-    assert kronecker(-4, 7) == -1
-    assert kronecker(2, 15) == 1
-    assert kronecker(0, 1) == 1
-    assert kronecker(1, 0) == 1
-    assert kronecker(2, 0) == 0
-    assert kronecker(-1, 0) == 1
-    assert kronecker(3, -1) == 1
-    assert kronecker(-3, -1) == -1
-    for n in (1, 2, 7, 100):
-        assert kronecker(1, n) == 1
-
-
-def test_kronecker_matches_jacobi():
-    for n in range(1, 200, 2):  # odd n: kronecker reduces to jacobi
-        for a in range(-50, 50):
-            assert kronecker(a, n) == sympy.jacobi_symbol(a, n), (a, n)
-
-
-def test_kronecker_multiplicative():
-    for a in range(-20, 21):
-        for b in range(-20, 21):
-            for n in (3, 4, 7, 12, 15):
-                assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
-
-
-def test_kronecker_periodic_mod_4d():
-    # (d/.) has period dividing 4|d| in the bottom argument
-    for d in (5, -3, 12, -8):
-        period = 4 * abs(d)
-        for n in range(1, 3 * period):
-            assert kronecker(d, n) == kronecker(d, n + period), (d, n)
 
 
 def test_euler_phi_small():

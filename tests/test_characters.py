@@ -1,5 +1,6 @@
 """Tests for characters: tables, modified sums, witnesses, window checks."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -98,7 +99,25 @@ def test_character_by_index_lookup():
         assert np.allclose(character_by_index(9, i).values, chi.values)
 
 
-def test_modified_spec_values(chi4, spf_small):
+# sha256 over values bytes, exponents and conductor of every character in
+# character_table(q) for q < 200, then character_by_index(999983, 5) and
+# character_by_index(100003, "real"); recorded before unit_group moved onto
+# arith.factor, so generator order and every character index are pinned
+CHARACTER_TABLES_SHA256 = "8916196437184a1e17e40689b4d8b258648f7e58bce5600717395a3921cf5c91"
+
+
+def test_character_tables_pinned():
+    h = hashlib.sha256()
+    chars = [chi for q in range(1, 200) for chi in character_table(q)]
+    chars += [character_by_index(999983, 5), character_by_index(100003, "real")]
+    for chi in chars:
+        h.update(chi.values.tobytes())
+        h.update(repr(chi.exponents).encode())
+        h.update(repr(chi.conductor).encode())
+    assert h.hexdigest() == CHARACTER_TABLES_SHA256
+
+
+def test_modified_spec_values(chi4):
     spec = modified_spec(chi4, 3, 1j)
     rng = eval_range(spec, 400)
     for n in range(1, 401):

@@ -89,6 +89,16 @@ def test_inner_errors_exit_1(tmp_path, capsys):
     assert code == 1  # chi(5) = 0 cannot be flipped
 
 
+def test_profile_refuses_q_above_factor_limit(tmp_path, capsys):
+    """Q = 1e30 used to pass the spec parser and die with an int64
+    OverflowError inside block evaluation."""
+    code, prefix = run(tmp_path, "profile", "--spec", "coprime:Q=" + str(10**30),
+                       "--n", "100")
+    assert code == 1
+    assert "FACTOR_LIMIT" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".csv")
+
+
 def test_baseline_flow(tmp_path, capsys):
     code, prefix = run(tmp_path, "distance", "--f", "one", "--g", "liouville",
                        "--x", "100")

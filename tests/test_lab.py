@@ -44,10 +44,15 @@ def test_is_squarefree_big_matches_naive():
     assert is_squarefree_big(p * q)
     assert is_squarefree_big(7 * p)
     assert not is_squarefree_big(49 * p)
+    # above 1e18 such a cofactor can have three prime factors
+    for n in (p**3, p * p * q, p * q * q):
+        assert not is_squarefree_big(n), n
+    assert is_squarefree_big(p * q * 1_000_037)
 
 
 def test_factorize_big_matches_trial():
-    for n in (2, 360, 97 * 89, 2**20, 10**12 + 39, 1_000_003 * 7):
+    p, q = 1_000_003, 1_000_033
+    for n in (2, 360, 97 * 89, 2**20, 10**12 + 39, 1_000_003 * 7, p**3, p * p * q):
         assert factorize_big(n) == oracles.trial_factorize(n), n
 
 

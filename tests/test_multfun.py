@@ -3,10 +3,13 @@
 import hashlib
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +22,7 @@ from multsum import (
     One,
     RandomRademacher,
     build_spec,
-    eval_at,
+    character_by_index,
     eval_range,
     is_exact_spec,
     is_real_spec,
@@ -30,7 +33,7 @@ from multsum import (
     stream_profile,
 )
 from multsum.accum import CHUNK
-from multsum.arith import primes_upto
+from multsum.arith import FACTOR_LIMIT, euler_phi, primes_upto
 from multsum.characters import DirichletCharacter
 from multsum.multfun import (
     BLOCK,
@@ -76,7 +79,7 @@ def test_unit_pow_gaussian_exact():
     assert abs(unit_pow(0.5 + 0j, 10) - 2.0**-10) < 1e-18
 
 
-def test_eval_at_matches_eval_range(chi4, chi5, spf_small):
+def test_matches_factorization_oracle(chi4, chi5):
     specs = [
         make_spec(One()),
         make_spec(Liouville(), exceptions={3: 1}),
@@ -84,27 +87,17 @@ def test_eval_at_matches_eval_range(chi4, chi5, spf_small):
         make_spec(CoprimeIndicator(30)),
         make_spec(CharacterTwist(chi4, t=0.5)),
         make_spec(CharacterTwist(chi5), scale_r=0.5, exceptions={2: -1}),
+        make_spec(CharacterTwist(chi5, t=1.0), exceptions={3: 0.25j}),
     ]
     N = 3000
     for spec in specs:
         rng = eval_range(spec, N)
-        for n in list(range(1, 120)) + [512, 997, 1024, 2310, 2999, 3000]:
-            direct = eval_at(spec, n, spf_small)
-            sieved = complex(rng.values[n])
-            assert abs(direct - sieved) <= 1e-11 * max(1.0, abs(direct)), (
-                spec_config(spec),
-                n,
-                direct,
-                sieved,
+        for n in list(range(1, 120)) + list(range(1, N, 37)) + [512, 1024, 2310, N]:
+            want = oracles.spec_value(spec, n)
+            got = complex(rng.values[n])
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (
+                spec_config(spec), n, want, got,
             )
-
-
-def test_matches_factorization_oracle(chi5, spf_small):
-    spec = make_spec(CharacterTwist(chi5, t=1.0), exceptions={3: 0.25j})
-    rng = eval_range(spec, 2000)
-    for n in range(1, 2001, 37):
-        want = oracles.spec_value(spec, n)
-        assert abs(complex(rng.values[n]) - want) < 1e-10, (n, want)
 
 
 def test_exact_and_real_detection(chi4, chi5):
@@ -166,6 +159,69 @@ def test_build_spec_round_trip(chi4):
     # canonical text stores the exception with float repr
     spec = build_spec("char:q=4,index=1;except=3~1~0")
     assert spec_config(spec) == "char:q=4,index=1;except=3~1.0~0.0"
+
+
+def _twist(q: int, index: int, t: float) -> CharacterTwist:
+    return CharacterTwist(character_by_index(q, index % euler_phi(q)), t)
+
+
+PRIMES_TO_1E18 = st.integers(2, 10**18).map(lambda n: int(sympy.prevprime(n + 1)))
+UNIT_DISC = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+BASES = st.one_of(
+    st.just(One()),
+    st.just(Liouville()),
+    st.builds(RandomRademacher, st.integers(-(2**70), 2**70)),
+    st.builds(CoprimeIndicator, st.integers(1, FACTOR_LIMIT)),
+    st.builds(
+        _twist,
+        st.sampled_from([1, 3, 4, 5, 7, 8, 12, 15]),
+        st.integers(0, 10**6),
+        st.floats(-50, 50, allow_nan=False),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    BASES,
+    st.dictionaries(PRIMES_TO_1E18, UNIT_DISC, max_size=4),
+    st.floats(0, 4, allow_nan=False),
+    st.integers(2, 10**9),
+    st.integers(2, 10**9),
+    st.integers(2**64, 2**80),
+)
+def test_generated_spec_round_trip(base, exceptions, scale_r, a, b, huge):
+    spec = make_spec(base, scale_r=scale_r, exceptions=exceptions)
+    canon = spec_config(spec)
+    again = build_spec(canon)
+    assert spec_config(again) == canon
+    assert again.exceptions == spec.exceptions and again.scale_r == spec.scale_r
+    for key in (a * b, huge):
+        with pytest.raises(ValueError):
+            build_spec(f"{canon};except={key}~0.5~0")
+
+
+def test_large_exception_keys_validate_quickly():
+    """Exception keys used to be trial-divided to sqrt(p): 2^61 - 1 ran for
+    minutes and 1e15 + 37 took seconds."""
+    script = (
+        "from multsum import build_spec\n"
+        "for p in (2**61 - 1, 10**15 + 37, 2**64 - 59):\n"
+        "    assert p in build_spec(f'one;except={p}~0.5~0').exceptions\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+    )
+    assert r.returncode == 0, r.stderr
+
+
+def test_coprime_q_above_factor_limit_refused():
+    """Q = 1e30 used to be accepted and then overflow int64 inside block
+    evaluation."""
+    assert build_spec(f"coprime:Q={FACTOR_LIMIT}").base.Q == FACTOR_LIMIT
+    for cfg in (f"coprime:Q={FACTOR_LIMIT + 1}", "coprime:Q=" + str(10**30)):
+        with pytest.raises(ValueError, match="FACTOR_LIMIT"):
+            build_spec(cfg)
 
 
 def test_readme_grammar_examples_parse():
@@ -293,8 +349,6 @@ def test_eval_range_capacity_and_bounds():
         stream_profile(make_spec(One()), 10**9 + 1, [10])
     with pytest.raises(ValueError):
         list(iter_blocks(make_spec(One()), 0))
-    with pytest.raises(ValueError):
-        eval_at(make_spec(One()), 0, None)
 
 
 def test_profile_matches_brute_cumsum(chi4):

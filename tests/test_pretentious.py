@@ -1,6 +1,8 @@
 """Tests for pretentious: distances, prime sums, mean-value predictions."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -180,6 +182,20 @@ def test_perturbation_constant_validation():
     many = {int(p): 0.5 for p in primes_upto(400)[:65]}
     with pytest.raises(CapacityError):
         perturbation_constant(one, make_spec(One(), exceptions=many))
+
+
+def test_perturbation_constant_with_large_prime_q():
+    """coprime:Q with Q = 2^61 - 1 used to be trial-divided to sqrt(Q) and
+    ran for minutes."""
+    script = (
+        "from multsum import build_spec, perturbation_constant\n"
+        "s = build_spec('coprime:Q=2305843009213693951')\n"
+        "assert perturbation_constant(s, s) == 1\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30
+    )
+    assert r.returncode == 0, r.stderr
 
 
 def test_perturbation_constant_matches_measured_density():
