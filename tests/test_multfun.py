@@ -79,7 +79,9 @@ def test_unit_pow_gaussian_exact():
     assert abs(unit_pow(0.5 + 0j, 10) - 2.0**-10) < 1e-18
 
 
-def test_matches_factorization_oracle(chi4, chi5):
+def test_eval_at_matches_eval_range(chi4, chi5):
+    """eval_range agrees with f evaluated at single points n from the
+    factorization of n."""
     specs = [
         make_spec(One()),
         make_spec(Liouville(), exceptions={3: 1}),
@@ -87,17 +89,27 @@ def test_matches_factorization_oracle(chi4, chi5):
         make_spec(CoprimeIndicator(30)),
         make_spec(CharacterTwist(chi4, t=0.5)),
         make_spec(CharacterTwist(chi5), scale_r=0.5, exceptions={2: -1}),
-        make_spec(CharacterTwist(chi5, t=1.0), exceptions={3: 0.25j}),
     ]
     N = 3000
     for spec in specs:
         rng = eval_range(spec, N)
-        for n in list(range(1, 120)) + list(range(1, N, 37)) + [512, 1024, 2310, N]:
-            want = oracles.spec_value(spec, n)
-            got = complex(rng.values[n])
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (
-                spec_config(spec), n, want, got,
+        for n in list(range(1, 120)) + [512, 997, 1024, 2310, 2999, 3000]:
+            direct = oracles.spec_value(spec, n)
+            sieved = complex(rng.values[n])
+            assert abs(direct - sieved) <= 1e-11 * max(1.0, abs(direct)), (
+                spec_config(spec),
+                n,
+                direct,
+                sieved,
             )
+
+
+def test_matches_factorization_oracle(chi5):
+    spec = make_spec(CharacterTwist(chi5, t=1.0), exceptions={3: 0.25j})
+    rng = eval_range(spec, 2000)
+    for n in range(1, 2001, 37):
+        want = oracles.spec_value(spec, n)
+        assert abs(complex(rng.values[n]) - want) < 1e-10, (n, want)
 
 
 def test_exact_and_real_detection(chi4, chi5):
