@@ -22,6 +22,8 @@ from .characters import (
     RotationCheckResult,
     character_by_index,
     character_table,
+    check_character_variant,
+    deviation_primes,
     final_rotation_check,
     find_window_prime,
     first_nonzero_sigma,

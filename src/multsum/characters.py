@@ -5,7 +5,9 @@ prime except one redirected prime r coprime to q, where it takes a chosen
 unimodular value z.  Its restricted partial sums satisfy an exact
 self-similar recursion that makes sums at astronomically large x cheap,
 and the recursion drives both the growth-witness construction and the
-window-cancellation check that forces z = chi(r).
+window-cancellation check that forces z = chi(r).  More generally, a
+character variant is a spec equal to chi off a finite prime set; the
+window constructions and the Euler-product check take such variants.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ import numpy as np
 
 from . import arith
 from .errors import CapacityError, SearchError
-from .multfun import CharacterTwist, MultFnSpec, make_spec, unit_pow
+from .multfun import (
+    CharacterTwist,
+    MultFnSpec,
+    is_exact_spec,
+    make_spec,
+    prime_unit_value,
+    unit_pow,
+)
 
 CHARACTER_MODULUS_LIMIT = 10**6
 
@@ -161,7 +170,26 @@ def character_by_index(q: int, index: int | str) -> DirichletCharacter:
 
 
 # ---------------------------------------------------------------------------
-# modified characters
+# character variants and modified characters
+
+
+def check_character_variant(f: MultFnSpec, chi, who: str = "f") -> None:
+    """Refuse f unless it is chi off a finite prime set: an untwisted,
+    undamped spec on chi itself, with exceptions only."""
+    base = f.base
+    if not isinstance(base, CharacterTwist) or base.t != 0 or f.scale_r != 0:
+        raise ValueError(f"{who} must be an untwisted, undamped character variant")
+    bc = base.chi
+    if bc is not chi and not (
+        bc.modulus == chi.modulus and np.array_equal(bc.values, chi.values)
+    ):
+        raise ValueError(f"{who}'s base character must match chi")
+
+
+def deviation_primes(f: MultFnSpec, chi) -> set[int]:
+    """Primes where f's unit value differs from chi (the set S)."""
+    candidates = set(f.exceptions) | {p for p, _ in arith.factor(chi.modulus)}
+    return {p for p in candidates if prime_unit_value(f, p) != chi(p)}
 
 
 def modified_spec(chi: DirichletCharacter, r: int, z: complex) -> MultFnSpec:
@@ -208,7 +236,7 @@ def recursion_state(chi: DirichletCharacter, r: int, z: complex) -> RecursionSta
     rounding noise for characters of order above 4), so the character's
     own flag does.
     """
-    _validate_modification(chi, r, z)
+    spec = modified_spec(chi, r, z)
     if chi.principal:
         raise ValueError(
             f"the principal character mod {chi.modulus} has a nonzero period "
@@ -221,18 +249,14 @@ def recursion_state(chi: DirichletCharacter, r: int, z: complex) -> RecursionSta
     vals[0] = 0
     vals[r::r] = 0
     s_table = np.cumsum(vals)
-    exact = z in (1 + 0j, -1 + 0j, 1j, -1j) and all(
-        complex(v) in (0j, 1 + 0j, -1 + 0j, 1j, -1j) for v in chi.values
-    )
-    degenerate = abs(z - chi(r)) <= 1e-12
     return RecursionState(
         chi=chi,
         r=r,
         z=z,
         period=period,
         s_table=s_table,
-        exact=exact,
-        degenerate=degenerate,
+        exact=is_exact_spec(spec),
+        degenerate=abs(z - chi(r)) <= 1e-12,
     )
 
 

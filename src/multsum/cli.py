@@ -77,8 +77,9 @@ def _parse_complex(text: str) -> complex:
     return complex(float(t), 0.0)
 
 
-def _parse_index(text: str):
-    return text if text == "real" else int(text)
+def _character(args):
+    index = args.index if args.index == "real" else int(args.index)
+    return character_by_index(args.q, index)
 
 
 def _parse_checkpoints(text: str, n: int) -> list[int]:
@@ -125,11 +126,14 @@ def _config_hash(experiment: str, config: str, params: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _csv_line(row: list[float]) -> str:
+    return ",".join(_fmt(v) for v in row) + "\n"
+
+
 def _write_csv(path: str, columns: list[str], rows: list[list[float]]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(_csv_line, rows))
 
 
 def _write_record(prefix: str, record: dict) -> None:
@@ -183,11 +187,26 @@ def baseline_compare(record: dict, baseline_path: str) -> tuple[str, list[str]]:
 # subcommand handlers: each returns (config, params, columns, rows, notes)
 
 
-def _profile_rows(prof) -> list[list[float]]:
-    rows = []
-    for x, s, sup in zip(prof.checkpoints, prof.sums, prof.sups):
-        rows.append([float(x), s.real, s.imag, abs(s), sup])
-    return rows
+def _profile_row(x: int, s: complex, sup: float) -> list[float]:
+    return [float(x), s.real, s.imag, abs(s), sup]
+
+
+WINDOW_COLUMNS = [
+    "H", "m", "m_prime",
+    "re_window", "im_window", "re_window_prime", "im_window_prime",
+    "re_measured", "im_measured", "re_predicted", "im_predicted",
+]
+
+
+def _window_row(res) -> list[float]:
+    """The WINDOW_COLUMNS of a RotationWitness or SquarefreePair."""
+    return [
+        float(res.H), float(res.m), float(res.m_prime),
+        res.window_sum.real, res.window_sum.imag,
+        res.window_prime_sum.real, res.window_prime_sum.imag,
+        res.measured.real, res.measured.imag,
+        res.predicted.real, res.predicted.imag,
+    ]
 
 
 def _run_profile(args, prefix: str):
@@ -222,16 +241,13 @@ def _run_profile(args, prefix: str):
     if state is None:
         state = ProfileState(is_exact_spec(spec), is_real_spec(spec))
 
-    fh = open(csv_path, "w", newline="")
-    fh.write(",".join(PROFILE_COLUMNS) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
-    fh.flush()
+    _write_csv(csv_path, PROFILE_COLUMNS, rows)
+    fh = open(csv_path, "a", newline="")
 
     def on_checkpoint(x: int, s: complex, sup: float) -> None:
-        row = [float(x), s.real, s.imag, abs(s), sup]
+        row = _profile_row(x, s, sup)
         rows.append(row)
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(_csv_line(row))
         fh.flush()
         # the state covers its whole block, so it only matches the rows once
         # the block's last checkpoint is written
@@ -258,14 +274,17 @@ def _run_profile(args, prefix: str):
 
 
 def _run_modchar_growth(args, prefix: str):
-    chi = character_by_index(args.q, _parse_index(args.index))
+    chi = _character(args)
     z = _parse_complex(args.z)
     spec = modified_spec(chi, args.r, z)
     n = _parse_count(args.n)
     checkpoints = _parse_checkpoints(args.checkpoints, n)
     prof = growth_profile(spec, n, kind=args.kind, checkpoints=checkpoints)
     columns = PROFILE_COLUMNS + ["slope"]
-    rows = [row + [prof.slope] for row in _profile_rows(prof)]
+    rows = [
+        _profile_row(*row) + [prof.slope]
+        for row in zip(prof.checkpoints, prof.sums, prof.sups)
+    ]
     config = spec_config(spec)
     params = {
         "q": args.q,
@@ -284,7 +303,7 @@ def _run_modchar_growth(args, prefix: str):
 
 
 def _run_witness_rotation(args, prefix: str):
-    chi = character_by_index(args.q, _parse_index(args.index))
+    chi = _character(args)
     f = make_spec(CharacterTwist(chi=chi), exceptions=_parse_flips(args.flips))
     plan = _parse_plan(args.plan)
     wit = rotation_witness(
@@ -296,19 +315,8 @@ def _run_witness_rotation(args, prefix: str):
         modulus_kind=args.modulus,
         w=args.w,
     )
-    columns = [
-        "H", "m", "m_prime",
-        "re_window", "im_window", "re_window_prime", "im_window_prime",
-        "re_measured", "im_measured", "re_predicted", "im_predicted", "ok",
-    ]
-    rows = [[
-        float(wit.H), float(wit.m), float(wit.m_prime),
-        wit.window_sum.real, wit.window_sum.imag,
-        wit.window_prime_sum.real, wit.window_prime_sum.imag,
-        wit.measured.real, wit.measured.imag,
-        wit.predicted.real, wit.predicted.imag,
-        float(wit.ok),
-    ]]
+    columns = WINDOW_COLUMNS + ["ok"]
+    rows = [_window_row(wit) + [float(wit.ok)]]
     config = spec_config(f)
     params = {
         "q": args.q, "index": args.index, "flips": args.flips, "H": args.H,
@@ -323,7 +331,7 @@ def _run_witness_rotation(args, prefix: str):
 
 
 def _run_sf_pair(args, prefix: str):
-    chi = character_by_index(args.q, _parse_index(args.index))
+    chi = _character(args)
     g = make_spec(CharacterTwist(chi=chi), exceptions=_parse_flips(args.flips))
     pair = squarefree_pair(
         g,
@@ -333,20 +341,8 @@ def _run_sf_pair(args, prefix: str):
         _parse_int_list(args.residues),
         scan_limit=args.scan_limit,
     )
-    columns = [
-        "H", "m", "m_prime",
-        "re_window", "im_window", "re_window_prime", "im_window_prime",
-        "re_measured", "im_measured", "re_predicted", "im_predicted",
-        "sign", "ok",
-    ]
-    rows = [[
-        float(pair.H), float(pair.m), float(pair.m_prime),
-        pair.window_sum.real, pair.window_sum.imag,
-        pair.window_prime_sum.real, pair.window_prime_sum.imag,
-        pair.measured.real, pair.measured.imag,
-        pair.predicted.real, pair.predicted.imag,
-        float(pair.sign), float(pair.ok),
-    ]]
+    columns = WINDOW_COLUMNS + ["sign", "ok"]
+    rows = [_window_row(pair) + [float(pair.sign), float(pair.ok)]]
     config = spec_config(g)
     params = {
         "q": args.q, "index": args.index, "flips": args.flips, "H": args.H,
@@ -361,7 +357,7 @@ def _run_sf_pair(args, prefix: str):
 
 
 def _run_series_check(args, prefix: str):
-    chi = character_by_index(args.q, _parse_index(args.index))
+    chi = _character(args)
     exceptions: dict[int, complex] = {}
     if args.flip is not None:
         cv = chi(args.flip)
@@ -457,7 +453,7 @@ def _run_mean_value(args, prefix: str):
 
 def _run_concentration(args, prefix: str):
     f = build_spec(args.spec)
-    chi = character_by_index(args.q, _parse_index(args.index))
+    chi = _character(args)
     x = _parse_count(args.x)
     rep = concentration_experiment(f, chi, args.t, args.Q, args.a, x)
     columns = ["x", "Q", "a", "t", "N0", "re_f_of_q", "im_f_of_q",
@@ -477,7 +473,7 @@ def _run_concentration(args, prefix: str):
 
 
 def _run_zero_scan(args, prefix: str):
-    chi = character_by_index(args.q, _parse_index(args.index))
+    chi = _character(args)
     z = _parse_complex(args.z)
     state = recursion_state(chi, args.r, z)
     M = _parse_count(args.M)
@@ -523,6 +519,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--baseline", default=None,
                        help="baseline record (.json) to compare against")
 
+    def character(p):
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--index", default="real", help="character index or 'real'")
+
     p = sub.add_parser("profile", help="partial-sum profile of a spec")
     p.add_argument("--spec", required=True,
                    help="function spec, e.g. char:q=4,index=1;except=5~0~1")
@@ -535,8 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("modchar-growth",
                        help="discrepancy growth of a modified character")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--index", default="real", help="character index or 'real'")
+    character(p)
     p.add_argument("--r", type=int, required=True, help="modified prime")
     p.add_argument("--z", required=True, help="modified value: 1, -1, i, -i, or re,im")
     p.add_argument("--n", required=True)
@@ -546,8 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness-rotation",
                        help="two windows whose f-sums differ by a forced rotation")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--index", default="real")
+    character(p)
     p.add_argument("--flips", required=True,
                    help="deviating values, e.g. 5~0~1 for f(5)=i")
     p.add_argument("--H", type=int, required=True, help="window length")
@@ -556,14 +554,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", choices=["factorial", "primorial"],
                    default="factorial")
     p.add_argument("--w", type=int, default=None,
-                   help="primorial exponent (defaults to H)")
+                   help="primorial exponent (defaults to H; needs --modulus primorial)")
     p.add_argument("--scan-limit", type=int, default=10**6)
     common(p)
 
     p = sub.add_parser("sf-pair",
                        help="squarefree-supported window pair with an exact gap")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--index", default="real")
+    character(p)
     p.add_argument("--flips", required=True,
                    help="g's +-1 values where it deviates, e.g. 5~1,7~1,11~-1")
     p.add_argument("--H", type=int, required=True)
@@ -574,8 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series-check",
                        help="partial sums vs the factored Dirichlet series")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--index", default="real")
+    character(p)
     p.add_argument("--flip", type=int, default=None,
                    help="prime where g = -chi instead of chi")
     p.add_argument("--s", required=True, help="complex s as re,im")
@@ -609,8 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("concentration",
                        help="concentration of f along an arithmetic progression")
     p.add_argument("--spec", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--index", default="real")
+    character(p)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--Q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
@@ -619,8 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zero-scan",
                        help="first block multiple with nonzero modified sum")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--index", default="real")
+    character(p)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--M", required=True, help="scan bound on the multiplier m")

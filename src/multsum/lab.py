@@ -20,6 +20,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import arith
+from .characters import check_character_variant, deviation_primes
 from .errors import SearchError
 from .multfun import (
     CharacterTwist,
@@ -94,54 +95,159 @@ def value_from_factors(spec: MultFnSpec, factors: list[tuple[int, int]]) -> comp
     return val
 
 
-def deviation_primes(f: MultFnSpec, chi) -> set[int]:
-    """Primes where f's unit value differs from chi (the set S)."""
-    out = set()
-    for p in set(f.exceptions) | {p for p, _ in arith.factor(chi.modulus)}:
-        if prime_unit_value(f, p) != chi(p):
-            out.add(p)
-    return out
+def _valuation(n: int, p: int) -> int:
+    """v_p(n) for n >= 1."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
-def _require_char_base(f: MultFnSpec, chi, who: str) -> None:
-    """Window identities need f = chi off a finite set, so the base must be
-    the same character, untwisted and undamped."""
-    base = f.base
-    if not isinstance(base, CharacterTwist) or base.t != 0 or f.scale_r != 0:
-        raise ValueError(f"{who} must be an untwisted, undamped character variant")
-    bc = base.chi
-    if bc is not chi and not (
-        bc.modulus == chi.modulus and np.array_equal(bc.values, chi.values)
-    ):
-        raise ValueError(f"{who}'s base character must match chi")
-
-
-def _check_window_modulus(W: int, q: int, H: int) -> None:
+def _window_modulus(H: int, q: int, kind: str = "factorial", w: int | None = None) -> int:
+    """W = (H!)^2, or prod_{p <= w} p^w for the primorial kind (w defaults to
+    H); q must divide W so that chi(W*m + r) = chi(r)."""
+    if H < 1:
+        raise ValueError("H must be >= 1")
+    if kind == "factorial":
+        if w is not None:
+            raise ValueError(f"w={w} is a primorial exponent; use the primorial modulus")
+        W = math.factorial(H) ** 2
+    elif kind == "primorial":
+        w = H if w is None else w
+        if w < H:
+            raise ValueError(f"primorial exponent w={w} must be >= H={H}")
+        W = 1
+        for p in arith.primes_upto(w).tolist():
+            W *= p**w
+    else:
+        raise ValueError(f"unknown window modulus kind {kind!r}")
     for p, e in arith.factor(q):
-        v = 0
-        m = W
-        while m % p == 0:
-            m //= p
-            v += 1
+        v = _valuation(W, p)
         if v < e:
             raise ValueError(
                 f"q={q} does not divide the window modulus; enlarge H so that "
                 f"p={p} appears at least {e} times (have {v})"
             )
+    return W
 
 
-def _window_modulus(H: int, kind: str, w: int | None) -> int:
-    if kind == "factorial":
-        return math.factorial(H) ** 2
-    if kind == "primorial":
-        w = H if w is None else w
-        if w < H:
-            raise ValueError(f"primorial exponent w={w} must be >= H={H}")
-        out = 1
-        for p in arith.primes_upto(w).tolist():
-            out *= p**w
-        return out
-    raise ValueError(f"unknown window modulus kind {kind!r}")
+def _check_plan(plan: list[tuple[int, int, int]], H: int, W: int, S: set[int], chi) -> None:
+    """A plan entry (p, k, r) puts p^k at window offset r; each p must be a
+    prime above H that deviates from chi, is coprime to q and W, and appears
+    once, as must each r."""
+    if len({p for p, _, _ in plan}) < len(plan) or len({r for _, _, r in plan}) < len(plan):
+        raise ValueError("plan primes and residues must be distinct")
+    for p, k, r in plan:
+        if not arith.is_prime(p) or p <= H:
+            raise ValueError(f"plan prime {p} must be a prime larger than H={H}")
+        if k < 1 or not 1 <= r <= H:
+            raise ValueError(f"plan entry ({p},{k},{r}) needs k >= 1 and 1 <= r <= H={H}")
+        if chi(p) == 0:
+            raise ValueError(f"plan prime {p} divides the character modulus")
+        if W % p == 0:
+            raise ValueError(f"plan prime {p} divides the window modulus W")
+        if p not in S:
+            raise ValueError(
+                f"plan prime {p} does not deviate from chi; its window term "
+                "would vanish"
+            )
+
+
+def _cong(W: int, r: int, target: int, M: int) -> tuple[int, int]:
+    """The class of m mod M with W*m + r = target (mod M)."""
+    return (target - r) * pow(W % M, -1, M) % M, M
+
+
+def _window(f: MultFnSpec, W: int, m: int, H: int, squarefree: bool) -> list:
+    """(n, f(n)) for n = W*m + r, r = 1..H, optionally squarefree n only."""
+    out = []
+    for n in range(W * m + 1, W * m + H + 1):
+        factors = factorize_big(n)
+        if not squarefree or all(e == 1 for _, e in factors):
+            out.append((n, value_from_factors(f, factors)))
+    return out
+
+
+def _window_pair(
+    f: MultFnSpec,
+    chi,
+    H: int,
+    W: int,
+    S: set[int],
+    plan: list[tuple[int, int, int]],
+    scan_limit: int,
+    fixed: tuple[tuple[int, int], ...] = (),
+    squarefree: bool = False,
+) -> tuple[list, list, dict]:
+    """The CRT-window recipe behind both constructions.
+
+    m = 0 mod every deviation prime p > H keeps W*m + r = r != 0 mod p off
+    them; m' instead puts p^k || W*m' + r for each validated plan entry
+    (p, k, r), so the window sums differ by
+    sum_j (1 - (f(p_j)conj(chi(p_j)))^{k_j}) f(W*m + r_j).  The `fixed`
+    congruences bind both m and m'; a squarefree pair keeps only squarefree
+    elements and accepts m only when every planned element is squarefree.
+    Returns both windows and the fields the result classes share.
+    """
+    big_s = sorted(p for p in S if p > H)
+    plan_ps = {p for p, _, _ in plan}
+
+    def accept(mm: int) -> bool:
+        return not squarefree or all(is_squarefree_big(W * mm + r) for _, _, r in plan)
+
+    m = _first_admissible([*fixed, *((0, p) for p in big_s)], accept, scan_limit)
+    mp_congs = [*fixed, *((0, p) for p in big_s if p not in plan_ps)]
+    mp_congs += [_cong(W, r, p**k, p ** (k + 1)) for p, k, r in plan]
+    m_prime = _first_admissible(mp_congs, accept, scan_limit)
+
+    # verify the construction did what the identity needs
+    want = {(r, p): k for p, k, r in plan}
+    for r in range(1, H + 1):
+        for p in big_s:
+            n, n_prime = W * m + r, W * m_prime + r
+            if n % p == 0:
+                raise AssertionError(f"first window element {n} hit a deviation prime")
+            v, k = _valuation(n_prime, p), want.get((r, p), 0)
+            if v != k:
+                raise AssertionError(
+                    f"second window element {n_prime} has v_{p} = {v}, wanted {k}"
+                )
+
+    vals = _window(f, W, m, H, squarefree)
+    vals_p = _window(f, W, m_prime, H, squarefree)
+    window_sum = sum((v for _, v in vals), 0j)
+    window_prime_sum = sum((v for _, v in vals_p), 0j)
+    measured = window_sum - window_prime_sum
+    by_n = dict(vals)
+    predicted = 0j
+    for p, k, r in plan:
+        ratio = prime_unit_value(f, p) * complex(np.conj(chi(p)))
+        predicted += (1 - unit_pow(ratio, k)) * by_n[W * m + r]
+    ok = measured == predicted if is_exact_spec(f) else abs(measured - predicted) <= 1e-9
+    return vals, vals_p, dict(
+        m=m,
+        m_prime=m_prime,
+        window_sum=window_sum,
+        window_prime_sum=window_prime_sum,
+        measured=measured,
+        predicted=predicted,
+        ok=ok,
+    )
+
+
+def _first_admissible(congruences, accept, scan_limit: int) -> int:
+    """Smallest m >= 1 in the CRT class satisfying accept(m)."""
+    a, M = arith.crt_solve(congruences)
+    m = a if a > 0 else a + M
+    for _ in range(scan_limit):
+        if accept(m):
+            return m
+        m += M
+    raise SearchError(
+        f"no admissible m among the first {scan_limit} members of the class "
+        f"{a} mod {M}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,130 +287,28 @@ def rotation_witness(
     plan entries are (p, k, r): at residue r of the second window, prime p
     appears with exponent exactly k.  Primes in the plan must exceed H and
     deviate from chi; every other deviation prime above H is kept out of
-    both windows by the residue-class construction.
+    both windows by the residue-class construction.  w (the primorial
+    exponent) needs modulus_kind="primorial".
     """
-    if H < 1:
-        raise ValueError("H must be >= 1")
-    _require_char_base(f, chi, "f")
-    W = _window_modulus(H, modulus_kind, w)
-    q = chi.modulus
-    _check_window_modulus(W, q, H)
-
-    seen_p: set[int] = set()
-    seen_r: set[int] = set()
-    for p, k, r in plan:
-        if not arith.is_prime(p) or p <= H:
-            raise ValueError(f"plan prime {p} must be a prime larger than H={H}")
-        if k < 1 or not 1 <= r <= H:
-            raise ValueError(f"plan entry ({p},{k},{r}) out of range")
-        if p in seen_p or r in seen_r:
-            raise ValueError("plan primes and residues must be distinct")
-        if chi(p) == 0:
-            raise ValueError(f"plan prime {p} divides the character modulus")
-        seen_p.add(p)
-        seen_r.add(r)
-
+    check_character_variant(f, chi, "f")
+    W = _window_modulus(H, chi.modulus, modulus_kind, w)
     S = deviation_primes(f, chi)
+    _check_plan(plan, H, W, S, chi)
     for p in sorted(S):
-        if p <= H and math.gcd(p, q) != 1 and prime_unit_value(f, p) != 0:
+        if p <= H and chi(p) == 0 and prime_unit_value(f, p) != 0:
             raise ValueError(
                 f"deviation prime {p} <= H shares a factor with q and has a "
                 "nonzero value; the window sums would not pair off"
             )
-        if p <= max(H, w or 0) and W % p != 0:
-            raise ValueError(f"deviation prime {p} must divide the window modulus")
-    big_s = sorted(p for p in S if p > H)
-    plan_ps = {p for p, _, _ in plan}
-    for p, _, _ in plan:
-        if p not in S:
-            raise ValueError(
-                f"plan prime {p} does not deviate from chi; its window term "
-                "would vanish"
-            )
-
-    # the first window avoids every big deviation prime: m = 0 mod p keeps
-    # W*m + r = r != 0 mod p for all r <= H < p
-    m_congs = [(0, p) for p in big_s]
-    m = _first_admissible(m_congs, lambda c: True, scan_limit)
-
-    mp_congs = []
-    for p, k, r in plan:
-        pk1 = p ** (k + 1)
-        a = (p**k - r) * pow(W % pk1, -1, pk1) % pk1
-        mp_congs.append((a, pk1))
-    mp_congs.extend((0, p) for p in big_s if p not in plan_ps)
-    m_prime = _first_admissible(mp_congs, lambda c: True, scan_limit)
-
-    def f_at(n: int) -> complex:
-        return value_from_factors(f, factorize_big(n))
-
-    vals = [(W * m + r, f_at(W * m + r)) for r in range(1, H + 1)]
-    vals_p = [(W * m_prime + r, f_at(W * m_prime + r)) for r in range(1, H + 1)]
-
-    # verify the construction did what the identity needs
-    for n, _ in vals:
-        if any(n % p == 0 for p in big_s):
-            raise AssertionError(f"first window element {n} hit a deviation prime")
-    planned = {r: (p, k) for p, k, r in plan}
-    for idx, (n, _) in enumerate(vals_p, start=1):
-        for p in big_s:
-            v = 0
-            nn = n
-            while nn % p == 0:
-                nn //= p
-                v += 1
-            want = planned.get(idx, (p, 0))[1] if planned.get(idx, (None,))[0] == p else 0
-            if v != want:
-                raise AssertionError(
-                    f"second window element {n} has v_{p} = {v}, wanted {want}"
-                )
-
-    window_sum = sum(v for _, v in vals)
-    window_prime_sum = sum(v for _, v in vals_p)
-    measured = window_sum - window_prime_sum
-    by_n = dict(vals)
-    predicted = 0j
-    for p, k, r in plan:
-        ratio = prime_unit_value(f, p) * complex(np.conj(chi(p)))
-        predicted += (1 - unit_pow(ratio, k)) * by_n[W * m + r]
-    ok = (
-        measured == predicted
-        if is_exact_spec(f)
-        else abs(measured - predicted) <= 1e-9
-    )
+    vals, vals_p, shared = _window_pair(f, chi, H, W, S, plan, scan_limit)
     keep = H <= 64
     return RotationWitness(
         H=H,
         W=W,
         plan=list(plan),
-        m=m,
-        m_prime=m_prime,
-        window_sum=window_sum,
-        window_prime_sum=window_prime_sum,
-        measured=measured,
-        predicted=predicted,
-        ok=ok,
         elements=vals if keep else [],
         elements_prime=vals_p if keep else [],
-    )
-
-
-def _first_admissible(congruences, accept, scan_limit: int) -> int:
-    """Smallest m >= 1 in the CRT class satisfying accept(m)."""
-    if congruences:
-        a, M = arith.crt_solve(congruences)
-    else:
-        a, M = 0, 1
-    count = 0
-    m = a if a > 0 else a + M
-    while count < scan_limit:
-        if accept(m):
-            return m
-        m += M
-        count += 1
-    raise SearchError(
-        f"no admissible m among the first {scan_limit} members of the class "
-        f"{a} mod {M}"
+        **shared,
     )
 
 
@@ -347,49 +351,39 @@ def squarefree_pair(
     The first window makes every element at a residue r_j squarefree and
     coprime to the deviation set; the second forces p_j || element at r_j.
     """
-    q = chi.modulus
     if not chi.real:
         raise ValueError("the squarefree pair construction needs a real character")
-    _require_char_base(g, chi, "g")
+    check_character_variant(g, chi, "g")
     for p, w_ in g.exceptions.items():
         if w_ not in (1 + 0j, -1 + 0j):
             raise ValueError(f"g({p}) must be +-1, got {w_}")
-    for p, _ in arith.factor(q):
+    for p, _ in arith.factor(chi.modulus):
         if p not in g.exceptions:
             raise ValueError(
                 f"g must choose a +-1 value at p={p} dividing the modulus"
             )
     if len(primes) != len(residues) or not primes:
         raise ValueError("primes and residues must be matching nonempty lists")
-    W = _window_modulus(H, "factorial", None)
-    _check_window_modulus(W, q, H)
+    W = _window_modulus(H, chi.modulus)
     S = deviation_primes(g, chi)
+    plan = [(p, 1, r) for p, r in zip(primes, residues)]
+    _check_plan(plan, H, W, S, chi)
     sign = 0
     for r in residues:
-        if not 1 <= r <= H or not is_squarefree_big(r):
+        factors = factorize_big(r)
+        if any(e >= 2 for _, e in factors):
             raise ValueError(f"residue {r} must be squarefree in 1..{H}")
-        if any(p in S for p, _ in factorize_big(r)):
+        if any(p in S for p, _ in factors):
             raise ValueError(f"residue {r} touches the deviation set")
-        s_r = int(value_from_factors(g, factorize_big(r)).real)
+        s_r = int(value_from_factors(g, factors).real)
         if sign == 0:
             sign = s_r
         elif s_r != sign:
             raise ValueError("residues must share a common g-sign")
-    if len(set(residues)) != len(residues) or len(set(primes)) != len(primes):
-        raise ValueError("primes and residues must be distinct")
     for p in primes:
-        if not arith.is_prime(p) or p <= H:
-            raise ValueError(f"plan prime {p} must be a prime larger than H={H}")
-        if p not in S or chi(p) == 0:
-            raise ValueError(
-                f"plan prime {p} must deviate from chi away from the modulus"
-            )
-        gp = prime_unit_value(g, p)
-        if gp * chi(p) != -1:
+        if prime_unit_value(g, p) * chi(p) != -1:
             raise ValueError(f"g({p})chi({p}) must equal -1 for the 2t identity")
 
-    big_s = sorted(p for p in S if p > H)
-    res_set = set(residues)
     # auxiliary primes force mu^2 = 0 at squarefree non-plan residues
     aux: dict[int, int] = {}
     pool = iter(
@@ -398,66 +392,19 @@ def squarefree_pair(
         if p > H and p not in S and p not in primes
     )
     for r in range(1, H + 1):
-        if r in res_set or not is_squarefree_big(r):
+        if r in residues or not is_squarefree_big(r):
             continue
         aux[r] = next(pool)
-
-    def aux_congs() -> list[tuple[int, int]]:
-        out = []
-        for r, A in aux.items():
-            a2 = A * A
-            out.append(((-r) * pow(W % a2, -1, a2) % a2, a2))
-        return out
-
-    m_congs = aux_congs() + [(0, p) for p in big_s]
-
-    def m_ok(mm: int) -> bool:
-        return all(is_squarefree_big(W * mm + r) for r in residues)
-
-    m = _first_admissible(m_congs, m_ok, scan_limit)
-
-    mp_congs = aux_congs() + [(0, p) for p in big_s if p not in primes]
-    for p, r in zip(primes, residues):
-        p2 = p * p
-        mp_congs.append(((p - r) * pow(W % p2, -1, p2) % p2, p2))
-
-    def mp_ok(mm: int) -> bool:
-        return all(is_squarefree_big(W * mm + r) for r in residues)
-
-    m_prime = _first_admissible(mp_congs, mp_ok, scan_limit)
-
-    def windowed(mm: int) -> complex:
-        total = 0j
-        for r in range(1, H + 1):
-            n = W * mm + r
-            factors = factorize_big(n)
-            if any(e >= 2 for _, e in factors):
-                continue
-            total += value_from_factors(g, factors)
-        return total
-
-    window_sum = windowed(m)
-    window_prime_sum = windowed(m_prime)
-    measured = window_sum - window_prime_sum
-    predicted = 0j
-    for p, r in zip(primes, residues):
-        gp = prime_unit_value(g, p)
-        predicted += (1 - gp * chi(p)) * value_from_factors(g, factorize_big(r))
-    ok = measured == predicted if is_exact_spec(g) else abs(measured - predicted) <= 1e-9
+    fixed = tuple(_cong(W, r, 0, A * A) for r, A in aux.items())
+    _, _, shared = _window_pair(g, chi, H, W, S, plan, scan_limit, fixed, squarefree=True)
     return SquarefreePair(
         H=H,
         W=W,
         primes=list(primes),
         residues=list(residues),
         aux=aux,
-        m=m,
-        m_prime=m_prime,
-        window_sum=window_sum,
-        window_prime_sum=window_prime_sum,
-        measured=measured,
-        predicted=predicted,
         sign=sign,
-        ok=ok,
+        **shared,
     )
 
 

@@ -773,11 +773,6 @@ class ProfileState:
             self.re = NeumaierSum()
             self.im = NeumaierSum()
 
-    def current_sum(self) -> complex:
-        if self.exact:
-            return complex(self.re_int, self.im_int)
-        return complex(self.re.total(), self.im.total())
-
     def feed(
         self, blk: np.ndarray, checkpoints: list[int]
     ) -> list[tuple[int, complex, float]]:

@@ -11,12 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .multfun import (
-    CharacterTwist,
-    MultFnSpec,
-    prime_unit_value,
-    sum_blocks,
-)
+from .characters import check_character_variant, deviation_primes
+from .multfun import MultFnSpec, prime_unit_value, sum_blocks
 
 # B_2, B_4, ..., B_16: enough correction terms for 1e-13 accuracy once the
 # cutoff clears |Im s|
@@ -163,25 +159,13 @@ def dirichlet_partial(
 def _series_prime_set(g: MultFnSpec, chi) -> list[int]:
     """Primes where the local Euler factor of mu^2 * g deviates from the
     L(s,chi)/zeta(2s) tail: divisors of q plus genuine exceptions."""
-    base = g.base
-    if not isinstance(base, CharacterTwist):
-        raise ValueError("g must be built on the same character as chi")
-    if base.chi is not chi and not (
-        base.chi.modulus == chi.modulus
-        and np.array_equal(base.chi.values, chi.values)
-    ):
-        raise ValueError("g's base character differs from chi")
-    if base.t != 0 or g.scale_r != 0:
-        raise ValueError("g must be an untwisted, undamped character variant")
+    check_character_variant(g, chi, "g")
     if not chi.real:
         raise ValueError("the factorization needs a real character")
-    out = {p for p, _ in arith.factor(chi.modulus)}
     for p, w in g.exceptions.items():
         if w.imag != 0:
             raise ValueError(f"g({p}) is not real")
-        if w != chi(p):
-            out.add(p)
-    return sorted(out)
+    return sorted(deviation_primes(g, chi) | {p for p, _ in arith.factor(chi.modulus)})
 
 
 def finite_product_P(g: MultFnSpec, chi, s: complex) -> complex:

@@ -9,8 +9,12 @@ import pytest
 import oracles
 from multsum import (
     CapacityError,
+    CharacterTwist,
+    One,
     character_by_index,
     character_table,
+    check_character_variant,
+    deviation_primes,
     eval_range,
     euler_phi,
     final_rotation_check,
@@ -18,6 +22,7 @@ from multsum import (
     first_nonzero_sigma,
     growth_witness,
     iterate_check,
+    make_spec,
     modified_spec,
     recursion_state,
     s_restricted,
@@ -134,6 +139,23 @@ def test_modification_validation(chi4, chi5):
         modified_spec(chi4, 3, 2.0)  # z off the unit circle
     with pytest.raises(ValueError):
         recursion_state(chi5, 5, 1)
+
+
+def test_deviation_primes_and_variant_check(chi4, chi5):
+    # g(5) = 1 != chi5(5) = 0, g(7) = 1 != -1, g(11) = -1 != 1; g(2) = chi5(2)
+    g = make_spec(CharacterTwist(chi5), exceptions={2: -1, 5: 1, 7: 1, 11: -1})
+    assert deviation_primes(g, chi5) == {5, 7, 11}
+    assert deviation_primes(make_spec(CharacterTwist(chi4)), chi4) == set()
+    check_character_variant(g, character_by_index(5, "real"))  # equal tables pass
+    for bad, chi in (
+        (make_spec(One()), chi5),
+        (make_spec(CharacterTwist(chi5, t=1.0)), chi5),
+        (make_spec(CharacterTwist(chi5), scale_r=0.5), chi5),
+        (g, chi4),
+        (g, character_by_index(5, 1)),
+    ):
+        with pytest.raises(ValueError, match="character variant|must match chi"):
+            check_character_variant(bad, chi)
 
 
 def test_recursion_refuses_principal_character():

@@ -274,6 +274,17 @@ def test_witness_rotation_row(tmp_path):
     assert row["ok"] == 1
 
 
+def test_witness_rotation_window_refusals(tmp_path, capsys):
+    rotation = ["witness-rotation", "--q", "4", "--index", "1", "--flips", "5~0~1",
+                "--H", "4", "--plan", "5~1~1"]
+    code, _ = run(tmp_path, *rotation, "--modulus", "primorial", "--w", "5")
+    assert code == 1  # plan prime 5 divides W = (2*3*5)^5
+    assert "plan prime 5 divides the window modulus" in capsys.readouterr().err
+    code, _ = run(tmp_path, *rotation, "--w", "7")
+    assert code == 1  # w without the primorial modulus
+    assert "primorial" in capsys.readouterr().err
+
+
 def test_sf_pair_row(tmp_path):
     code, prefix = run(tmp_path, "sf-pair", "--q", "5",
                        "--flips", "5~1,7~1,11~-1", "--H", "6",

@@ -114,6 +114,17 @@ def test_rotation_witness_validation(chi4, chi5):
         rotation_witness(f, chi4, 4, [(5, 1, 1)], modulus_kind="primorial", w=3)
 
 
+def test_rotation_witness_window_modulus_refusals(chi4):
+    f = make_spec(CharacterTwist(chi4), exceptions={5: 1j})
+    # 5 > H but 5 | W = (2*3*5)^5, so W has no inverse mod 5^2
+    with pytest.raises(ValueError, match="plan prime 5 divides the window modulus"):
+        rotation_witness(f, chi4, 4, [(5, 1, 1)], modulus_kind="primorial", w=5)
+    # w is the primorial exponent; the factorial modulus would ignore it
+    for w in (3, 7):
+        with pytest.raises(ValueError, match="primorial"):
+            rotation_witness(f, chi4, 4, [(5, 1, 1)], w=w)
+
+
 def test_squarefree_pair_frozen(chi5):
     g = make_spec(CharacterTwist(chi5), exceptions={5: 1, 7: 1, 11: -1})
     pair = squarefree_pair(g, chi5, 6, [7, 11], [1, 6])
@@ -166,6 +177,44 @@ def test_squarefree_pair_validation(chi4, chi5):
         )
     with pytest.raises(ValueError):
         squarefree_pair(g, chi5, 6, [7], [5])  # residue hits a deviation prime
+
+
+# each case breaks one rule of the shared plan check: (rotation plan,
+# rotation keywords, squarefree-pair primes and residues, message).  The
+# rotation runs on chi4 with f(5) = i, f(13) = -i and H = 4, the pair on chi5
+# with g = +1 at 5 and 7, -1 at 11 and H = 6.  A plan prime dividing q stays
+# at or below H unless a primorial modulus reaches past H.
+PLAN_CASES = {
+    "prime <= H": ([(3, 1, 1)], {}, [3], [1], r"plan prime 3 must be a prime"),
+    "composite": ([(9, 1, 1)], {}, [9], [1], r"plan prime 9 must be a prime"),
+    "repeated prime": ([(5, 1, 1), (5, 1, 2)], {}, [7, 7], [1, 6], "distinct"),
+    "repeated residue": ([(5, 1, 1), (13, 1, 1)], {}, [7, 11], [1, 1], "distinct"),
+    "divides q": (
+        [(2, 1, 1)], {"H": 1, "modulus_kind": "primorial", "w": 2}, [5], [1],
+        r"plan prime [25] ",
+    ),
+    "not deviating": ([(17, 1, 1)], {}, [13], [1], "does not deviate"),
+}
+
+
+@pytest.mark.parametrize("construction", ["rotation", "sf-pair"])
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_plan_validation_shared(construction, case, chi4, chi5):
+    plan, kw, primes, residues, match = PLAN_CASES[case]
+    with pytest.raises(ValueError, match=match):
+        if construction == "rotation":
+            f = make_spec(CharacterTwist(chi4), exceptions={5: 1j, 13: -1j})
+            rotation_witness(f, chi4, **{"H": 4, "plan": plan, **kw})
+        else:
+            g = make_spec(CharacterTwist(chi5), exceptions={5: 1, 7: 1, 11: -1})
+            squarefree_pair(g, chi5, 6, primes, residues)
+
+
+def test_squarefree_pair_refuses_mixed_signs(chi5):
+    """g(1) = +1 but g(2) = chi5(2) = -1: the gap would not be 2t * sign."""
+    g = make_spec(CharacterTwist(chi5), exceptions={5: 1, 7: 1, 11: -1})
+    with pytest.raises(ValueError, match="common g-sign"):
+        squarefree_pair(g, chi5, 6, [7, 11], [1, 2])
 
 
 def test_growth_profile_plain_matches_brute(chi4):

@@ -1,0 +1,87 @@
+"""Import rules between the package modules, checked on their source.
+
+No module reaches into another module's private (single-underscore) names,
+whether by `from .x import _y` or by `x._y` on an imported module, and only
+`arith` imports sympy.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multsum"
+MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The package module an ImportFrom reads names from, or "" for the
+    package itself; None for imports from outside the package."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "multsum":
+        return node.module.partition(".")[2]
+    return None
+
+
+def violations(source: str) -> list[str]:
+    """Private cross-module names and sympy imports in one module's source."""
+    tree = ast.parse(source)
+    module_aliases: set[str] = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sympy":
+                    found.append(f"imports {alias.name}")
+                if alias.name.startswith("multsum.") and alias.asname:
+                    module_aliases.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "sympy":
+                found.append(f"imports from {node.module}")
+            source_module = _package_module(node)
+            if source_module is None:
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"from {source_module or 'multsum'} imports {alias.name}")
+                elif source_module == "" and alias.name in MODULES:
+                    module_aliases.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module_aliases
+            and _private(node.attr)
+        ):
+            found.append(f"reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_rule_checker_sees_each_form():
+    bad = (
+        "from .multfun import _eval_block\n"
+        "from multsum.arith import _icbrt\n"
+        "from . import arith\n"
+        "import multsum.lab as lab\n"
+        "import sympy\n"
+        "from sympy.ntheory import factorint\n"
+        "x = arith._small_primes, lab._window_pair\n"
+    )
+    assert len(violations(bad)) == 6
+    ok = "from . import __version__, arith\nfrom .arith import factor\nx = arith.factor\n"
+    assert violations(ok) == []
+
+
+def test_no_private_cross_module_imports_and_sympy_only_in_arith():
+    assert {"arith", "lab", "cli"} <= set(MODULES)
+    problems = {}
+    for name, path in MODULES.items():
+        found = violations(path.read_text())
+        if name == "arith":
+            found = [v for v in found if "sympy" not in v]
+        if found:
+            problems[name] = found
+    assert problems == {}
