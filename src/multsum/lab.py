@@ -21,7 +21,7 @@ import numpy as np
 
 from . import arith
 from .characters import check_character_variant, deviation_primes
-from .errors import SearchError
+from .errors import CapacityError, SearchError
 from .multfun import (
     CharacterTwist,
     MultFnSpec,
@@ -106,7 +106,8 @@ def _valuation(n: int, p: int) -> int:
 
 def _window_modulus(H: int, q: int, kind: str = "factorial", w: int | None = None) -> int:
     """W = (H!)^2, or prod_{p <= w} p^w for the primorial kind (w defaults to
-    H); q must divide W so that chi(W*m + r) = chi(r)."""
+    H); q must divide W so that chi(W*m + r) = chi(r), and the first window,
+    W + 1..W + H, must stay within FACTOR_LIMIT."""
     if H < 1:
         raise ValueError("H must be >= 1")
     if kind == "factorial":
@@ -129,7 +130,19 @@ def _window_modulus(H: int, q: int, kind: str = "factorial", w: int | None = Non
                 f"q={q} does not divide the window modulus; enlarge H so that "
                 f"p={p} appears at least {e} times (have {v})"
             )
+    if W + H > arith.FACTOR_LIMIT:
+        raise _window_too_big(H, W, w, 1)
     return W
+
+
+def _window_too_big(H: int, W: int, w: int | None, m: int) -> CapacityError:
+    """The refusal of a window W*m + 1..W*m + H that passes FACTOR_LIMIT."""
+    digits = str(W) if W < 10**24 else f"a {len(str(W))}-digit number"
+    modulus = "W = (H!)^2" if w is None else f"w={w}, W = prod_(p<=w) p^w"
+    return CapacityError(
+        f"the window W*m + 1..W*m + H at m={m} passes FACTOR_LIMIT="
+        f"{arith.FACTOR_LIMIT}: H={H}, {modulus} = {digits}; use a smaller H or w"
+    )
 
 
 def _check_plan(plan: list[tuple[int, int, int]], H: int, W: int, S: set[int], chi) -> None:
@@ -179,6 +192,7 @@ def _window_pair(
     scan_limit: int,
     fixed: tuple[tuple[int, int], ...] = (),
     squarefree: bool = False,
+    w: int | None = None,
 ) -> tuple[list, list, dict]:
     """The CRT-window recipe behind both constructions.
 
@@ -188,12 +202,17 @@ def _window_pair(
     sum_j (1 - (f(p_j)conj(chi(p_j)))^{k_j}) f(W*m + r_j).  The `fixed`
     congruences bind both m and m'; a squarefree pair keeps only squarefree
     elements and accepts m only when every planned element is squarefree.
-    Returns both windows and the fields the result classes share.
+    A class whose first members pass FACTOR_LIMIT is refused, naming H, W
+    and the primorial exponent w.  Returns both windows and the fields the
+    result classes share.
     """
     big_s = sorted(p for p in S if p > H)
     plan_ps = {p for p, _, _ in plan}
+    top = (arith.FACTOR_LIMIT - H) // W  # the largest m whose window factorizes
 
     def accept(mm: int) -> bool:
+        if mm > top:
+            raise _window_too_big(H, W, w, mm)
         return not squarefree or all(is_squarefree_big(W * mm + r) for _, _, r in plan)
 
     m = _first_admissible([*fixed, *((0, p) for p in big_s)], accept, scan_limit)
@@ -300,7 +319,9 @@ def rotation_witness(
                 f"deviation prime {p} <= H shares a factor with q and has a "
                 "nonzero value; the window sums would not pair off"
             )
-    vals, vals_p, shared = _window_pair(f, chi, H, W, S, plan, scan_limit)
+    if modulus_kind == "primorial":
+        w = w or H
+    vals, vals_p, shared = _window_pair(f, chi, H, W, S, plan, scan_limit, w=w)
     keep = H <= 64
     return RotationWitness(
         H=H,

@@ -27,6 +27,7 @@ BLOCK = 1 << 18  # shortest block: a 2 MB int64 array stays in one core's L2
 # Block length of sum_blocks: its per-block np.sum grouping is part of the
 # float results, so it stays fixed whatever block_length says.
 SUM_BLOCK = 1 << 22
+RUN = 64  # shortest exception stride laid as a run; shorter ones are gathered
 
 _GAUSSIAN_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 _ONE_BITS = np.float64(1.0).view(np.uint64)
@@ -395,21 +396,21 @@ def _signed(
 
 
 def _sign_parity(
-    u: np.ndarray, lo: int, hi: int, primes: np.ndarray, masks: np.ndarray
+    lo: int, hi: int, primes: np.ndarray, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sign-parity skeleton of the block [lo, hi) for up to 64 +-1 functions.
 
-    u is n with the exception primes divided out; primes are the base primes
-    <= sqrt(hi - 1) that are not exceptions, and bit i of masks[j] is 1 when
-    function i is -1 at primes[j].  Returns the parity word per n, whose bit
-    i is the parity of function i's -1 prime factors counted with
-    multiplicity, and the smooth part of u over primes as int32.  smooth
-    divides u, and u // smooth is 1 or one prime > sqrt(hi - 1), so
-    smooth < u marks the n with a prime factor above the sieve.
+    primes hold every prime <= sqrt(hi - 1), in any order, plus any larger
+    ones to be divided out; bit i of masks[j] is 1 when function i is -1 at
+    primes[j].  Returns the parity word per n, whose bit i is the parity of
+    function i's -1 prime factors counted with multiplicity, and the smooth
+    part of n over primes as int32.  smooth divides n, and n // smooth is 1
+    or one prime > sqrt(hi - 1), so smooth < n marks the n with a prime
+    factor above the sieve.
     """
     length = hi - lo
     parity = np.zeros(length, dtype=masks.dtype)
-    smooth = np.ones(length, dtype=np.int32)  # divides u <= 1e9 < 2^31
+    smooth = np.ones(length, dtype=np.int32)  # divides n <= 1e9 < 2^31
     for p, m in zip(primes.tolist(), masks.tolist()):
         pk = p
         while pk < hi:
@@ -425,13 +426,55 @@ def _sign_parity(
     return parity, smooth
 
 
-def _big_primes(u: np.ndarray, smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in the block where u has a prime factor above the sieve, and
-    that prime (u // smooth there), from _sign_parity's smooth part."""
-    idx = np.flatnonzero(smooth < u)
-    cof = u.take(idx)
+def _big_primes(n: np.ndarray, smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the block where n has a prime factor above the sieve, and
+    that prime (n // smooth there), from _sign_parity's smooth part."""
+    idx = np.flatnonzero(smooth < n)
+    cof = n.take(idx)
     cof //= smooth.take(idx)
     return idx, cof
+
+
+def _exception_walk(
+    primes: list[int], lo: int, hi: int
+) -> tuple[list[tuple[slice, int, int]], np.ndarray, np.ndarray]:
+    """Where n in [lo, hi) has u = n / s, s its largest divisor built from
+    the given primes (ascending), as strides and a gather list.
+
+    The multiples of each such d > 1 are n = d m for consecutive m.  runs
+    holds (stride, m0, count) for every d <= cut = (hi - lo) // RUN,
+    ascending, so laying a function of m along each run in order leaves it
+    at m = u wherever s <= cut.  The n with s > cut are listed instead, as
+    pos = n - lo and m = u: each is a multiple of some d = e p > cut with
+    e <= cut and p at least e's largest prime (the first such divisor of s
+    when its primes are multiplied in ascending order).  So the work grows
+    with the d <= cut, never with all exception-smooth d below hi.
+    """
+    cut = (hi - lo) // RUN
+    ds, tops = [1], [1]  # the d <= cut and their largest prime factors
+    for p in primes:
+        for d in ds[:]:
+            d *= p
+            while d <= cut:
+                ds.append(d)
+                tops.append(p)
+                d *= p
+    runs = []
+    for d in sorted(ds)[1:]:
+        m0 = -(-lo // d)
+        if m0 * d < hi:
+            runs.append((slice(m0 * d - lo, hi - lo, d), m0, (hi - 1 - m0 * d) // d + 1))
+    firsts = [e * p for e, top in zip(ds, tops) for p in primes if p >= top and cut < e * p < hi]
+    n = np.unique(np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [np.arange(-(-lo // d) * d, hi, d, dtype=np.int64) for d in firsts]))
+    m = n.copy()
+    for p in primes:
+        hit = np.flatnonzero(m % p == 0)
+        while len(hit):
+            m[hit] //= p
+            hit = hit[m[hit] % p == 0]
+    return runs, n - lo, m
 
 
 def _periodic(table: np.ndarray, lo: int, length: int) -> np.ndarray:
@@ -457,9 +500,19 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
 
     base_primes must cover sqrt(hi - 1).  Blocks are independent: nothing
     about earlier ranges is needed.  No step works per value where residues
-    and strides fix the result: characters copy their period and patch the
-    exception strides, the coprime indicator zeroes the strides of Q's small
-    primes, and +-1 bases divide only where a prime above the sieve remains.
+    and strides fix the result: characters copy their period, the coprime
+    indicator zeroes the strides of Q's small primes, and +-1 bases divide
+    only where a prime above the sieve remains.
+
+    Exceptions never divide n: their values multiply along the strides of
+    their prime powers.  Characters and the twist need chi(u) and log u, u
+    being n with the exception primes divided out.  The multiples of an
+    exception-smooth d are n = d m for consecutive m, so along d's stride
+    chi(m) is a run of the table and u an arange; laid in ascending d, the
+    largest such divisor of n writes last and leaves u.  _exception_walk
+    lists those strides, and gathers the few n whose strides would be too
+    short.  +-1 bases count the exception primes into the smooth part with
+    no sign, and the coprime indicator strips them from what is left of Q.
 
     Complex products are written np.multiply(fresh, factor, out=fresh), the
     order numpy's temporary elision gives `factor * fresh` in a large block:
@@ -471,42 +524,44 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
     base = spec.base
     real = is_real_spec(spec)
     dtype = np.float64 if real else np.complex128
+    exception_primes = sorted(p for p in spec.exceptions if p < hi)
 
-    # mult is the product of exception values.  Without exceptions it is the
-    # scalar 1+0j for complex specs, which clears signed zeros exactly as an
-    # all-ones array would, and None for real ones, where 1.0 changes nothing
-    mult = None if real else 1 + 0j
-    u = None  # n with the exception primes divided out, made where needed
-    if spec.exceptions:
-        mult = np.ones(length, dtype=dtype)
-        u = np.arange(lo, hi, dtype=np.int64)
-    for p, w in sorted(spec.exceptions.items()):
+    # mult is the product of exception values.  Without any below hi it is
+    # the scalar 1+0j for complex specs, which clears signed zeros exactly as
+    # an all-ones array would, and None for real ones, where 1.0 changes
+    # nothing; for the same reason a real spec skips exception values of 1
+    factors = [p for p in exception_primes if not (real and spec.exceptions[p] == 1)]
+    mult = np.ones(length, dtype=dtype) if factors else None if real else 1 + 0j
+    for p in factors:
+        w = spec.exceptions[p]
         pk = p
         while pk < hi:
             start = _stride_starts(max(lo, pk), hi, pk)
             if start is not None:
-                idx = slice(start - lo, length, pk)
-                u[idx] //= p
-                mult[idx] *= w.real if real else w
+                mult[start - lo :: pk] *= w.real if real else w
             if pk > hi // p:
                 break
             pk *= p
 
     if isinstance(base, (Liouville, RandomRademacher)):
-        if u is None:
-            u = np.arange(lo, hi, dtype=np.int64)
         primes = _sieving_primes(base_primes, hi)
-        if spec.exceptions:
-            primes = primes[~np.isin(primes, list(spec.exceptions))]
         if isinstance(base, Liouville):
             masks = np.ones(len(primes), dtype=np.uint8)
         else:
             masks = _rademacher_minus(base.seed, primes).astype(np.uint8)
-        parity, smooth = _sign_parity(u, lo, hi, primes, masks)
+        if exception_primes:  # in the smooth part, with no sign
+            masks[np.isin(primes, exception_primes)] = 0
+            above = [p for p in exception_primes if p > math.isqrt(hi - 1)]
+            primes = np.concatenate([primes, np.array(above, dtype=primes.dtype)])
+            masks = np.concatenate([masks, np.zeros(len(above), dtype=np.uint8)])
+        # n stays bound to the end: freeing it early lets glibc trim the heap
+        # and fault the output's pages back in
+        n = np.arange(lo, hi, dtype=np.int64)
+        parity, smooth = _sign_parity(lo, hi, primes, masks)
         if isinstance(base, Liouville):
-            parity ^= smooth < u
+            parity ^= smooth < n
         else:
-            idx, cof = _big_primes(u, smooth)
+            idx, cof = _big_primes(n, smooth)
             parity[idx] ^= _rademacher_minus(base.seed, cof).astype(np.uint8)
         del smooth
         out = _signed(parity)
@@ -515,12 +570,16 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
         if mult is not None:
             np.multiply(out, mult, out=out)
     elif isinstance(base, One):
-        out = mult if spec.exceptions else np.ones(length, dtype=dtype)
+        out = mult if factors else np.ones(length, dtype=dtype)
     elif isinstance(base, CoprimeIndicator):
-        out = mult if spec.exceptions else np.ones(length, dtype=dtype)
-        # zero the strides of Q's primes <= sqrt(hi - 1); what is left of Q
-        # has only larger prime factors, which one gcd pass finds
+        out = mult if factors else np.ones(length, dtype=dtype)
+        # zero the strides of Q's primes <= sqrt(hi - 1); what is left of Q,
+        # less the exception primes, has only larger prime factors, which one
+        # gcd pass finds
         rest = base.Q
+        for p in spec.exceptions:
+            while rest % p == 0:
+                rest //= p
         primes = _sieving_primes(base_primes, hi)
         for p in primes[base.Q % primes == 0].tolist():
             while rest % p == 0:
@@ -529,25 +588,37 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
             if p not in spec.exceptions and start is not None:
                 out[start - lo :: p] = 0
         if rest > 1:
-            if u is None:
-                u = np.arange(lo, hi, dtype=np.int64)
-            out[np.gcd(u, rest) != 1] = 0
+            out[np.gcd(np.arange(lo, hi, dtype=np.int64), rest) != 1] = 0
     else:  # CharacterTwist
         chi = base.chi
         table = chi.values.real if real else chi.values  # .real: a float64 view
         out = _periodic(table, lo, length)
-        # u differs from n only on the multiples of an exception prime
-        for p in spec.exceptions:
-            start = _stride_starts(lo, hi, p)
-            if start is not None:
-                idx = slice(start - lo, length, p)
-                out[idx] = table[np.mod(u[idx], chi.modulus)]
+        u = np.arange(lo, hi, dtype=np.float64) if base.t else None
+        if exception_primes:
+            runs, pos, m = _exception_walk(exception_primes, lo, hi)
+            q = chi.modulus
+            # a run holds at most half the block, so with q <= length each is
+            # a slice of one copy of the table laid that long
+            periods = _periodic(table, 0, q + (length + 1) // 2) if q <= length else None
+            iota = np.arange((length + 1) // 2, dtype=np.float64) if u is not None else None
+            for idx, m0, count in runs:
+                out[idx] = (_periodic(table, m0, count) if periods is None
+                            else periods[m0 % q : m0 % q + count])
+                if u is not None:
+                    np.add(iota[:count], m0, out=u[idx])
+            out[pos] = table[m % q]
+            if u is not None:
+                u[pos] = m
         if mult is not None:
             np.multiply(out, mult, out=out)
-        if base.t:
-            if u is None:
-                u = np.arange(lo, hi, dtype=np.int64)
-            twist = np.exp(1j * base.t * np.log(u.astype(np.float64)))
+        if u is not None:
+            # cos and sin of t log u: the bits of np.exp(1j * t * log u), one
+            # complex temporary fewer (the pinned twist values hold them)
+            np.log(u, out=u)
+            u *= base.t
+            twist = np.empty(length, dtype=np.complex128)
+            np.cos(u, out=twist.real)
+            np.sin(u, out=twist.imag)
             out = np.multiply(twist, out, out=twist)
 
     if spec.scale_r:  # a real factor: its operand order cannot change bits
@@ -669,7 +740,7 @@ class RademacherSeeds:
         count = len(_sieving_primes(self.base_primes, hi))
         words = []
         for group, masks in zip(self.groups, self.masks):
-            parity, smooth = _sign_parity(n, lo, hi, self.base_primes[:count],
+            parity, smooth = _sign_parity(lo, hi, self.base_primes[:count],
                                           masks[:count])
             idx, cof = _big_primes(n, smooth)  # hash these primes' signs per seed
             del smooth
@@ -861,9 +932,12 @@ def stream_profile(
     """Profile f (times mu^2(n) when `squarefree`) over 1..x without
     materializing values.
 
-    Blocks hold `block` values (default block_length(x)).  `state` (from a
-    previous run's snapshot) resumes mid-scan; rows already covered by the
-    restored state are not re-emitted.
+    Blocks hold `block` values (default block_length(x)).  The compensated
+    float sums are laid in accum.CHUNK chunks from each block start, so they
+    equal one scan over the whole range only when `block` is a multiple of
+    CHUNK, as every derived length is.  `state` (from a previous run's
+    snapshot) resumes mid-scan; rows already covered by the restored state
+    are not re-emitted.
     """
     check_checkpoints(checkpoints, x)
     exact, real = is_exact_spec(spec), is_real_spec(spec)

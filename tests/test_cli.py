@@ -285,6 +285,23 @@ def test_witness_rotation_window_refusals(tmp_path, capsys):
     assert "primorial" in capsys.readouterr().err
 
 
+def test_windows_past_factor_limit_refused(tmp_path, capsys):
+    """Both window commands refuse H = 13, whose W = (13!)^2 puts the first
+    window past FACTOR_LIMIT, with exit 1 and H and W on stderr."""
+    for argv in (
+        ["witness-rotation", "--q", "4", "--index", "1", "--flips", "17~0~1",
+         "--H", "13", "--plan", "17~1~1"],
+        ["sf-pair", "--q", "5", "--flips", "5~1,17~1,19~-1", "--H", "13",
+         "--primes", "17,19", "--residues", "1,6"],
+    ):
+        code, prefix = run(tmp_path, *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "passes FACTOR_LIMIT" in err, err
+        assert "H=13, W = (H!)^2 = 38775788043632640000" in err, err
+        assert not os.path.exists(prefix + ".csv")
+
+
 def test_sf_pair_row(tmp_path):
     code, prefix = run(tmp_path, "sf-pair", "--q", "5",
                        "--flips", "5~1,7~1,11~-1", "--H", "6",

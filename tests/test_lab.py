@@ -125,6 +125,25 @@ def test_rotation_witness_window_modulus_refusals(chi4):
             rotation_witness(f, chi4, 4, [(5, 1, 1)], w=w)
 
 
+def test_windows_past_factor_limit_refused(chi4, chi5):
+    """A window past FACTOR_LIMIT is refused in terms of H, W and w: at H = 13
+    the first window (H!)^2 + 1.. already passes it, at H = 12 the primed
+    class does (m' = 70), and so does a large primorial exponent at m = 1."""
+    f = make_spec(CharacterTwist(chi4), exceptions={17: 1j})
+    with pytest.raises(CapacityError, match=r"at m=1 passes FACTOR_LIMIT=4000000000000000000: "
+                       r"H=13, W = \(H!\)\^2 = 38775788043632640000"):
+        rotation_witness(f, chi4, 13, [(17, 1, 1)])
+    with pytest.raises(CapacityError, match=r"at m=70 .*H=12, W = \(H!\)\^2 = 229442532802560000"):
+        rotation_witness(f, chi4, 12, [(17, 1, 1)])
+    with pytest.raises(CapacityError, match=r"H=4, w=40, W = .* = a 515-digit number"):
+        rotation_witness(f, chi4, 4, [(17, 1, 1)], modulus_kind="primorial", w=40)
+    witness = rotation_witness(f, chi4, 11, [(17, 1, 1)])
+    assert witness.ok and witness.m_prime == 254  # still inside the limit
+    g = make_spec(CharacterTwist(chi5), exceptions={5: 1, 17: 1, 19: -1})
+    with pytest.raises(CapacityError, match=r"at m=1 .*H=13, W = \(H!\)\^2"):
+        squarefree_pair(g, chi5, 13, [17, 19], [1, 6])
+
+
 def test_squarefree_pair_frozen(chi5):
     g = make_spec(CharacterTwist(chi5), exceptions={5: 1, 7: 1, 11: -1})
     pair = squarefree_pair(g, chi5, 6, [7, 11], [1, 6])

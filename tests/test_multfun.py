@@ -487,18 +487,28 @@ HIGH_SPECS = [
     ("rademacher:seed=3", 0.0),
     ("coprime:Q=30", 0.0),
     ("char:q=5,index=1,t=2.0", 1e-14),
+    ("char:q=5,index=real;except=2~-1~0,3~1~0", 0.0),
+    ("char:q=5,index=1;except=2~0~1,5~-1~0", 0.0),
+    ("char:q=7,index=2,t=0.5;except=2~0.5~0.5,3~-1~0", 1e-14),
+    ("liouville;except=2~1~0,3~-1~0", 0.0),
+    ("rademacher:seed=3;except=3~-1~0,31607~1~0", 0.0),
+    ("coprime:Q=6;except=3~0~-1", 0.0),
 ]
 
 
 @pytest.mark.parametrize("cfg,rel", HIGH_SPECS)
 def test_eval_block_near_stream_limit(cfg, rel):
     """A derived-length block ending at 1e9 agrees with factorization on its
-    last 1001 values."""
+    last 1001 values, and on the multiples of the deepest powers of 2 and 3
+    in it (2^23 * 119 and 3^12 * 1879), whose exception strides are the
+    shortest."""
     spec = build_spec(cfg)
     hi = STREAM_LIMIT + 1
     lo = hi - block_length(STREAM_LIMIT)
     vals = _eval_block(spec, lo, hi, primes_upto(math.isqrt(STREAM_LIMIT)))
-    for n in range(STREAM_LIMIT - 1000, hi):
+    deep = [2**23 * 119, 3**12 * 1879]
+    assert all(lo <= n < hi for n in deep)
+    for n in [*range(STREAM_LIMIT - 1000, hi), *deep]:
         got, want = complex(vals[n - lo]), oracles.spec_value(spec, n)
         if rel:
             assert abs(got - want) <= rel * abs(want), (cfg, n, got, want)
@@ -568,6 +578,25 @@ PINNED_VALUES = {
         "ded00b68a0bf0a32ee819c627a599cab1fb42ea17492e694cbb587347eb5cceb",
     "rademacher:seed=7;except=5~-1~0;scale_r=0.25":
         "79011bdf61a053b67377d8a1463de5e12f28eb3bda9340ca9b9726d11fbaa29c",
+    # frozen before exception strides became table runs: several exception
+    # primes, their products, p | q, signed zeros, a twist, and an exception
+    # above sqrt(x)
+    'char:q=5,index=real;except=2~-1~0':
+        "2ade3dfef6b61444b4ceb765d7223bc53ea5e2670837ffd09e9b4279645086c8",
+    'char:q=7,index=3;except=2~-1~0,3~0.25~0':
+        "b489f436a5bd163131d084def4b0b6edacb0474016594a597c2bbdec749fa3c8",
+    'char:q=4,index=1;except=2~-1~0':
+        "13f89f8160b8a75d1ad7581c3f3261e9eddc1f7665e6eb2f39e0e072b34d96cb",
+    'liouville;except=2~1~0,3~-1~0':
+        "4b5603e124edb242fa8138bc4b218dcb450362324209186a10b0444516ba888a",
+    'rademacher:seed=3;except=1009~1~0':
+        "1ffe099e9e9752a6578e05fc719ca4b90ec4079e5933d9f210173f811174da57",
+    'one;except=2~0.5~0,3~-0.7~0;scale_r=0.3':
+        "e03ec84212c24350690b4b2eef461f4b57f936363d76815f2bca368a71d336a6",
+    'char:q=5,index=1,t=0.7;except=2~1~0':
+        "e84d76dabb01420a1d6e4f19dfcc02e3e2764cf9e0145ccc0132da75a6aaa93a",
+    'char:q=7,index=2;except=2~-1~0':
+        "163466f04c4e16cbd9207451bb77a0103f3c1b51cd6ec6319cabbe622ed7d62f",
 }
 
 
@@ -666,3 +695,56 @@ def test_coprime_values_match_gcd_reference(cfg, x):
     want = oracles.residue_values(spec, 1, x + 1)
     assert not want.imag.any()
     assert np.array_equal(got, want.real)
+
+
+WALK_SPECS = [
+    "char:q=5,index=real;except=2~-1~0,3~1~0",
+    "char:q=12,index=1;except=2~0~1,3~-1~0",  # both exception primes divide q
+    "char:q=7,index=2,t=0.5;except=2~0.5~0.5,3~-1~0",
+    "char:q=7,index=1;except=3~0~1,1009~-1~0",
+    "liouville;except=2~1~0,3~-1~0,1009~0~1",
+    "rademacher:seed=4;except=2~-1~0,3~1~0,1009~1~0",
+    "coprime:Q=6;except=3~-1~0,1009~0.5~0",
+    "one;except=2~-1~0,3~0~1",
+]
+WALK_BLOCKS = [
+    (2**29 - 3, 2**29 + 4),  # the deepest power of 2 below 1e9
+    (3**18 - 2, 3**18 + 3),  # and of 3
+    (2**29, 2**29 + 1),  # one-value blocks
+    (3**18, 3**18 + 1),
+    (6**11, 6**11 + 1),
+    (1, 2),
+    (10**6 + 1, 10**6 + 301),  # lo is a multiple of neither 2 nor 3
+    (1, 1009),  # the exception prime 1009 is >= hi
+    (1000, 1009),
+    (1009, 1010),
+    (1009 * 2**8 - 7, 1009 * 2**8 + 90),
+]
+
+
+@pytest.mark.parametrize("cfg", WALK_SPECS)
+def test_exception_walk_edges(cfg):
+    """_eval_block against factorization on the edges of the exception walk:
+    blocks at the deepest powers of 2 and 3 below 1e9, one-value blocks,
+    blocks starting off every stride, and an exception prime at or above hi.
+    Blocks this short send most strides through the gather pass."""
+    spec = build_spec(cfg)
+    for lo, hi in WALK_BLOCKS:
+        vals = _eval_block(spec, lo, hi, primes_upto(math.isqrt(hi - 1)))
+        assert len(vals) == hi - lo
+        for n in range(lo, hi):
+            got, want = complex(vals[n - lo]), oracles.spec_value(spec, n)
+            if is_exact_spec(spec):
+                assert got == want, (cfg, n, got, want)
+            else:
+                assert abs(got - want) <= 1e-14, (cfg, n, got, want)
+
+
+def test_exception_walk_covers_large_sets():
+    """Ten small exception primes: the walk's runs and gathers still give
+    chi(u) times the exception product on every n of a block."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    exceptions = {p: (-1) ** i * 1j for i, p in enumerate(primes)}
+    spec = make_spec(CharacterTwist(character_by_index(31, 3)), exceptions=exceptions)
+    for lo, hi in ((1, 5000), (10**8 - 777, 10**8 + 4321)):
+        _assert_matches_reference(spec, lo, hi)
