@@ -51,7 +51,6 @@ from .lab import (
     random_walk_mc,
     rotation_witness,
     squarefree_pair,
-    thread_cap,
 )
 from .multfun import (
     CharacterTwist,
@@ -71,6 +70,7 @@ from .multfun import (
     prime_unit_value,
     spec_config,
     stream_profile,
+    thread_cap,
 )
 from .pretentious import (
     DistanceResult,

@@ -29,6 +29,7 @@ from .multfun import (
 )
 
 CHARACTER_MODULUS_LIMIT = 10**6
+SIGMA_CHUNK = 1 << 16  # multipliers m per sigma_many call of first_nonzero_sigma
 
 
 @dataclass(eq=False)
@@ -400,16 +401,14 @@ def growth_witness(
     )
 
 
-def first_nonzero_sigma(
-    state: RecursionState, M: int, chunk: int = 1 << 16
-) -> int | None:
+def first_nonzero_sigma(state: RecursionState, M: int) -> int | None:
     """Smallest m <= M with Sigma(m q) != 0, or None when all of them vanish."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     q = state.chi.modulus
     tol = 0.0 if state.exact else 1e-9
-    for lo in range(1, M + 1, chunk):
-        hi = min(lo + chunk, M + 1)
+    for lo in range(1, M + 1, SIGMA_CHUNK):
+        hi = min(lo + SIGMA_CHUNK, M + 1)
         ms = np.arange(lo, hi, dtype=np.int64)
         sig = sigma_many(state, ms * q)
         hits = np.flatnonzero(np.abs(sig) > tol)

@@ -220,7 +220,7 @@ def _run_profile(args, prefix: str):
     state_path = prefix + ".state.json"
     csv_path = prefix + ".csv"
 
-    state = None
+    state = ProfileState(is_exact_spec(spec), is_real_spec(spec))
     rows: list[list[float]] = []
     if args.resume and os.path.exists(state_path):
         with open(state_path) as fh:
@@ -230,16 +230,17 @@ def _run_profile(args, prefix: str):
                 "resume state was written by a different invocation; "
                 "rerun without --resume"
             )
-        state = ProfileState.restore(saved["snapshot"])
-        rows = [list(map(float, r)) for r in saved["rows"]]
+        try:
+            state = ProfileState.restore(saved.get("snapshot"))
+            rows = [list(map(float, r)) for r in saved.get("rows", ())]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{exc}; rerun without --resume") from None
         covered = [c for c in checkpoints if c <= state.n_done]
         if [int(r[0]) for r in rows] != covered:
             raise ValueError(
                 "resume state is inconsistent with its rows; rerun without "
                 "--resume"
             )
-    if state is None:
-        state = ProfileState(is_exact_spec(spec), is_real_spec(spec))
 
     _write_csv(csv_path, PROFILE_COLUMNS, rows)
     fh = open(csv_path, "a", newline="")

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -36,38 +32,6 @@ from .multfun import (
     unit_pow,
 )
 from .pretentious import distance, f_of_q_sum
-
-T = TypeVar("T")
-
-
-def thread_cap() -> int:
-    """Worker cap: MULTSUM_THREADS when set, else the CPU count."""
-    raw = os.environ.get("MULTSUM_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"MULTSUM_THREADS must be a positive integer, got {raw!r}")
-        return cap
-    return os.cpu_count() or 1
-
-
-def _evaluated_ahead(fn: Callable[[int], T], count: int, workers: int) -> Iterator[T]:
-    """Yield fn(0), ..., fn(count - 1) in order while a pool of `workers`
-    threads evaluates the next ones, at most workers + 1 results alive."""
-    if workers <= 1:
-        yield from map(fn, range(count))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque[Future[T]] = deque()
-        for k in range(count):
-            pending.append(pool.submit(fn, k))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 def is_squarefree_big(n: int) -> bool:
@@ -525,9 +489,10 @@ def random_walk_mc(
     """Profile f(n) = eps(n) n^(-scale_r) for hashed Rademacher eps over the
     given seeds (an int means range(seeds)); reports per-checkpoint medians.
 
-    All seeds share one sieve per block.  A thread pool capped by
-    MULTSUM_THREADS evaluates blocks ahead of an in-order scan of every
-    seed's partial sums, so the output never depends on the thread count.
+    All seeds share one sieve per block.  RademacherSeeds evaluates blocks
+    ahead on a thread pool capped by MULTSUM_THREADS, and every seed's
+    partial sums are scanned in block order, so the output never depends on
+    the thread count.
     """
     if isinstance(seeds, int):
         seeds = list(range(seeds))
@@ -537,12 +502,12 @@ def random_walk_mc(
     check_checkpoints(checkpoints, N)
     states = [ProfileState(family.exact, real=True) for _ in seeds]
     sups: list[list[float]] = [[] for _ in seeds]
-    workers = min(thread_cap(), len(family))
     # one values array for every seed and block: with the pool running, a
     # fresh 2 MB array per seed was faulted in anew each time (glibc hands
     # freed pages back), which cost more than the pool saved
-    buf = np.empty(family.block_len)
-    for blk in _evaluated_ahead(family.block, len(family), workers):
+    lo, hi = family.ranges[0]  # the longest block
+    buf = np.empty(hi - lo)
+    for blk in family:
         vals = buf[: len(blk)]
         for i, (state, row) in enumerate(zip(states, sups)):
             row.extend(sup for _, _, sup in state.feed(blk.values(i, vals), checkpoints))

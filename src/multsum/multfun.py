@@ -11,9 +11,13 @@ tracked in exact integer arithmetic.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -31,6 +35,8 @@ RUN = 64  # shortest exception stride laid as a run; shorter ones are gathered
 
 _GAUSSIAN_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 _ONE_BITS = np.float64(1.0).view(np.uint64)
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +327,7 @@ def value_at_primes(spec: MultFnSpec, ps: np.ndarray) -> np.ndarray:
         if i < len(ps) and ps[i] == p:
             vals[i] = w
     if spec.scale_r:
-        vals = vals * np.exp(-spec.scale_r * np.log(ps.astype(np.float64)))
+        vals = vals * _damping(ps.astype(np.float64), spec.scale_r)
     return vals
 
 
@@ -501,7 +507,7 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
     base_primes must cover sqrt(hi - 1).  Blocks are independent: nothing
     about earlier ranges is needed.  No step works per value where residues
     and strides fix the result: characters copy their period, the coprime
-    indicator zeroes the strides of Q's small primes, and +-1 bases divide
+    indicator zeroes the strides of Q's primes below hi, and +-1 bases divide
     only where a prime above the sieve remains.
 
     Exceptions never divide n: their values multiply along the strides of
@@ -512,7 +518,8 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
     largest such divisor of n writes last and leaves u.  _exception_walk
     lists those strides, and gathers the few n whose strides would be too
     short.  +-1 bases count the exception primes into the smooth part with
-    no sign, and the coprime indicator strips them from what is left of Q.
+    no sign, and the coprime indicator leaves their strides to the exception
+    values.
 
     Complex products are written np.multiply(fresh, factor, out=fresh), the
     order numpy's temporary elision gives `factor * fresh` in a large block:
@@ -573,22 +580,10 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
         out = mult if factors else np.ones(length, dtype=dtype)
     elif isinstance(base, CoprimeIndicator):
         out = mult if factors else np.ones(length, dtype=dtype)
-        # zero the strides of Q's primes <= sqrt(hi - 1); what is left of Q,
-        # less the exception primes, has only larger prime factors, which one
-        # gcd pass finds
-        rest = base.Q
-        for p in spec.exceptions:
-            while rest % p == 0:
-                rest //= p
-        primes = _sieving_primes(base_primes, hi)
-        for p in primes[base.Q % primes == 0].tolist():
-            while rest % p == 0:
-                rest //= p
+        for p, _ in arith.factor(base.Q):
             start = _stride_starts(lo, hi, p)
             if p not in spec.exceptions and start is not None:
                 out[start - lo :: p] = 0
-        if rest > 1:
-            out[np.gcd(np.arange(lo, hi, dtype=np.int64), rest) != 1] = 0
     else:  # CharacterTwist
         chi = base.chi
         table = chi.values.real if real else chi.values  # .real: a float64 view
@@ -622,8 +617,15 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
             out = np.multiply(twist, out, out=twist)
 
     if spec.scale_r:  # a real factor: its operand order cannot change bits
-        out = out * np.exp(-spec.scale_r * np.log(np.arange(lo, hi, dtype=np.float64)))
+        out = out * _damping(np.arange(lo, hi, dtype=np.float64), spec.scale_r)
     return out
+
+
+def _damping(n: np.ndarray, r: float) -> np.ndarray:
+    """n^(-r) as exp(-r log n), computed in place in the float64 array n."""
+    np.log(n, out=n)
+    n *= -r
+    return np.exp(n, out=n)
 
 
 def block_length(x: int) -> int:
@@ -641,11 +643,19 @@ def block_length(x: int) -> int:
     return max(BLOCK, 1 << (64 * math.isqrt(x) - 1).bit_length())
 
 
-def _check_stream_x(x: int) -> None:
+def _layout(x: int, block: int | None = None, start: int = 1) -> tuple[list, np.ndarray]:
+    """The [lo, hi) blocks of at most `block` values (default
+    block_length(x)) laid from `start` to x, and the base primes up to
+    sqrt(x) that sieve every one of them."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if x > STREAM_LIMIT:
         raise CapacityError(f"x={x} exceeds the streaming limit {STREAM_LIMIT}")
+    if not 1 <= start <= x + 1:
+        raise ValueError(f"start must lie in 1..{x + 1}, got {start}")
+    block = block or block_length(x)
+    ranges = [(lo, min(lo + block, x + 1)) for lo in range(start, x + 1, block)]
+    return ranges, arith.primes_upto(math.isqrt(x))
 
 
 def iter_blocks(
@@ -658,13 +668,8 @@ def iter_blocks(
     """Yield f(start..x) in consecutive blocks of at most `block` values
     (default block_length(x)), laid from `start`; with `squarefree`, each
     value is multiplied by mu^2(n)."""
-    _check_stream_x(x)
-    if not 1 <= start <= x + 1:
-        raise ValueError(f"start must lie in 1..{x + 1}, got {start}")
-    block = block or block_length(x)
-    base_primes = arith.primes_upto(math.isqrt(x))
-    for lo in range(start, x + 1, block):
-        hi = min(lo + block, x + 1)
+    ranges, base_primes = _layout(x, block, start)
+    for lo, hi in ranges:
         if not squarefree:
             yield _eval_block(spec, lo, hi, base_primes)
         else:
@@ -695,6 +700,33 @@ class SeedBlock:
         return _signed((word >> word.dtype.type(i & 63)) & 1, self.damp, out)
 
 
+def thread_cap() -> int:
+    """Worker cap: MULTSUM_THREADS when set, else the CPU count."""
+    raw = os.environ.get("MULTSUM_THREADS", "").strip()
+    try:
+        cap = int(raw) if raw else os.cpu_count() or 1
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MULTSUM_THREADS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _evaluated_ahead(fn: Callable[[int], T], count: int, workers: int) -> Iterator[T]:
+    """Yield fn(0), ..., fn(count - 1) in order while a pool of `workers`
+    threads evaluates the next ones, at most workers + 1 results alive."""
+    if workers <= 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque[Future[T]] = deque()
+        for k in range(count):
+            pending.append(pool.submit(fn, k))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        yield from (f.result() for f in pending)
+
+
 class RademacherSeeds:
     """f_s(n) = eps_s(n) n^(-scale_r) over 1..x for many seeds s, where eps_s
     is the RandomRademacher(seed=s) function.
@@ -702,20 +734,18 @@ class RademacherSeeds:
     Each block is sieved once for all seeds, so block(k) costs one sieve plus
     one cofactor hash per seed; blocks are independent and laid out exactly
     as iter_blocks lays them, so seed i's values equal its own spec's.
+    Iterating yields the blocks in order, evaluated ahead on up to
+    thread_cap() threads, so they never depend on the thread count.
     """
 
     def __init__(self, seeds: list[int], scale_r: float, x: int, block: int | None = None):
         if not seeds:
             raise ValueError("need at least one seed")
         _check_scale_r(scale_r)
-        _check_stream_x(x)
+        self.ranges, self.base_primes = _layout(x, block)
         self.groups = [list(seeds[j : j + 64]) for j in range(0, len(seeds), 64)]
         self.scale_r = scale_r
         self.exact = scale_r == 0
-        self.block_len = block or block_length(x)
-        self.ranges = [(lo, min(lo + self.block_len, x + 1))
-                       for lo in range(1, x + 1, self.block_len)]
-        self.base_primes = arith.primes_upto(math.isqrt(x))
         # bit i of masks[g][j]: seed groups[g][i] is -1 at base_primes[j]
         self.masks = []
         for group in self.groups:
@@ -727,6 +757,9 @@ class RademacherSeeds:
 
     def __len__(self) -> int:
         return len(self.ranges)
+
+    def __iter__(self) -> Iterator[SeedBlock]:
+        return _evaluated_ahead(self.block, len(self), min(thread_cap(), len(self)))
 
     def block(self, k: int) -> SeedBlock:
         """Evaluate the k-th block; safe to call from several threads.
@@ -752,13 +785,8 @@ class RademacherSeeds:
                 np.bitwise_or(flips, minus, out=flips, casting="unsafe")
             parity[idx] ^= flips
             words.append(parity)
-        damp = None
-        if self.scale_r:  # n^(-r) as exp(-r log n), the bits _eval_block makes
-            damp = n.astype(np.float64)
-            np.log(damp, out=damp)
-            damp *= -self.scale_r
-            np.exp(damp, out=damp)
-        return SeedBlock(words, damp)
+        return SeedBlock(words, _damping(n.astype(np.float64), self.scale_r)
+                         if self.scale_r else None)
 
 
 def sum_blocks(
@@ -829,20 +857,21 @@ class PartialSumProfile:
     exact: bool
 
 
+@dataclass(eq=False)
 class ProfileState:
-    """Running partial-sum scan state; supports checkpointed resume."""
+    """Running partial-sum scan state; supports checkpointed resume.
 
-    def __init__(self, exact: bool, real: bool):
-        self.exact = exact
-        self.real = real
-        self.n_done = 0
-        self.sup = 0.0
-        if exact:
-            self.re_int = 0
-            self.im_int = 0
-        else:
-            self.re = NeumaierSum()
-            self.im = NeumaierSum()
+    re and im carry the real and imaginary sums so far.  An exact spec's
+    partial sums are integers of at most STREAM_LIMIT < 2^53, so its plain
+    cumsum shifted by the carry's hi is exact and lo stays 0.
+    """
+
+    exact: bool
+    real: bool
+    n_done: int = 0
+    sup: float = 0.0
+    re: NeumaierSum = field(default_factory=NeumaierSum)
+    im: NeumaierSum = field(default_factory=NeumaierSum)
 
     def feed(
         self, blk: np.ndarray, checkpoints: list[int]
@@ -853,21 +882,8 @@ class ProfileState:
         first = bisect_right(checkpoints, self.n_done)
         here = checkpoints[first : bisect_right(checkpoints, self.n_done + len(blk), first)]
         ends = [c - lo for c in here]
-        im = None
-        if self.exact:
-            re = np.cumsum(blk.real)
-            re += self.re_int
-            self.re_int = int(round(re[-1]))
-            if np.iscomplexobj(blk):
-                im = np.cumsum(blk.imag)
-                im += self.im_int
-                self.im_int = int(round(im[-1]))
-        else:
-            re = compensated_cumsum(np.ascontiguousarray(blk.real), self.re)
-            if np.iscomplexobj(blk):
-                im = compensated_cumsum(np.ascontiguousarray(blk.imag), self.im)
-            else:
-                self.im.add(0.0)
+        re = self._prefix(blk.real, self.re)
+        im = self._prefix(blk.imag, self.im) if np.iscomplexobj(blk) else None
         # max |M| over the segments ending at each end, plus the rest of the
         # block, from one reduction each instead of a block-long running max
         cuts = [0] + [i + 1 for i in ends if i + 1 < len(blk)]
@@ -876,38 +892,41 @@ class ProfileState:
                              -np.minimum.reduceat(re, cuts))
         else:
             seg = np.maximum.reduceat(np.hypot(re, im), cuts)
-        sups = []
-        for m in seg.tolist():
-            self.sup = max(self.sup, m)
-            sups.append(self.sup)
+        sups = list(accumulate(seg.tolist(), max, initial=self.sup))[1:]
+        self.sup = sups[-1]
         self.n_done += len(blk)
         return [(c, complex(re[i], 0.0 if im is None else im[i]), sup)
                 for c, i, sup in zip(here, ends, sups)]
 
+    def _prefix(self, values: np.ndarray, carry: NeumaierSum) -> np.ndarray:
+        """Running sums of values after carry's total, which moves past them."""
+        if not self.exact:
+            return compensated_cumsum(np.ascontiguousarray(values), carry)
+        out = np.cumsum(values)
+        out += carry.hi
+        carry.hi = float(out[-1])
+        return out
+
     def snapshot(self) -> dict:
         """JSON-safe resume state; floats stored exactly as hex."""
-        d = {"n_done": self.n_done, "sup": self.sup.hex(), "exact": self.exact,
-             "real": self.real}
-        if self.exact:
-            d["re_int"] = self.re_int
-            d["im_int"] = self.im_int
-        else:
-            d["re"] = [self.re.hi.hex(), self.re.lo.hex()]
-            d["im"] = [self.im.hi.hex(), self.im.lo.hex()]
-        return d
+        return {"n_done": self.n_done, "sup": self.sup.hex(), "exact": self.exact,
+                "real": self.real, "re": [self.re.hi.hex(), self.re.lo.hex()],
+                "im": [self.im.hi.hex(), self.im.lo.hex()]}
 
     @classmethod
     def restore(cls, d: dict) -> "ProfileState":
-        st = cls(bool(d["exact"]), bool(d["real"]))
-        st.n_done = int(d["n_done"])
-        st.sup = float.fromhex(d["sup"])
-        if st.exact:
-            st.re_int = int(d["re_int"])
-            st.im_int = int(d["im_int"])
-        else:
-            st.re = NeumaierSum(*(float.fromhex(h) for h in d["re"]))
-            st.im = NeumaierSum(*(float.fromhex(h) for h in d["im"]))
-        return st
+        """The state a snapshot() holds; ValueError when a field is missing
+        or ill-typed."""
+        types = {"n_done": int, "exact": bool, "real": bool, "re": list, "im": list}
+        try:
+            if any(type(d[k]) is not t for k, t in types.items()) or d["n_done"] < 0:
+                raise TypeError("a field is ill-typed, or n_done is negative")
+            (re_hi, re_lo), (im_hi, im_lo) = d["re"], d["im"]
+            sup, *sums = map(float.fromhex, (d["sup"], re_hi, re_lo, im_hi, im_lo))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed resume state ({exc!r})") from None
+        return cls(d["exact"], d["real"], d["n_done"], sup,
+                   NeumaierSum(*sums[:2]), NeumaierSum(*sums[2:]))
 
 
 def check_checkpoints(checkpoints: list[int], x: int) -> None:

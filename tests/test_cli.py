@@ -250,6 +250,32 @@ def test_profile_resume_guards(tmp_path, monkeypatch, capsys):
     assert code == 1 and "inconsistent" in err
 
 
+def test_profile_resume_refuses_malformed_state(tmp_path, capsys):
+    """A state file with the right config_hash but a snapshot missing a
+    field, one in the older exact form, or none at all exits 1 cleanly."""
+    argv = ["profile", "--spec", "char:q=4,index=1", "--n", "4096"]
+    code, want_prefix = run(tmp_path / "full", *argv)
+    assert code == 0
+    with open(want_prefix + ".json") as fh:
+        chash = json.load(fh)["config_hash"]
+    prefix = str(tmp_path / "part")
+    snapshots = [
+        {"n_done": 1024, "sup": (1.0).hex(), "real": True,
+         "re": ["0x0p+0", "0x0p+0"], "im": ["0x0p+0", "0x0p+0"]},
+        {"n_done": 1024, "sup": (1.0).hex(), "exact": True, "real": True,
+         "re_int": 0, "im_int": 0},
+    ]
+    states = [{"config_hash": chash, "snapshot": snapshot, "rows": []}
+              for snapshot in snapshots] + [{"config_hash": chash, "rows": []}]
+    for state in states:
+        with open(prefix + ".state.json", "w") as fh:
+            json.dump(state, fh)
+        code = cli.main([*argv, "--out", prefix, "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "malformed resume state" in err and "rerun without --resume" in err
+
+
 def test_modchar_growth_rows(tmp_path):
     code, prefix = run(tmp_path, "modchar-growth", "--q", "4", "--r", "3",
                        "--z", "1", "--n", "4096")

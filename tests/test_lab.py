@@ -31,7 +31,7 @@ from multsum import (
     stream_profile,
     thread_cap,
 )
-from multsum import lab
+from multsum import lab, multfun
 from multsum.multfun import STREAM_LIMIT, RademacherSeeds
 
 
@@ -386,7 +386,7 @@ def test_random_walk_mc_validation(monkeypatch):
         raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setenv("MULTSUM_THREADS", "2")
-    monkeypatch.setattr(lab, "ThreadPoolExecutor", no_work)
+    monkeypatch.setattr(multfun, "ThreadPoolExecutor", no_work)
     monkeypatch.setattr(RademacherSeeds, "block", no_work)
     for r in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="scale_r"):
@@ -418,6 +418,24 @@ def test_concentration_perturbed(chi5):
     rep = concentration_experiment(f, chi5, 0.0, 10, 3, 3000)
     assert rep.f_of_q == pytest.approx(-2 / 3)  # single term (1(-1) - 1)/3
     assert 0 < rep.deviation <= rep.driver
+
+
+def test_concentration_twisted_character(chi4):
+    """f = chi4 n^(i/2) against chi4 at t = 1/2: the model carries the
+    twist (Qn)^(it), and the deviation stays under the driver."""
+    f = make_spec(CharacterTwist(chi4, t=0.5))
+    rep = concentration_experiment(f, chi4, 0.5, 60, 7, 1000)
+    assert rep.N0 == 5
+    assert abs(rep.f_of_q) < 1e-12
+    assert rep.deviation <= rep.driver
+
+
+def test_first_admissible_steps_past_rejected_members():
+    """The class 1 mod 7 starts 1, 8, 15, 22: accept(m) = m > 20 first holds
+    at the fourth member, and a scan of two members ends in SearchError."""
+    assert lab._first_admissible([(1, 7)], lambda m: m > 20, 10) == 22
+    with pytest.raises(SearchError, match="first 2 members of the class 1 mod 7"):
+        lab._first_admissible([(1, 7)], lambda m: m > 20, 2)
 
 
 def test_concentration_validation(chi4):

@@ -2,7 +2,8 @@
 
 No module reaches into another module's private (single-underscore) names,
 whether by `from .x import _y` or by `x._y` on an imported module, and only
-`arith` imports sympy.
+`arith` imports sympy.  Block evaluation has one thread pool: only `multfun`
+imports concurrent.futures or names the MULTSUM_THREADS variable.
 """
 
 import ast
@@ -60,6 +61,21 @@ def violations(source: str) -> list[str]:
     return found
 
 
+def pool_uses(source: str) -> list[str]:
+    """concurrent.futures imports and MULTSUM_THREADS reads in a source: an
+    import of the package, or the variable's name as a string constant."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"imports {a.name}" for a in node.names
+                      if a.name.startswith("concurrent")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("concurrent"):
+            found.append(f"imports from {node.module}")
+        elif isinstance(node, ast.Constant) and node.value == "MULTSUM_THREADS":
+            found.append("reads MULTSUM_THREADS")
+    return found
+
+
 def test_rule_checker_sees_each_form():
     bad = (
         "from .multfun import _eval_block\n"
@@ -73,6 +89,14 @@ def test_rule_checker_sees_each_form():
     assert len(violations(bad)) == 6
     ok = "from . import __version__, arith\nfrom .arith import factor\nx = arith.factor\n"
     assert violations(ok) == []
+    pools = (
+        "import concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import os\n"
+        "n = os.environ.get('MULTSUM_THREADS')\n"
+    )
+    assert len(pool_uses(pools)) == 3
+    assert pool_uses('"""MULTSUM_THREADS caps the pool."""\nimport os\n') == []
 
 
 def test_no_private_cross_module_imports_and_sympy_only_in_arith():
@@ -85,3 +109,9 @@ def test_no_private_cross_module_imports_and_sympy_only_in_arith():
         if found:
             problems[name] = found
     assert problems == {}
+
+
+def test_only_multfun_runs_a_pool():
+    uses = {name: pool_uses(path.read_text()) for name, path in MODULES.items()}
+    assert uses.pop("multfun")
+    assert {name: found for name, found in uses.items() if found} == {}

@@ -516,6 +516,25 @@ def test_eval_block_near_stream_limit(cfg, rel):
             assert got == want, (cfg, n, got, want)
 
 
+def test_restore_refuses_malformed_snapshots():
+    """A missing or ill-typed field is a ValueError, not a KeyError; that
+    includes an exact snapshot of the older form, with re_int and im_int."""
+    good = ProfileState(exact=True, real=True)
+    good.feed(np.ones(10), [5, 10])
+    snap = good.snapshot()
+    st = ProfileState.restore(snap)
+    assert (st.n_done, st.sup, st.re.hi, st.re.lo) == (10, 10.0, 10.0, 0.0)
+    old = {"n_done": 10, "sup": (10.0).hex(), "exact": True, "real": True,
+           "re_int": 10, "im_int": 0}
+    bad = [old, None, [], {k: v for k, v in snap.items() if k != "exact"},
+           {**snap, "n_done": "10"}, {**snap, "n_done": -1}, {**snap, "exact": 1},
+           {**snap, "sup": 10.0}, {**snap, "sup": "ten"}, {**snap, "re": ["0x0p+0"]},
+           {**snap, "im": "ab"}, {**snap, "re": [1.0, 0.0]}]
+    for d in bad:
+        with pytest.raises(ValueError, match="malformed resume state"):
+            ProfileState.restore(d)
+
+
 def test_resume_state_mode_mismatch(chi5):
     st = ProfileState(exact=True, real=True)
     spec = make_spec(CharacterTwist(chi5, t=0.3))
@@ -688,8 +707,8 @@ def test_character_block_matches_mod_reference(q, index, p_in, p_out):
     ("coprime:Q=2305843009213693951", 10**5),  # 2^61 - 1, prime
 ])
 def test_coprime_values_match_gcd_reference(cfg, x):
-    """Strided zeroing of Q's small primes plus one gcd pass over what is
-    left of Q, against np.gcd on every n over the whole range."""
+    """Strided zeroing at every prime of Q below the block's end, against
+    np.gcd on every n over the whole range."""
     spec = build_spec(cfg)
     got = eval_range(spec, x).values[1:]
     want = oracles.residue_values(spec, 1, x + 1)

@@ -17,6 +17,7 @@ from multsum import (
     Liouville,
     One,
     RandomRademacher,
+    build_spec,
     character_by_index,
     delange_mean,
     distance,
@@ -167,6 +168,29 @@ def test_perturbation_constant_values():
     # zeroing out the primes dividing 6 scales the density by 1/3
     coprime6 = make_spec(CoprimeIndicator(6))
     assert abs(perturbation_constant(one, coprime6) - Fraction(1, 3)) < 1e-15
+
+
+def test_distance_to_coprime_indicator():
+    """f(p) = 0 at the primes of Q = 30 and 1 elsewhere: only p = 2, 3, 5
+    contribute (1 - 0) / p."""
+    res = distance(build_spec("coprime:Q=30"), make_spec(One()), 1000)
+    assert res.value2 == 1 / 2 + 1 / 3 + 1 / 5
+
+
+def test_perturbation_constant_on_rademacher_and_damped_tails():
+    rad = build_spec("rademacher:seed=3")
+    assert prime_unit_value(rad, 5) == -1  # so 1 + (1/2 + 1) / (5 - 1/2) = 4/3
+    halved = build_spec("rademacher:seed=3;except=5~0.5~0")
+    assert perturbation_constant(rad, halved) == pytest.approx(4 / 3, rel=1e-15)
+    # a damped tail: f(2) = 2^(-1/4) against g(2) = f(2)/2
+    f = 2 ** -0.25
+    g = f / 2
+    damped = perturbation_constant(build_spec("one;scale_r=0.25"),
+                                   build_spec("one;scale_r=0.25;except=2~0.5~0"))
+    assert damped == pytest.approx(1 + (g - f) / (2 - g), rel=1e-15)
+    with pytest.raises(ValueError, match="infinitely many primes"):
+        perturbation_constant(build_spec("char:q=5,index=1,t=0.5"),
+                              build_spec("char:q=5,index=1,t=0.7"))
 
 
 def test_perturbation_constant_validation():

@@ -17,6 +17,7 @@ from multsum import (
     l_chi,
     make_spec,
     residual_check,
+    series,
     zeta,
 )
 
@@ -36,6 +37,22 @@ def test_zeta_matches_mpmath():
     for s in (1.1, 1.5, 3.0, 2 + 3j, 1.01 - 10j, 7.5):
         want = oracles.mp_zeta(s)
         assert abs(zeta(s) - want) < 1e-12 * abs(want), s
+
+
+def test_zeta_doubles_its_cutoff(monkeypatch):
+    """At 1.5 + 30i the first cutoff M = 31 leaves a correction term above
+    the tolerance, so the cutoff doubles; the value still matches mpmath."""
+    cutoffs = []
+    em_correction = series._em_correction
+
+    def recorded(s, M):
+        cutoffs.append(M)
+        return em_correction(s, M)
+
+    monkeypatch.setattr(series, "_em_correction", recorded)
+    want = oracles.mp_zeta(1.5 + 30j)
+    assert abs(zeta(1.5 + 30j) - want) <= 1e-15 * abs(want)
+    assert cutoffs[:2] == [31.0, 62.0]
 
 
 def test_l_chi_closed_forms(chi4, chi5):
