@@ -22,6 +22,7 @@ from .errors import CapacityError, SearchError
 from .multfun import (
     CharacterTwist,
     MultFnSpec,
+    differing_primes,
     is_exact_spec,
     make_spec,
     prime_unit_value,
@@ -175,16 +176,9 @@ def character_by_index(q: int, index: int | str) -> DirichletCharacter:
 
 
 def check_character_variant(f: MultFnSpec, chi, who: str = "f") -> None:
-    """Refuse f unless it is chi off a finite prime set: an untwisted,
-    undamped spec on chi itself, with exceptions only."""
-    base = f.base
-    if not isinstance(base, CharacterTwist) or base.t != 0 or f.scale_r != 0:
-        raise ValueError(f"{who} must be an untwisted, undamped character variant")
-    bc = base.chi
-    if bc is not chi and not (
-        bc.modulus == chi.modulus and np.array_equal(bc.values, chi.values)
-    ):
-        raise ValueError(f"{who}'s base character must match chi")
+    """Refuse f unless it is chi off a finite prime set (a character variant)."""
+    if differing_primes(f, make_spec(CharacterTwist(chi=chi))) is None:
+        raise ValueError(f"{who} must be an untwisted, undamped character variant of chi")
 
 
 def deviation_primes(f: MultFnSpec, chi) -> set[int]:

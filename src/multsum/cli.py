@@ -232,7 +232,11 @@ def _run_profile(args, prefix: str):
             )
         try:
             state = ProfileState.restore(saved.get("snapshot"))
-            rows = [list(map(float, r)) for r in saved.get("rows", ())]
+            rows, width = saved.get("rows", []), len(PROFILE_COLUMNS)
+            if any(type(r) is not list or len(r) != width
+                   or not all(type(v) in (int, float) for v in r) for r in rows):
+                raise ValueError(f"malformed resume state (a row is not {width} numbers)")
+            rows = [list(map(float, r)) for r in rows]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{exc}; rerun without --resume") from None
         covered = [c for c in checkpoints if c <= state.n_done]

@@ -19,6 +19,7 @@ from . import arith
 from .characters import check_character_variant, deviation_primes
 from .errors import CapacityError, SearchError
 from .multfun import (
+    EVAL_CAPACITY,
     CharacterTwist,
     MultFnSpec,
     ProfileState,
@@ -558,6 +559,11 @@ def concentration_experiment(
         if Q % p:
             break
         N0 = p
+    if x <= N0:
+        raise ValueError(f"x={x} must exceed N0={N0}: the prime window is (N0, x]")
+    if Q * x + a > EVAL_CAPACITY:
+        raise CapacityError(
+            f"Q*x + a = {Q}*{x} + {a} exceeds the evaluation capacity {EVAL_CAPACITY}")
     fq = f_of_q_sum(f, chi, t, Q, x)
     rng = eval_range(f, Q * x + a)
     n = np.arange(1, x + 1, dtype=np.float64)

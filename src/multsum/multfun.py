@@ -102,6 +102,8 @@ def make_spec(
     for p, w in exceptions.items():
         if not arith.is_prime(p):
             raise ValueError(f"exception key {p} is not prime")
+        if not math.isfinite(abs(w)):
+            raise ValueError(f"exception value at p={p} is not finite: {w}")
         if abs(w) > 1 + 1e-12:
             raise ValueError(
                 f"exception value at p={p} has |w|={abs(w):.6g} > 1; values "
@@ -144,32 +146,25 @@ def build_spec(config: str) -> MultFnSpec:
                 raise ValueError(f"malformed key=value pair {kv!r} in spec")
             args[k.strip().lower()] = v.strip()
 
-    def _take(key: str, *aliases: str) -> str | None:
-        for k in (key, *aliases):
-            if k in args:
-                return args.pop(k)
-        return None
-
     if name == "one":
         base: BaseRule = One()
     elif name == "liouville":
         base = Liouville()
     elif name == "rademacher":
-        base = RandomRademacher(seed=int(_take("seed") or 0))
+        base = RandomRademacher(seed=int(args.pop("seed", None) or 0))
     elif name == "coprime":
-        q_val = _take("q")
+        q_val = args.pop("q", None)
         if q_val is None:
             raise ValueError("coprime base requires Q=")
         base = CoprimeIndicator(Q=int(q_val))
     elif name == "char":
         from .characters import character_by_index  # deferred: import cycle
 
-        q_val = _take("q")
-        idx = _take("index", "char_index")
+        q_val, idx = args.pop("q", None), args.pop("index", None)
         if q_val is None or idx is None:
             raise ValueError("char base requires q= and index=")
         chi = character_by_index(int(q_val), idx)
-        base = CharacterTwist(chi=chi, t=float(_take("t") or 0.0))
+        base = CharacterTwist(chi=chi, t=float(args.pop("t", None) or 0.0))
     else:
         raise ValueError(f"unknown base {name!r}")
     if args:
@@ -283,45 +278,37 @@ def unit_pow(w: complex, k: int) -> complex:
     return out
 
 
-def _base_prime_value(base: BaseRule, p: int) -> complex:
+def _base_values(base: BaseRule, ps: np.ndarray) -> np.ndarray:
+    """The base rule's f0(p) at the primes ps (an int64 or uint64 array) as
+    complex128, in the bits the sieve gives f(p)."""
     if isinstance(base, One):
-        return 1 + 0j
+        return np.ones(len(ps), dtype=np.complex128)
     if isinstance(base, Liouville):
-        return -1 + 0j
+        return np.full(len(ps), -1.0 + 0j)
     if isinstance(base, RandomRademacher):
-        return complex(rademacher_signs(base.seed, np.array([p], dtype=np.int64))[0])
+        return rademacher_signs(base.seed, ps).astype(np.complex128)
     if isinstance(base, CoprimeIndicator):
-        return 0j if base.Q % p == 0 else 1 + 0j
-    val = complex(base.chi.values[p % base.chi.modulus])
-    if base.t:
-        val *= complex(math.cos(base.t * math.log(p)), math.sin(base.t * math.log(p)))
-    return val
+        return np.where(np.gcd(ps, base.Q) == 1, 1.0 + 0j, 0j)
+    chi = base.chi
+    vals = chi.values[np.mod(ps, chi.modulus)].astype(np.complex128)
+    return _twisted(vals, ps.astype(np.float64), base.t) if base.t else vals
 
 
 def prime_unit_value(spec: MultFnSpec, p: int) -> complex:
-    """f0(p): the unit-part prime value (exceptions applied, no n^(-r) damping)."""
+    """f0(p) at a prime p, undamped: the exception value, else the base value
+    of value_at_primes (the sieve's bits); ValueError at a non-exception p >= 2^63."""
     w = spec.exceptions.get(p)
     if w is not None:
         return w
-    return _base_prime_value(spec.base, p)
+    if p >= 1 << 63:
+        raise ValueError(f"p={p} is not an exception prime and not below 2^63")
+    return complex(_base_values(spec.base, np.array([p], dtype=np.int64))[0])
 
 
 def value_at_primes(spec: MultFnSpec, ps: np.ndarray) -> np.ndarray:
-    """Full f(p) (damping included) at an ascending array of primes."""
-    base = spec.base
-    if isinstance(base, One):
-        vals = np.ones(len(ps), dtype=np.complex128)
-    elif isinstance(base, Liouville):
-        vals = np.full(len(ps), -1.0 + 0j)
-    elif isinstance(base, RandomRademacher):
-        vals = rademacher_signs(base.seed, ps).astype(np.complex128)
-    elif isinstance(base, CoprimeIndicator):
-        vals = np.where(np.gcd(ps, base.Q) == 1, 1.0 + 0j, 0j)
-    else:
-        chi = base.chi
-        vals = chi.values[np.mod(ps, chi.modulus)].astype(np.complex128)
-        if base.t:
-            vals = vals * np.exp(1j * base.t * np.log(ps.astype(np.float64)))
+    """f(p), damped, at an ascending int64 array of primes (uint64 where they
+    reach 2^63): the one f(p) recipe, equal to the sieve's values bit for bit."""
+    vals = _base_values(spec.base, ps)
     for p, w in spec.exceptions.items():
         i = np.searchsorted(ps, p)
         if i < len(ps) and ps[i] == p:
@@ -329,6 +316,26 @@ def value_at_primes(spec: MultFnSpec, ps: np.ndarray) -> np.ndarray:
     if spec.scale_r:
         vals = vals * _damping(ps.astype(np.float64), spec.scale_r)
     return vals
+
+
+def _tail(spec: MultFnSpec) -> tuple[object, set[int]]:
+    """The base rule up to finitely many primes, and the primes it leaves that
+    tail at: coprime is One off Q's primes, a character its modulus, table and t."""
+    b = spec.base
+    if isinstance(b, CoprimeIndicator):
+        return One(), {p for p, _ in arith.factor(b.Q)}
+    if isinstance(b, CharacterTwist):
+        return (b.chi.modulus, b.chi.values.tobytes(), b.t), set()
+    return b, set()
+
+
+def differing_primes(f: MultFnSpec, g: MultFnSpec) -> list[int] | None:
+    """The ascending primes where f and g may differ, or None when they
+    differ at infinitely many primes (another tail or another scale_r)."""
+    (f_tail, f_off), (g_tail, g_off) = _tail(f), _tail(g)
+    if f_tail != g_tail or f.scale_r != g.scale_r:
+        return None
+    return sorted(f_off | g_off | f.exceptions.keys() | g.exceptions.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +583,11 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
             out = out.astype(np.complex128)
         if mult is not None:
             np.multiply(out, mult, out=out)
-    elif isinstance(base, One):
+    elif isinstance(base, (One, CoprimeIndicator)):
         out = mult if factors else np.ones(length, dtype=dtype)
-    elif isinstance(base, CoprimeIndicator):
-        out = mult if factors else np.ones(length, dtype=dtype)
-        for p, _ in arith.factor(base.Q):
+        for p in _tail(spec)[1] - spec.exceptions.keys():  # Q's primes
             start = _stride_starts(lo, hi, p)
-            if p not in spec.exceptions and start is not None:
+            if start is not None:
                 out[start - lo :: p] = 0
     else:  # CharacterTwist
         chi = base.chi
@@ -607,18 +612,24 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
         if mult is not None:
             np.multiply(out, mult, out=out)
         if u is not None:
-            # cos and sin of t log u: the bits of np.exp(1j * t * log u), one
-            # complex temporary fewer (the pinned twist values hold them)
-            np.log(u, out=u)
-            u *= base.t
-            twist = np.empty(length, dtype=np.complex128)
-            np.cos(u, out=twist.real)
-            np.sin(u, out=twist.imag)
-            out = np.multiply(twist, out, out=twist)
+            out = _twisted(out, u, base.t)
 
     if spec.scale_r:  # a real factor: its operand order cannot change bits
         out = out * _damping(np.arange(lo, hi, dtype=np.float64), spec.scale_r)
     return out
+
+
+def _twisted(vals: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
+    """vals * u^(it) as cos + i sin of t log u (the bits of np.exp(1j t log u)),
+    twist first, using up the float64 array u.  numpy multiplies a one-value
+    array into itself by a scalar loop that rounds otherwise, so a lone value
+    gets a fresh output."""
+    np.log(u, out=u)
+    u *= t
+    twist = np.empty(len(u), dtype=np.complex128)
+    np.cos(u, out=twist.real)
+    np.sin(u, out=twist.imag)
+    return np.multiply(twist, vals, out=twist if len(u) > 1 else None)
 
 
 def _damping(n: np.ndarray, r: float) -> np.ndarray:

@@ -12,12 +12,9 @@ from . import arith
 from .errors import CapacityError
 from .multfun import (
     CharacterTwist,
-    CoprimeIndicator,
-    Liouville,
     MultFnSpec,
-    One,
-    RandomRademacher,
-    prime_unit_value,
+    differing_primes,
+    make_spec,
     sum_blocks,
     value_at_primes,
 )
@@ -69,9 +66,7 @@ def f_of_q_sum(f: MultFnSpec, chi, t: float, Q: int, x: int) -> complex:
     ps = _primes_in(1, x)
     ps = ps[np.mod(Q, ps) != 0]
     fv = value_at_primes(f, ps)
-    cv = chi.values[np.mod(ps, chi.modulus)]
-    if t:
-        cv = cv * np.exp(1j * t * np.log(ps.astype(np.float64)))
+    cv = value_at_primes(make_spec(CharacterTwist(chi=chi, t=t)), ps)
     terms = (fv * np.conj(cv) - 1.0) / ps
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
@@ -139,31 +134,6 @@ def logmean_density(f: MultFnSpec, x: int) -> float:
 # perturbation constants
 
 
-def _tail_signature(spec: MultFnSpec):
-    b = spec.base
-    if isinstance(b, One) or isinstance(b, CoprimeIndicator):
-        return ("const", 1.0)
-    if isinstance(b, Liouville):
-        return ("const", -1.0)
-    if isinstance(b, RandomRademacher):
-        return ("rademacher", b.seed)
-    return ("char", b.chi.modulus, b.chi.values.tobytes(), float(b.t))
-
-
-def _override_primes(spec: MultFnSpec) -> set[int]:
-    out = set(spec.exceptions)
-    if isinstance(spec.base, CoprimeIndicator):
-        out |= {p for p, _ in arith.factor(spec.base.Q)}
-    return out
-
-
-def _full_prime_value(spec: MultFnSpec, p: int) -> complex:
-    v = prime_unit_value(spec, p)
-    if spec.scale_r:
-        v *= math.exp(-spec.scale_r * math.log(p))
-    return v
-
-
 def perturbation_constant(f: MultFnSpec, f_tilde: MultFnSpec) -> complex:
     """prod over primes where the two specs differ of
     1 + (f~(p) - f(p)) / (p - f~(p)).
@@ -171,21 +141,19 @@ def perturbation_constant(f: MultFnSpec, f_tilde: MultFnSpec) -> complex:
     Requires the specs to agree outside a finite prime set (same base tail
     and same damping) and |f~(p)| < 1 at every difference prime.
     """
-    if _tail_signature(f) != _tail_signature(f_tilde) or f.scale_r != f_tilde.scale_r:
+    diff = differing_primes(f, f_tilde)
+    if diff is None:
         raise ValueError(
             "specs differ at infinitely many primes; the perturbation product "
             "only exists for a finite difference set"
         )
-    candidates = sorted(_override_primes(f) | _override_primes(f_tilde))
-    if len(candidates) > DIFFERENCE_CAP:
+    if len(diff) > DIFFERENCE_CAP:
         raise CapacityError(
-            f"{len(candidates)} candidate difference primes exceed the cap "
-            f"{DIFFERENCE_CAP}"
-        )
+            f"{len(diff)} candidate difference primes exceed the cap {DIFFERENCE_CAP}")
+    ps = np.array(diff, dtype=np.uint64)  # exception primes reach 2^64
     out = 1 + 0j
-    for p in candidates:
-        fp = _full_prime_value(f, p)
-        gp = _full_prime_value(f_tilde, p)
+    for p, fp, gp in zip(diff, value_at_primes(f, ps).tolist(),
+                         value_at_primes(f_tilde, ps).tolist()):
         if fp == gp:
             continue
         if abs(gp) >= 1.0 - 1e-12:

@@ -87,6 +87,8 @@ def test_inner_errors_exit_1(tmp_path, capsys):
     code, _ = run(tmp_path, "series-check", "--q", "5", "--flip", "5",
                   "--s", "2,0", "--n", "1000")
     assert code == 1  # chi(5) = 0 cannot be flipped
+    code, _ = run(tmp_path, "profile", "--spec", "one;except=2~nan~0", "--n", "100")
+    assert code == 1 and "not finite" in capsys.readouterr().err
 
 
 def test_profile_refuses_q_above_factor_limit(tmp_path, capsys):
@@ -252,7 +254,9 @@ def test_profile_resume_guards(tmp_path, monkeypatch, capsys):
 
 def test_profile_resume_refuses_malformed_state(tmp_path, capsys):
     """A state file with the right config_hash but a snapshot missing a
-    field, one in the older exact form, or none at all exits 1 cleanly."""
+    field, one in the older exact form, or none at all, or a saved row that
+    is not one number per column (empty, or short where it covers the saved
+    checkpoint), exits 1 cleanly."""
     argv = ["profile", "--spec", "char:q=4,index=1", "--n", "4096"]
     code, want_prefix = run(tmp_path / "full", *argv)
     assert code == 0
@@ -267,6 +271,10 @@ def test_profile_resume_refuses_malformed_state(tmp_path, capsys):
     ]
     states = [{"config_hash": chash, "snapshot": snapshot, "rows": []}
               for snapshot in snapshots] + [{"config_hash": chash, "rows": []}]
+    covers_1 = {"n_done": 1, "sup": (1.0).hex(), "exact": True, "real": True,
+                "re": [(1.0).hex(), "0x0p+0"], "im": ["0x0p+0", "0x0p+0"]}
+    states += [{"config_hash": chash, "snapshot": covers_1, "rows": rows}
+               for rows in ([[]], [[1, 1.0, 0.0]])]
     for state in states:
         with open(prefix + ".state.json", "w") as fh:
             json.dump(state, fh)

@@ -446,3 +446,8 @@ def test_concentration_validation(chi4):
         concentration_experiment(f, chi4, 0.0, 4, 2, 100)  # gcd(a, Q) != 1
     with pytest.raises(ValueError):
         concentration_experiment(f, chi4, 0.0, 4, 5, 100)  # a out of range
+    for x in (0, 2):  # Q = 4 gives N0 = 2: no prime window (N0, x]
+        with pytest.raises(ValueError, match="x=%d must exceed N0=2" % x):
+            concentration_experiment(f, chi4, 0.0, 4, 1, x)
+    with pytest.raises(CapacityError, match=r"= 5000000000000000000000000000000\*10 \+ 1"):
+        concentration_experiment(f, chi4, 0.0, 5 * 10**30, 1, 10)  # past EVAL_CAPACITY

@@ -3,7 +3,9 @@
 No module reaches into another module's private (single-underscore) names,
 whether by `from .x import _y` or by `x._y` on an imported module, and only
 `arith` imports sympy.  Block evaluation has one thread pool: only `multfun`
-imports concurrent.futures or names the MULTSUM_THREADS variable.
+imports concurrent.futures or names the MULTSUM_THREADS variable.  Only
+`multfun` knows what a base rule is at a prime: no other module calls
+isinstance on a base rule class.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "multsum"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+BASE_RULES = {"One", "Liouville", "RandomRademacher", "CoprimeIndicator", "CharacterTwist"}
 
 
 def _private(name: str) -> bool:
@@ -76,6 +79,22 @@ def pool_uses(source: str) -> list[str]:
     return found
 
 
+def base_rule_checks(source: str) -> list[str]:
+    """isinstance calls in a source whose classes name a base rule, bare or
+    as a module attribute, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        kinds = node.args[1]
+        for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+            name = getattr(kind, "id", None) or getattr(kind, "attr", None)
+            if name in BASE_RULES:
+                found.append(f"isinstance on {name}")
+    return found
+
+
 def test_rule_checker_sees_each_form():
     bad = (
         "from .multfun import _eval_block\n"
@@ -97,6 +116,13 @@ def test_rule_checker_sees_each_form():
     )
     assert len(pool_uses(pools)) == 3
     assert pool_uses('"""MULTSUM_THREADS caps the pool."""\nimport os\n') == []
+    checks = (
+        "isinstance(b, One)\n"
+        "isinstance(b, (int, multfun.Liouville, CoprimeIndicator))\n"
+        "if isinstance(spec.base, CharacterTwist): pass\n"
+    )
+    assert len(base_rule_checks(checks)) == 4
+    assert base_rule_checks("isinstance(b, int)\nb = CharacterTwist(chi)\n") == []
 
 
 def test_no_private_cross_module_imports_and_sympy_only_in_arith():
@@ -109,6 +135,12 @@ def test_no_private_cross_module_imports_and_sympy_only_in_arith():
         if found:
             problems[name] = found
     assert problems == {}
+
+
+def test_only_multfun_checks_base_rules():
+    checks = {name: base_rule_checks(path.read_text()) for name, path in MODULES.items()}
+    assert checks.pop("multfun")
+    assert {name: found for name, found in checks.items() if found} == {}
 
 
 def test_only_multfun_runs_a_pool():

@@ -42,8 +42,10 @@ from multsum.multfun import (
     ProfileState,
     RademacherSeeds,
     block_length,
+    differing_primes,
     rademacher_signs,
     unit_pow,
+    value_at_primes,
 )
 
 # first values of the frozen bases, n = 1..10
@@ -268,6 +270,9 @@ def test_build_spec_rejects_bad_grammar():
         "one;flip=2",
         "one;except",
         "rademacher:seed",
+        "one;except=2~nan~0",
+        "one;except=2~0~inf",
+        "char:q=5,char_index=1",  # the grammar has no alias
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
@@ -644,6 +649,63 @@ def test_complex_values_do_not_depend_on_block_length():
         assert [(s.real.hex(), s.imag.hex()) for s in got.sums] == [
             (s.real.hex(), s.imag.hex()) for s in prof.sums], block
         assert [v.hex() for v in got.sups] == [v.hex() for v in prof.sups], block
+
+
+@pytest.mark.parametrize("cfg", [
+    "char:q=7,index=2,t=0.5",
+    "char:q=5,index=1,t=2.0",
+    "rademacher:seed=5;except=3~0.5~0",
+])
+def test_prime_values_are_the_sieve_values(cfg):
+    """prime_unit_value, value_at_primes and the sieve give f(p) in the same
+    bits at every prime below 2e5, and on fewer primes than numpy's 2^14-value
+    temporary elision: the base value has one recipe."""
+    spec = build_spec(cfg)
+    x = 2 * 10**5
+    ps = primes_upto(x)
+    want = eval_range(spec, x).values[ps].astype(np.complex128)
+    assert value_at_primes(spec, ps).tobytes() == want.tobytes()
+    assert value_at_primes(spec, ps[:1000]).tobytes() == want[:1000].tobytes()
+    scalar = np.array([prime_unit_value(spec, p) for p in ps.tolist()])
+    assert scalar.tobytes() == want.tobytes()
+
+
+def test_twisted_values_do_not_depend_on_block_length():
+    """One-value blocks give a twisted character the bits of long ones:
+    numpy multiplies a one-value array into itself by a scalar loop, which
+    rounds the complex product differently."""
+    spec = build_spec("char:q=7,index=2,t=0.5")
+    want = eval_range(spec, 3000).values.tobytes()
+    assert eval_range(spec, 3000, block=1).values.tobytes() == want
+
+
+def test_prime_unit_value_past_int64():
+    """An exception prime may reach 2^64; any other p from 2^63 up is refused
+    with a ValueError naming it."""
+    big, other = 2**64 - 59, sympy.nextprime(2**63)
+    spec = build_spec(f"rademacher:seed=5;except={big}~0.5~0")
+    assert prime_unit_value(spec, big) == 0.5
+    with pytest.raises(ValueError, match=str(other)):
+        prime_unit_value(spec, other)
+
+
+def test_differing_primes():
+    """Ascending candidates where two specs may differ, or None when their
+    tails or dampings differ."""
+    one = make_spec(One())
+    assert differing_primes(build_spec("coprime:Q=30"), one) == [2, 3, 5]
+    assert differing_primes(build_spec("coprime:Q=12;except=2~0.5~0"),
+                            build_spec("one;except=7~-1~0")) == [2, 3, 7]
+    assert differing_primes(build_spec("char:q=5,index=1,t=0.5;except=11~0~0"),
+                            build_spec("char:q=5,index=1,t=0.5")) == [11]
+    assert differing_primes(build_spec("char:q=5,index=1,t=0.5"),
+                            build_spec("char:q=5,index=1,t=0.7")) is None
+    assert differing_primes(build_spec("one;scale_r=0.25"), one) is None
+    assert differing_primes(build_spec("one;scale_r=0.25"),
+                            build_spec("one;scale_r=0.25;except=2~0.5~0")) == [2]
+    assert differing_primes(make_spec(Liouville()), one) is None
+    assert differing_primes(build_spec("rademacher:seed=1"),
+                            build_spec("rademacher:seed=2")) is None
 
 
 def _assert_matches_reference(spec, lo, hi):

@@ -193,6 +193,18 @@ def test_perturbation_constant_on_rademacher_and_damped_tails():
                               build_spec("char:q=5,index=1,t=0.7"))
 
 
+def test_perturbation_constant_with_exceptions_past_int64():
+    """Exception primes reach 2^64 - 59, the largest prime below 2^64: the
+    values come from value_at_primes over a uint64 array, and the factor
+    1 + (1/2 - f(p)) / (p - 1/2) rounds to 1 or next to it."""
+    p = 2**64 - 59
+    for base in ("one", "rademacher:seed=1", "char:q=5,index=1,t=0.5;scale_r=0.25"):
+        c = perturbation_constant(build_spec(base), build_spec(f"{base};except={p}~0.5~0"))
+        assert abs(c - 1) < 1e-18, base
+    assert perturbation_constant(make_spec(One()),
+                                 build_spec(f"one;except={p}~0.5~0")) == 1
+
+
 def test_perturbation_constant_validation():
     one = make_spec(One())
     with pytest.raises(ValueError):
