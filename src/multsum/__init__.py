@@ -19,13 +19,9 @@ from .characters import (
     DirichletCharacter,
     GrowthWitness,
     RecursionState,
-    RotationCheckResult,
     character_by_index,
     character_table,
-    check_character_variant,
     deviation_primes,
-    final_rotation_check,
-    find_window_prime,
     first_nonzero_sigma,
     growth_witness,
     iterate_check,
@@ -78,7 +74,6 @@ from .pretentious import (
     delange_mean,
     distance,
     f_of_q_sum,
-    logmean_density,
     perturbation_constant,
 )
 from .series import (

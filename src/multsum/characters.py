@@ -4,9 +4,8 @@ A modified character agrees with a character chi of modulus q at every
 prime except one redirected prime r coprime to q, where it takes a chosen
 unimodular value z.  Its restricted partial sums satisfy an exact
 self-similar recursion that makes sums at astronomically large x cheap,
-and the recursion drives both the growth-witness construction and the
-window-cancellation check that forces z = chi(r).  More generally, a
-character variant is a spec equal to chi off a finite prime set; the
+and the recursion drives the growth-witness construction.  More generally,
+a character variant is a spec equal to chi off a finite prime set; the
 window constructions and the Euler-product check take such variants.
 """
 
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .errors import CapacityError, SearchError
+from .errors import CapacityError
 from .multfun import (
     CharacterTwist,
     MultFnSpec,
@@ -175,25 +174,18 @@ def character_by_index(q: int, index: int | str) -> DirichletCharacter:
 # character variants and modified characters
 
 
-def check_character_variant(f: MultFnSpec, chi, who: str = "f") -> None:
-    """Refuse f unless it is chi off a finite prime set (a character variant)."""
-    if differing_primes(f, make_spec(CharacterTwist(chi=chi))) is None:
+def deviation_primes(f: MultFnSpec, chi, who: str = "f") -> set[int]:
+    """Primes where f's unit value differs from chi (the set S); f, named
+    `who` in the refusal, must be chi off a finite prime set (a character
+    variant)."""
+    candidates = differing_primes(f, make_spec(CharacterTwist(chi=chi)))
+    if candidates is None:
         raise ValueError(f"{who} must be an untwisted, undamped character variant of chi")
-
-
-def deviation_primes(f: MultFnSpec, chi) -> set[int]:
-    """Primes where f's unit value differs from chi (the set S)."""
-    candidates = set(f.exceptions) | {p for p, _ in arith.factor(chi.modulus)}
     return {p for p in candidates if prime_unit_value(f, p) != chi(p)}
 
 
 def modified_spec(chi: DirichletCharacter, r: int, z: complex) -> MultFnSpec:
     """Spec of the modified character: chi everywhere except value z at r."""
-    _validate_modification(chi, r, z)
-    return make_spec(CharacterTwist(chi=chi, t=0.0), exceptions={r: complex(z)})
-
-
-def _validate_modification(chi: DirichletCharacter, r: int, z: complex) -> None:
     if not arith.is_prime(r):
         raise ValueError(f"redirected prime r={r} is not prime")
     if math.gcd(r, chi.modulus) != 1:
@@ -203,6 +195,7 @@ def _validate_modification(chi: DirichletCharacter, r: int, z: complex) -> None:
         )
     if abs(abs(complex(z)) - 1.0) > 1e-12:
         raise ValueError(f"z must be unimodular, got |z|={abs(complex(z)):.6g}")
+    return make_spec(CharacterTwist(chi=chi, t=0.0), exceptions={r: complex(z)})
 
 
 @dataclass(eq=False)
@@ -409,122 +402,3 @@ def first_nonzero_sigma(state: RecursionState, M: int) -> int | None:
         if len(hits):
             return int(ms[hits[0]])
     return None
-
-
-# ---------------------------------------------------------------------------
-# the wraparound check that forces z = chi(r)
-
-
-@dataclass(eq=False)
-class RotationCheckResult:
-    """Outcome of comparing two aligned length-q windows of modified values.
-
-    The windows pair off term by term under n -> n + q*(l_m - k_m) except at
-    one position; the surviving term is chi(s1)*(z - chi(r)) up to the
-    common phase z^(m-1), so a nonzero gap certifies that bounded partial
-    sums force z = chi(r).
-    """
-
-    m: int
-    P: int
-    s1: int
-    s2: int
-    k_m: int
-    l_m: int
-    window1: complex
-    window2: complex
-    gap: complex
-    surviving: complex
-    phase: complex
-    cancellation_ok: bool
-    forced: bool
-    verdict: str
-
-
-def final_rotation_check(
-    chi: DirichletCharacter, r: int, z: complex, m: int, P: int
-) -> RotationCheckResult:
-    """Pair the window containing r^m*s1 with its shift by q*(l_m - k_m).
-
-    Requires m >= 10*log(q)/log(r), and P a prime != r with P >= 10*q and
-    P = r mod q.  Every term cancels against its partner except the one at
-    n = r^m*s1, whose residue is chi(s1)*(z - chi(r)) times a phase.
-    """
-    _validate_modification(chi, r, z)
-    z = complex(z)
-    q = chi.modulus
-    if m < 1 or (q > 1 and m < 10 * math.log(q) / math.log(r)):
-        raise ValueError(f"m={m} below the floor 10*log(q)/log(r) for q={q}, r={r}")
-    if not arith.is_prime(P):
-        raise ValueError(f"P={P} is not prime")
-    if P == r or P < 10 * q or (P - r) % q != 0:
-        raise ValueError(f"P={P} must be a prime != r, >= 10q, congruent to r mod q")
-
-    rm = r**m
-    # s1: r^m * s1 = 1 mod q, s1 = 1 mod r
-    s1_modq = pow(rm % q, -1, q) if q > 1 else 0
-    s1, _ = arith.crt_solve([(s1_modq, q), (1 % r, r)])
-    k_m = (rm * s1 - 1) // q
-    # s2: r^(m-1) * P * s2 = 1 mod q, s2 = 1 mod r, bumped so the second
-    # window sits strictly above the first
-    s2_modq = pow(rm // r * P % q, -1, q) if q > 1 else 0
-    s2, _ = arith.crt_solve([(s2_modq, q), (1 % r, r)])
-    while rm // r * P * s2 <= rm * s1:
-        s2 += q * r
-    l_m = (rm // r * P * s2 - 1) // q
-    if rm * s1 != q * k_m + 1 or rm // r * P * s2 != q * l_m + 1:
-        raise AssertionError("window anchors drifted off the progression")
-
-    def value(n: int) -> complex:
-        v = 0
-        while n % r == 0:
-            n //= r
-            v += 1
-        return unit_pow(z, v) * chi(n)
-
-    window1 = [value(q * k_m + j) for j in range(1, q + 1)]
-    window2 = [value(q * l_m + j) for j in range(1, q + 1)]
-    cancellation_ok = all(
-        a == b
-        for jj, (a, b) in enumerate(zip(window1, window2), start=1)
-        if q * k_m + jj != rm * s1
-    )
-    w1 = sum(window1)
-    w2 = sum(window2)
-    gap = w1 - w2
-    phase = unit_pow(z, m - 1)
-    surviving = z * chi(s1) - chi(P) * chi(s2)
-    forced = abs(surviving) > 1e-9
-    verdict = (
-        "bounded sums force z = chi(r)"
-        if forced
-        else "no obstruction: z already equals chi(r)"
-    )
-    return RotationCheckResult(
-        m=m,
-        P=P,
-        s1=s1,
-        s2=s2,
-        k_m=k_m,
-        l_m=l_m,
-        window1=w1,
-        window2=w2,
-        gap=gap,
-        surviving=surviving,
-        phase=phase,
-        cancellation_ok=cancellation_ok,
-        forced=forced,
-        verdict=verdict,
-    )
-
-
-def find_window_prime(chi: DirichletCharacter, r: int, bound: int = 10**7) -> int:
-    """Smallest prime P >= 10q with P = r (mod q), P != r."""
-    q = chi.modulus
-    P = 10 * q + (r - 10 * q) % q if q > 1 else 10
-    step = q if q > 1 else 1
-    while P <= bound:
-        if P != r and P >= 10 * q and arith.is_prime(P):
-            return P
-        P += step
-    raise SearchError(f"no prime P = {r} mod {q} found below {bound}")

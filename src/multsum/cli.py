@@ -396,9 +396,7 @@ def _run_series_check(args, prefix: str):
 
 
 def _run_random_mc(args, prefix: str):
-    seeds = _parse_int_list(args.seeds) if "," in args.seeds else list(
-        range(int(args.seeds))
-    )
+    seeds = _parse_int_list(args.seeds) if "," in args.seeds else int(args.seeds)
     n = _parse_count(args.n)
     checkpoints = _parse_checkpoints(args.checkpoints, n)
     summary = random_walk_mc(seeds, args.scale_r, n, checkpoints)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .characters import check_character_variant, deviation_primes
+from .characters import deviation_primes
 from .errors import CapacityError, SearchError
 from .multfun import (
     EVAL_CAPACITY,
@@ -24,6 +24,7 @@ from .multfun import (
     MultFnSpec,
     ProfileState,
     RademacherSeeds,
+    block_length,
     check_checkpoints,
     eval_range,
     is_exact_spec,
@@ -75,6 +76,9 @@ def _window_modulus(H: int, q: int, kind: str = "factorial", w: int | None = Non
     W + 1..W + H, must stay within FACTOR_LIMIT."""
     if H < 1:
         raise ValueError("H must be >= 1")
+    if max(H, w or 0) > 64:  # then W >= 2^64; a huge (H!)^2 would never finish
+        raise CapacityError(f"H={H} and w={w} must be <= 64: past that, every window "
+                            f"W*m + 1..W*m + H passes FACTOR_LIMIT={arith.FACTOR_LIMIT}")
     if kind == "factorial":
         if w is not None:
             raise ValueError(f"w={w} is a primorial exponent; use the primorial modulus")
@@ -83,9 +87,7 @@ def _window_modulus(H: int, q: int, kind: str = "factorial", w: int | None = Non
         w = H if w is None else w
         if w < H:
             raise ValueError(f"primorial exponent w={w} must be >= H={H}")
-        W = 1
-        for p in arith.primes_upto(w).tolist():
-            W *= p**w
+        W = math.prod(p**w for p in arith.primes_upto(w).tolist())
     else:
         raise ValueError(f"unknown window modulus kind {kind!r}")
     for p, e in arith.factor(q):
@@ -121,6 +123,8 @@ def _check_plan(plan: list[tuple[int, int, int]], H: int, W: int, S: set[int], c
             raise ValueError(f"plan prime {p} must be a prime larger than H={H}")
         if k < 1 or not 1 <= r <= H:
             raise ValueError(f"plan entry ({p},{k},{r}) needs k >= 1 and 1 <= r <= H={H}")
+        if k > 62 or p**k > arith.FACTOR_LIMIT:  # 2^62 passes it already
+            raise CapacityError(f"plan entry ({p},{k},{r}): p^k passes FACTOR_LIMIT")
         if chi(p) == 0:
             raise ValueError(f"plan prime {p} divides the character modulus")
         if W % p == 0:
@@ -274,9 +278,8 @@ def rotation_witness(
     both windows by the residue-class construction.  w (the primorial
     exponent) needs modulus_kind="primorial".
     """
-    check_character_variant(f, chi, "f")
+    S = deviation_primes(f, chi, "f")
     W = _window_modulus(H, chi.modulus, modulus_kind, w)
-    S = deviation_primes(f, chi)
     _check_plan(plan, H, W, S, chi)
     for p in sorted(S):
         if p <= H and chi(p) == 0 and prime_unit_value(f, p) != 0:
@@ -339,7 +342,7 @@ def squarefree_pair(
     """
     if not chi.real:
         raise ValueError("the squarefree pair construction needs a real character")
-    check_character_variant(g, chi, "g")
+    S = deviation_primes(g, chi, "g")
     for p, w_ in g.exceptions.items():
         if w_ not in (1 + 0j, -1 + 0j):
             raise ValueError(f"g({p}) must be +-1, got {w_}")
@@ -351,7 +354,6 @@ def squarefree_pair(
     if len(primes) != len(residues) or not primes:
         raise ValueError("primes and residues must be matching nonempty lists")
     W = _window_modulus(H, chi.modulus)
-    S = deviation_primes(g, chi)
     plan = [(p, 1, r) for p, r in zip(primes, residues)]
     _check_plan(plan, H, W, S, chi)
     sign = 0
@@ -493,8 +495,14 @@ def random_walk_mc(
     All seeds share one sieve per block.  RademacherSeeds evaluates blocks
     ahead on a thread pool capped by MULTSUM_THREADS, and every seed's
     partial sums are scanned in block order, so the output never depends on
-    the thread count.
+    the thread count.  Each block holds one parity word per value for every
+    64 seeds, and more seeds than keep those words within EVAL_CAPACITY are
+    refused before any list is built.
     """
+    count = seeds if isinstance(seeds, int) else len(seeds)
+    if -(-count // 64) * block_length(max(N, 1)) > EVAL_CAPACITY:
+        raise CapacityError(f"{count} seeds at N={N} need more parity words per block "
+                            f"than EVAL_CAPACITY={EVAL_CAPACITY}")
     if isinstance(seeds, int):
         seeds = list(range(seeds))
     family = RademacherSeeds(seeds, scale_r, N)

@@ -122,14 +122,6 @@ def delange_mean(
     )
 
 
-def logmean_density(f: MultFnSpec, x: int) -> float:
-    """(sum_{n<=x} |f(n)|^2 / n) / log x; near 1 for unimodular f."""
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    total = sum_blocks(f, x, lambda n, v: np.abs(v) ** 2 / n)
-    return total.real / math.log(x)
-
-
 # ---------------------------------------------------------------------------
 # perturbation constants
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .characters import check_character_variant, deviation_primes
+from .characters import deviation_primes
 from .multfun import MultFnSpec, prime_unit_value, sum_blocks
 
 # B_2, B_4, ..., B_16: enough correction terms for 1e-13 accuracy once the
@@ -159,13 +159,13 @@ def dirichlet_partial(
 def _series_prime_set(g: MultFnSpec, chi) -> list[int]:
     """Primes where the local Euler factor of mu^2 * g deviates from the
     L(s,chi)/zeta(2s) tail: divisors of q plus genuine exceptions."""
-    check_character_variant(g, chi, "g")
+    S = deviation_primes(g, chi, "g")
     if not chi.real:
         raise ValueError("the factorization needs a real character")
     for p, w in g.exceptions.items():
         if w.imag != 0:
             raise ValueError(f"g({p}) is not real")
-    return sorted(deviation_primes(g, chi) | {p for p, _ in arith.factor(chi.modulus)})
+    return sorted(S | {p for p, _ in arith.factor(chi.modulus)})
 
 
 def finite_product_P(g: MultFnSpec, chi, s: complex) -> complex:

@@ -118,11 +118,6 @@ def ruzsa_density(exceptions: dict[int, Fraction]) -> Fraction:
     return c
 
 
-def window_sum_modified(chi, r: int, z: complex, lo: int, hi: int) -> complex:
-    """Sum of chi_{r,z}(n) over lo < n <= hi by full factorization."""
-    return sum(modified_value(chi, r, z, n) for n in range(lo + 1, hi + 1))
-
-
 def naive_profile(values, checkpoints, exact: bool, resume_at: int = 0):
     """(sums, sups) at checkpoints from a materialized f(1..x), values[n] = f(n).
 

@@ -10,15 +10,14 @@ import oracles
 from multsum import (
     CapacityError,
     CharacterTwist,
+    Liouville,
     One,
+    build_spec,
     character_by_index,
     character_table,
-    check_character_variant,
     deviation_primes,
     eval_range,
     euler_phi,
-    final_rotation_check,
-    find_window_prime,
     first_nonzero_sigma,
     growth_witness,
     iterate_check,
@@ -146,16 +145,18 @@ def test_deviation_primes_and_variant_check(chi4, chi5):
     g = make_spec(CharacterTwist(chi5), exceptions={2: -1, 5: 1, 7: 1, 11: -1})
     assert deviation_primes(g, chi5) == {5, 7, 11}
     assert deviation_primes(make_spec(CharacterTwist(chi4)), chi4) == set()
-    check_character_variant(g, character_by_index(5, "real"))  # equal tables pass
+    assert deviation_primes(g, character_by_index(5, "real")) == {5, 7, 11}  # equal tables
     for bad, chi in (
         (make_spec(One()), chi5),
+        (make_spec(Liouville()), chi5),
         (make_spec(CharacterTwist(chi5, t=1.0)), chi5),
         (make_spec(CharacterTwist(chi5), scale_r=0.5), chi5),
         (g, chi4),
         (g, character_by_index(5, 1)),
+        (build_spec("char:q=5,index=1,t=0.5"), character_by_index(5, 1)),
     ):
-        with pytest.raises(ValueError, match="character variant|must match chi"):
-            check_character_variant(bad, chi)
+        with pytest.raises(ValueError, match="character variant"):
+            deviation_primes(bad, chi)
 
 
 def test_recursion_refuses_principal_character():
@@ -283,47 +284,3 @@ def test_first_nonzero_sigma(chi4):
     assert first_nonzero_sigma(degenerate, 200) is None
     with pytest.raises(ValueError):
         first_nonzero_sigma(st, 0)
-
-
-def test_find_window_prime(chi4, chi5):
-    assert find_window_prime(chi4, 3) == 43
-    for chi, r in ((chi4, 3), (chi4, 7), (chi5, 3), (chi5, 7)):
-        P = find_window_prime(chi, r)
-        q = chi.modulus
-        assert P != r and P >= 10 * q and (P - r) % q == 0
-        assert oracles.trial_spf(P) == P
-
-
-def test_final_rotation_check_frozen(chi4):
-    res = final_rotation_check(chi4, 3, 1j, 13, 43)
-    assert (res.s1, res.s2) == (7, 7)
-    assert (res.k_m, res.l_m) == (2790065, 39990935)
-    assert res.surviving == -1 - 1j
-    assert res.phase == 1
-    assert res.gap == -1 - 1j
-    assert res.cancellation_ok and res.forced
-    assert res.verdict == "bounded sums force z = chi(r)"
-    # the two window sums match a direct factorization-based evaluation
-    q = chi4.modulus
-    w1 = oracles.window_sum_modified(chi4, 3, 1j, q * res.k_m, q * res.k_m + q)
-    w2 = oracles.window_sum_modified(chi4, 3, 1j, q * res.l_m, q * res.l_m + q)
-    assert res.window1 == w1 and res.window2 == w2
-
-
-def test_final_rotation_check_unforced(chi4):
-    res = final_rotation_check(chi4, 3, -1, 13, 43)  # z = chi(3): no change
-    assert res.surviving == 0 and res.gap == 0
-    assert not res.forced
-    assert res.cancellation_ok
-    assert res.verdict == "no obstruction: z already equals chi(r)"
-
-
-def test_final_rotation_check_validation(chi4):
-    with pytest.raises(ValueError):
-        final_rotation_check(chi4, 3, 1j, 5, 43)  # m below the floor
-    with pytest.raises(ValueError):
-        final_rotation_check(chi4, 3, 1j, 13, 45)  # P not prime
-    with pytest.raises(ValueError):
-        final_rotation_check(chi4, 3, 1j, 13, 31)  # P != r mod q
-    with pytest.raises(ValueError):
-        final_rotation_check(chi4, 3, 1j, 13, 19)  # P < 10q

@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import multsum
 import multsum.cli as cli
@@ -393,3 +395,48 @@ def test_mean_value_and_concentration_and_zero_scan(tmp_path):
         rec = json.load(fh)
     row = dict(zip(rec["columns"], rec["rows"][0]))
     assert row["first_m"] == -1  # z = chi(3): every window sum vanishes
+
+
+# argv atoms for the parser fuzz: numbers the parsers must refuse or take,
+# words, an empty field, a plan entry, and a count past every capacity bound
+FUZZ_ATOMS = ["0", "-1", "5", "1.5", "inf", "nan", "1e400", "", "a", "17~1~1",
+              "4000000000000000001"]
+FUZZ_OPTIONS = {
+    "profile": ["--spec", "--n", "--checkpoints"],
+    "witness-rotation": ["--q", "--index", "--flips", "--H", "--plan", "--w",
+                         "--scan-limit"],
+    "sf-pair": ["--q", "--index", "--flips", "--H", "--primes", "--residues",
+                "--scan-limit"],
+    "random-mc": ["--seeds", "--scale-r", "--n", "--checkpoints"],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    cmd = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [cmd]
+    for opt in FUZZ_OPTIONS[cmd]:
+        if draw(st.booleans()):
+            sep = draw(st.sampled_from([",", "~"]))
+            argv += [opt, sep.join(draw(st.lists(st.sampled_from(FUZZ_ATOMS),
+                                                 min_size=1, max_size=3)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=fuzz_argv())
+@example(argv=["random-mc", "--seeds", "4000000000000000001", "--n", "100"])
+@example(argv=["witness-rotation", "--q", "5", "--flips", "17~1",
+               "--H", "4000000000000000001", "--plan", "17~1~1"])
+@example(argv=["witness-rotation", "--q", "5", "--flips", "17~1", "--H", "5",
+               "--plan", "17~4000000000000000001~1"])
+def test_cli_parsers_fuzz(tmp_path, argv):
+    """Every argv either runs (0), fails cleanly (1) or is a usage error
+    (SystemExit 2); no other exception escapes cli.main."""
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "fuzz")])
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1), argv

@@ -137,6 +137,14 @@ def test_windows_past_factor_limit_refused(chi4, chi5):
         rotation_witness(f, chi4, 12, [(17, 1, 1)])
     with pytest.raises(CapacityError, match=r"H=4, w=40, W = .* = a 515-digit number"):
         rotation_witness(f, chi4, 4, [(17, 1, 1)], modulus_kind="primorial", w=40)
+    # past 64, W > 2^64 is refused before it is built, and so is a plan
+    # power past the limit before the CRT class p^(k+1) is
+    for H, kind, w in ((4 * 10**18, "factorial", None), (4, "primorial", 65)):
+        with pytest.raises(CapacityError, match="must be <= 64"):
+            rotation_witness(f, chi4, H, [(17, 1, 1)], modulus_kind=kind, w=w)
+    for k in (16, 4 * 10**18):  # 17^15 is below FACTOR_LIMIT, 17^16 above
+        with pytest.raises(CapacityError, match=f"plan entry \\(17,{k},1\\)"):
+            rotation_witness(f, chi4, 4, [(17, k, 1)])
     witness = rotation_witness(f, chi4, 11, [(17, 1, 1)])
     assert witness.ok and witness.m_prime == 254  # still inside the limit
     g = make_spec(CharacterTwist(chi5), exceptions={5: 1, 17: 1, 19: -1})
@@ -393,6 +401,14 @@ def test_random_walk_mc_validation(monkeypatch):
             random_walk_mc([1, 2], r, MC_N)
     with pytest.raises(CapacityError):
         random_walk_mc([1, 2], 0.25, STREAM_LIMIT + 1)
+    # a parity word per value for every 64 seeds must fit EVAL_CAPACITY:
+    # 31,680 seeds up to N near 1.7e7, 3,904 at N = 1e9
+    for seeds, n in ((4000000000000000001, 100), (31_681, MC_N),
+                     (list(range(31_681)), MC_N), (3_905, STREAM_LIMIT)):
+        with pytest.raises(CapacityError, match="seeds at N="):
+            random_walk_mc(seeds, 0.25, n)
+    with pytest.raises(AssertionError, match="work started"):
+        random_walk_mc(3_904, 0.25, STREAM_LIMIT)  # at the bound: not refused
     for cps in ([], [10, 10], [100, 10], [0, 10], [10, MC_N + 1]):
         with pytest.raises(ValueError, match="checkpoint"):
             random_walk_mc([1, 2], 0.25, MC_N, cps)

@@ -22,7 +22,6 @@ from multsum import (
     delange_mean,
     distance,
     f_of_q_sum,
-    logmean_density,
     make_spec,
     perturbation_constant,
     prime_unit_value,
@@ -146,16 +145,6 @@ def test_delange_mean_twisted(chi4):
     assert abs(rep.product - 1) < 1e-10  # phases cancel up to rounding
     assert abs(rep.prefactor) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert rep.gap < 5.0 / rep.x  # the O(1/x) constant here is about 2.2
-
-
-def test_logmean_density_values():
-    one = logmean_density(make_spec(One()), 10**5)
-    # harmonic sum / log x = 1 + gamma/log x + o(1)
-    assert abs(one - (1 + 0.5772156649 / math.log(10**5))) < 1e-3
-    odd = logmean_density(make_spec(CoprimeIndicator(2)), 10**5)
-    assert 0.5 < odd < 0.6
-    with pytest.raises(ValueError):
-        logmean_density(make_spec(One()), 1)
 
 
 def test_perturbation_constant_values():
