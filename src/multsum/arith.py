@@ -20,15 +20,16 @@ FACTOR_LIMIT = 4 * 10**18  # int64-safe bound for certified arithmetic
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as int64."""
+    """All primes <= n, ascending, as int64; the sieve holds the odd numbers only."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    composite = np.zeros(n + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, math.isqrt(n) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.flatnonzero(~composite).astype(np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    odd[0] = False
+    for i in range(1, (math.isqrt(n) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    return np.concatenate([[2], 2 * np.flatnonzero(odd) + 1]).astype(np.int64)
 
 
 def squarefree_block(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:

@@ -492,12 +492,13 @@ def random_walk_mc(
     """Profile f(n) = eps(n) n^(-scale_r) for hashed Rademacher eps over the
     given seeds (an int means range(seeds)); reports per-checkpoint medians.
 
-    All seeds share one sieve per block.  RademacherSeeds evaluates blocks
-    ahead on a thread pool capped by MULTSUM_THREADS, and every seed's
-    partial sums are scanned in block order, so the output never depends on
-    the thread count.  Each block holds one parity word per value for every
-    64 seeds, and more seeds than keep those words within EVAL_CAPACITY are
-    refused before any list is built.
+    All seeds share one sieve per block and one sign table.  A thread pool
+    capped by MULTSUM_THREADS evaluates the next blocks and the carry-free
+    half of every seed's scan (RademacherSeeds.scans); each seed's
+    ProfileState applies them in block order, chaining only the carries,
+    so the output never depends on the thread count.  Each block holds one
+    parity word per value for every 64 seeds, and more seeds than keep
+    those words within EVAL_CAPACITY are refused before any list is built.
     """
     count = seeds if isinstance(seeds, int) else len(seeds)
     if -(-count // 64) * block_length(max(N, 1)) > EVAL_CAPACITY:
@@ -511,15 +512,9 @@ def random_walk_mc(
     check_checkpoints(checkpoints, N)
     states = [ProfileState(family.exact, real=True) for _ in seeds]
     sups: list[list[float]] = [[] for _ in seeds]
-    # one values array for every seed and block: with the pool running, a
-    # fresh 2 MB array per seed was faulted in anew each time (glibc hands
-    # freed pages back), which cost more than the pool saved
-    lo, hi = family.ranges[0]  # the longest block
-    buf = np.empty(hi - lo)
-    for blk in family:
-        vals = buf[: len(blk)]
-        for i, (state, row) in enumerate(zip(states, sups)):
-            row.extend(sup for _, _, sup in state.feed(blk.values(i, vals), checkpoints))
+    for scans in family.scans(checkpoints):
+        for state, scan, row in zip(states, scans, sups):
+            row.extend(sup for _, _, sup in state.apply(scan))
     medians = np.median(np.array(sups, dtype=np.float64), axis=0).tolist()
     return RandomWalkSummary(
         seeds=list(seeds),

@@ -5,13 +5,14 @@ A function is described by a base rule (value at every prime), a finite set
 of prime exceptions overriding the base, and an optional global n^(-r)
 damping.  Values are evaluated in independent blocks so profiles up to 1e9
 run in bounded memory, and sums over values that stay in {0, +-1, +-i} are
-tracked in exact integer arithmetic.
+float cumsums of integers below 2^53, so every one is exact.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, TypeVar
 import numpy as np
 
 from . import arith
-from .accum import NeumaierSum, compensated_cumsum
+from .accum import CHUNK, NeumaierSum, chunk_starts, chunk_sums, compensated_cumsum
 from .errors import CapacityError
 
 EVAL_CAPACITY = 130_000_000  # largest materialized range (memory bound)
@@ -32,6 +33,7 @@ BLOCK = 1 << 18  # shortest block: a 2 MB int64 array stays in one core's L2
 # float results, so it stays fixed whatever block_length says.
 SUM_BLOCK = 1 << 22
 RUN = 64  # shortest exception stride laid as a run; shorter ones are gathered
+SIGN_TABLE_BYTES = 1 << 24  # largest per-prime sign-word table of RademacherSeeds
 
 _GAUSSIAN_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 _ONE_BITS = np.float64(1.0).view(np.uint64)
@@ -248,6 +250,18 @@ def _rademacher_minus(
     _splitmix64(x, tmp)
     x >>= np.uint64(63)
     return x
+
+
+def _sign_words(seeds: list[int], ps: np.ndarray, dtype: type) -> np.ndarray:
+    """Words of an unsigned dtype, one per prime in ps: bit i is 1 where
+    seeds[i]'s hashed sign at that prime is -1 (at most 64 seeds)."""
+    words = np.zeros(len(ps), dtype=dtype)
+    minus, tmp = np.empty(len(ps), np.uint64), np.empty(len(ps), np.uint64)
+    for i, seed in enumerate(seeds):
+        _rademacher_minus(seed, ps, minus, tmp)
+        minus <<= np.uint64(i)
+        np.bitwise_or(words, minus, out=words, casting="unsafe")
+    return words
 
 
 def rademacher_signs(seed: int, ps: np.ndarray) -> np.ndarray:
@@ -684,10 +698,8 @@ def iter_blocks(
         if not squarefree:
             yield _eval_block(spec, lo, hi, base_primes)
         else:
-            # blk stays bound while the product is consumed: freeing it first
-            # lets glibc trim the heap and fault the next block's pages back in
             blk = _eval_block(spec, lo, hi, base_primes)
-            yield blk * arith.squarefree_block(lo, hi, base_primes)
+            yield np.multiply(blk, arith.squarefree_block(lo, hi, base_primes), out=blk)
 
 
 @dataclass(eq=False)
@@ -742,11 +754,12 @@ class RademacherSeeds:
     """f_s(n) = eps_s(n) n^(-scale_r) over 1..x for many seeds s, where eps_s
     is the RandomRademacher(seed=s) function.
 
-    Each block is sieved once for all seeds, so block(k) costs one sieve plus
-    one cofactor hash per seed; blocks are independent and laid out exactly
-    as iter_blocks lays them, so seed i's values equal its own spec's.
-    Iterating yields the blocks in order, evaluated ahead on up to
-    thread_cap() threads, so they never depend on the thread count.
+    Each block is sieved once for all seeds, and the prime left above the
+    sieve at each n gets every seed's sign from one word table per 64 seeds,
+    built once over the primes up to top = min(x, SIGN_TABLE_BYTES // bytes
+    per entry over all tables - 1) by the same hash; primes above top are
+    hashed per block.  Blocks are independent and laid out exactly as
+    iter_blocks lays them, so seed i's values equal its own spec's.
     """
 
     def __init__(self, seeds: list[int], scale_r: float, x: int, block: int | None = None):
@@ -757,47 +770,64 @@ class RademacherSeeds:
         self.groups = [list(seeds[j : j + 64]) for j in range(0, len(seeds), 64)]
         self.scale_r = scale_r
         self.exact = scale_r == 0
-        # bit i of masks[g][j]: seed groups[g][i] is -1 at base_primes[j]
-        self.masks = []
-        for group in self.groups:
-            dt = _parity_dtype(len(group))
-            m = np.zeros(len(self.base_primes), dtype=dt)
-            for i, seed in enumerate(group):
-                m |= _rademacher_minus(seed, self.base_primes).astype(dt) << dt(i)
-            self.masks.append(m)
+        dtypes = [_parity_dtype(len(group)) for group in self.groups]
+        self.top = min(x, SIGN_TABLE_BYTES // sum(np.dtype(dt).itemsize for dt in dtypes) - 1)
+        ps = arith.primes_upto(self.top)
+        # tables[g][p]: group g's sign word at each prime p <= top, 0 elsewhere
+        self.tables = []
+        for group, dt in zip(self.groups, dtypes):
+            table = np.zeros(self.top + 1, dtype=dt)
+            table[ps] = _sign_words(group, ps, dt)
+            self.tables.append(table)
+        self.masks = [self._words(g, self.base_primes) for g in range(len(self.groups))]
 
     def __len__(self) -> int:
         return len(self.ranges)
 
-    def __iter__(self) -> Iterator[SeedBlock]:
-        return _evaluated_ahead(self.block, len(self), min(thread_cap(), len(self)))
+    def _words(self, g: int, ps: np.ndarray) -> np.ndarray:
+        """Group g's sign words at the primes ps: read from the table up to
+        top, hashed above it."""
+        words = self.tables[g].take(ps, mode="clip")
+        above = np.flatnonzero(ps > self.top)
+        if len(above):
+            words[above] = _sign_words(self.groups[g], ps[above], words.dtype)
+        return words
 
     def block(self, k: int) -> SeedBlock:
-        """Evaluate the k-th block; safe to call from several threads.
-
-        The cofactor hash writes into three arrays made once per block, not
-        into fresh temporaries for every seed, and only at the n that have a
-        prime factor above the sieve.
-        """
+        """Evaluate the k-th block; safe to call from several threads."""
         lo, hi = self.ranges[k]
         n = np.arange(lo, hi, dtype=np.int64)
         count = len(_sieving_primes(self.base_primes, hi))
         words = []
-        for group, masks in zip(self.groups, self.masks):
-            parity, smooth = _sign_parity(lo, hi, self.base_primes[:count],
-                                          masks[:count])
-            idx, cof = _big_primes(n, smooth)  # hash these primes' signs per seed
+        for g, masks in enumerate(self.masks):
+            parity, smooth = _sign_parity(lo, hi, self.base_primes[:count], masks[:count])
+            idx, cof = _big_primes(n, smooth)
             del smooth
-            minus, tmp = np.empty(len(cof), np.uint64), np.empty(len(cof), np.uint64)
-            flips = np.zeros(len(cof), dtype=parity.dtype)
-            for i, seed in enumerate(group):
-                _rademacher_minus(seed, cof, minus, tmp)
-                minus <<= np.uint64(i)
-                np.bitwise_or(flips, minus, out=flips, casting="unsafe")
-            parity[idx] ^= flips
+            parity[idx] ^= self._words(g, cof)
             words.append(parity)
         return SeedBlock(words, _damping(n.astype(np.float64), self.scale_r)
                          if self.scale_r else None)
+
+    def scans(self, checkpoints: list[int]) -> Iterator[list[BlockScan]]:
+        """Every seed's BlockScan of each block (seeds in order), block by
+        block.  A pool of thread_cap() threads evaluates and summarizes the
+        next blocks, so the caller's ProfileStates only apply them, in block
+        order: the results never depend on the thread count."""
+        lo, hi = self.ranges[0]  # the longest block
+        count = sum(map(len, self.groups))
+        scratch = threading.local()
+
+        def scan_block(k: int) -> list[BlockScan]:
+            # one values array per thread, reused for every seed and block:
+            # a fresh 2 MB array is faulted in anew each time
+            if not hasattr(scratch, "vals"):
+                scratch.vals = np.empty(hi - lo)
+            blk = self.block(k)
+            vals = scratch.vals[: len(blk)]
+            return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints, self.exact)
+                    for i in range(count)]
+
+        return _evaluated_ahead(scan_block, len(self), min(thread_cap(), len(self)))
 
 
 def sum_blocks(
@@ -869,12 +899,61 @@ class PartialSumProfile:
 
 
 @dataclass(eq=False)
+class BlockScan:
+    """The carry-free half of scanning the real values f(lo), ..., f(lo +
+    length - 1): what ProfileState.apply needs to move past them.
+
+    The block is cut into chunks, accum.CHUNK values each as in
+    accum.compensated_cumsum (an exact spec: the whole block), and the
+    chunks into pieces after each checkpoint.  With c the prefix sum within
+    a chunk and s the running total at the chunk's start, the scan's partial
+    sum is M = fl(c + s), which is compensated_cumsum's value (an exact
+    spec's c and s are integers below 2^53, so M = c + s exactly).  Rounding
+    to nearest is monotone, so over a piece max fl(c + s) = fl(max c + s)
+    and min fl(c + s) = fl(min c + s), and since |y| = max(y, -y), max |M|
+    over the piece is max(fl(top + s), -fl(bottom + s)): applied with its
+    carry, a BlockScan gives the bits of the full prefix array.
+    """
+
+    lo: int
+    length: int
+    sums: list[float]  # np.sum of each chunk (an exact spec: the block's total)
+    chunk: np.ndarray  # the chunk of each piece
+    top: np.ndarray  # max of c over each piece
+    bottom: np.ndarray  # min of c over each piece
+    here: list[int]  # the checkpoints in the block
+    at: np.ndarray  # c at each of them
+    piece: np.ndarray  # the piece each of them ends
+
+
+def summarize(values: np.ndarray, lo: int, checkpoints: list[int], exact: bool) -> BlockScan:
+    """The BlockScan of the real block `values` of f(lo), f(lo + 1), ...,
+    a contiguous float64 array, which it overwrites with the within-chunk
+    prefix sums c."""
+    n = len(values)
+    if exact:
+        size = n
+        np.cumsum(values, out=values)
+        sums = [float(values[-1])]
+    else:
+        size = CHUNK
+        sums = chunk_sums(values, values)
+    first = bisect_right(checkpoints, lo - 1)
+    here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
+    ends = np.array(here, dtype=np.int64) - lo
+    cuts = np.union1d(np.arange(0, n, size), ends[ends + 1 < n] + 1)
+    return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(values, cuts),
+                     np.minimum.reduceat(values, cuts), here, values[ends],
+                     np.searchsorted(cuts, ends, "right") - 1)
+
+
+@dataclass(eq=False)
 class ProfileState:
     """Running partial-sum scan state; supports checkpointed resume.
 
     re and im carry the real and imaginary sums so far.  An exact spec's
-    partial sums are integers of at most STREAM_LIMIT < 2^53, so its plain
-    cumsum shifted by the carry's hi is exact and lo stays 0.
+    partial sums are integers of at most STREAM_LIMIT < 2^53, so they add
+    exactly and lo stays 0.
     """
 
     exact: bool
@@ -888,26 +967,38 @@ class ProfileState:
         self, blk: np.ndarray, checkpoints: list[int]
     ) -> list[tuple[int, complex, float]]:
         """Consume the block of values following n_done; returns
-        (c, M(c), max_{y<=c} |M(y)|) for each checkpoint c inside it."""
+        (c, M(c), max_{y<=c} |M(y)|) for each checkpoint c inside it.  A real
+        block is summarized, which overwrites it, and applied."""
+        if not np.iscomplexobj(blk):
+            return self.apply(summarize(blk, self.n_done + 1, checkpoints, self.exact))
+        # |M| needs both running sums first: lay them out whole
         lo = self.n_done + 1
         first = bisect_right(checkpoints, self.n_done)
         here = checkpoints[first : bisect_right(checkpoints, self.n_done + len(blk), first)]
         ends = [c - lo for c in here]
         re = self._prefix(blk.real, self.re)
-        im = self._prefix(blk.imag, self.im) if np.iscomplexobj(blk) else None
+        im = self._prefix(blk.imag, self.im)
         # max |M| over the segments ending at each end, plus the rest of the
-        # block, from one reduction each instead of a block-long running max
+        # block, from one reduction instead of a block-long running max
         cuts = [0] + [i + 1 for i in ends if i + 1 < len(blk)]
-        if im is None:
-            seg = np.maximum(np.maximum.reduceat(re, cuts),
-                             -np.minimum.reduceat(re, cuts))
-        else:
-            seg = np.maximum.reduceat(np.hypot(re, im), cuts)
+        seg = np.maximum.reduceat(np.hypot(re, im), cuts)
         sups = list(accumulate(seg.tolist(), max, initial=self.sup))[1:]
         self.sup = sups[-1]
         self.n_done += len(blk)
-        return [(c, complex(re[i], 0.0 if im is None else im[i]), sup)
-                for c, i, sup in zip(here, ends, sups)]
+        return [(c, complex(re[i], im[i]), sup) for c, i, sup in zip(here, ends, sups)]
+
+    def apply(self, scan: BlockScan) -> list[tuple[int, complex, float]]:
+        """Move past a real block from its BlockScan: the carry's chain
+        through its chunks and the running sup.  Returns the rows of feed."""
+        if scan.lo != self.n_done + 1:
+            raise ValueError(f"block from n={scan.lo} does not follow n_done={self.n_done}")
+        s = np.array(chunk_starts(scan.sums, self.re))[scan.chunk]  # per piece
+        run = np.maximum.accumulate(np.maximum(scan.top + s, -(scan.bottom + s))).tolist()
+        rows = [(c, complex(m, 0.0), max(self.sup, run[i])) for c, m, i in
+                zip(scan.here, (scan.at + s[scan.piece]).tolist(), scan.piece.tolist())]
+        self.sup = max(self.sup, run[-1])
+        self.n_done += scan.length
+        return rows
 
     def _prefix(self, values: np.ndarray, carry: NeumaierSum) -> np.ndarray:
         """Running sums of values after carry's total, which moves past them."""

@@ -24,11 +24,10 @@ import oracles
 
 
 def test_primes_upto_matches_sympy():
-    got = primes_upto(10**4).tolist()
-    want = list(sympy.primerange(2, 10**4 + 1))
-    assert got == want
-    assert primes_upto(1).tolist() == []
-    assert primes_upto(2).tolist() == [2]
+    for n in [*range(31), 97, 4096, 10**4, 10**6]:
+        got = primes_upto(n)
+        assert got.dtype == np.int64, n
+        assert got.tolist() == list(sympy.primerange(2, n + 1)), n
 
 
 def test_factorize_reconstructs():

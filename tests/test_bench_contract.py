@@ -11,11 +11,15 @@ from multsum import lab, multfun
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.TARGETS
+    return mod
+
+
+def _targets():
+    return _tracer().TARGETS
 
 
 def test_tracer_targets_resolve():
@@ -40,3 +44,16 @@ def test_random_walk_mc_summary_shape():
     for row in out.sups_per_seed + [out.median_sups]:
         assert len(row) == len(out.checkpoints)
         assert all(type(v) is float for v in row)
+
+
+def test_complex_profile_reaches_traced_compensated_cumsum():
+    """A float complex profile calls accum.compensated_cumsum through a name
+    the tracer wraps; without that call a traced run has no
+    accum.compensated_cumsum_s and counts as incorrect."""
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        multfun.stream_profile(multfun.build_spec("char:q=5,index=1,t=2.0"), 5000, [5000])
+    finally:
+        tracer.uninstall()
+    assert "accum.compensated_cumsum" in {s["name"] for s in tracer.spans}

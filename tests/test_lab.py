@@ -32,6 +32,7 @@ from multsum import (
     thread_cap,
 )
 from multsum import lab, multfun
+from multsum.accum import CHUNK
 from multsum.multfun import STREAM_LIMIT, RademacherSeeds
 
 
@@ -367,6 +368,22 @@ def test_random_walk_mc_rows_match_standalone_profiles(seeds, r, n):
     for seed, row in zip(seeds, out.sups_per_seed):
         solo = stream_profile(make_spec(RandomRademacher(seed=seed), scale_r=r), n, cps)
         assert [v.hex() for v in row] == [v.hex() for v in solo.sups], seed
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25])
+def test_random_walk_mc_chunk_edge_checkpoints(r):
+    """Checkpoints on either side of a chunk start: every seed's row equals
+    its standalone profile and the materialized prefix sum's running max."""
+    n = 3 * CHUNK + 5
+    cps = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, n]
+    seeds = [1, 2, 3, 2**64 + 5]
+    out = random_walk_mc(seeds, r, n, cps)
+    for seed, row in zip(seeds, out.sups_per_seed):
+        spec = make_spec(RandomRademacher(seed=seed), scale_r=r)
+        solo = stream_profile(spec, n, cps)
+        _, sups = oracles.naive_profile(eval_range(spec, n).values, cps, r == 0)
+        assert [v.hex() for v in row] == [v.hex() for v in solo.sups] == [
+            v.hex() for v in sups], seed
 
 
 def test_thread_cap_env(monkeypatch):

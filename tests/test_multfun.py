@@ -1,6 +1,7 @@
 """Tests for multfun: spec construction, sieved evaluation, profiles."""
 
 import hashlib
+import itertools
 import math
 import re
 import subprocess
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from multsum import multfun
 from multsum import (
     CapacityError,
     CharacterTwist,
@@ -44,6 +46,7 @@ from multsum.multfun import (
     block_length,
     differing_primes,
     rademacher_signs,
+    summarize,
     unit_pow,
     value_at_primes,
 )
@@ -320,6 +323,21 @@ def test_iter_blocks_start_and_mask(pick, x, start_frac, block, squarefree):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("cfg", ["char:q=5,index=1,t=0.5;except=2~0.5~0",
+                                 "char:q=7,index=2;except=3~0.3~0.2"])
+def test_squarefree_complex_blocks_bytes(cfg):
+    """The in-place mu^2 mask gives the bits of f(n) * mu^2(n) for complex
+    values, at the default block and at CHUNK-value blocks."""
+    spec = build_spec(cfg)
+    x = 3 * CHUNK + 5
+    mu2 = np.array([oracles.naive_squarefree(n) for n in range(1, x + 1)])
+    want = eval_range(spec, x).values[1:] * mu2
+    for block in (None, CHUNK):
+        got = np.concatenate(list(iter_blocks(spec, x, block, squarefree=True)))
+        assert got.dtype == np.complex128
+        assert got.tobytes() == want.tobytes(), block
+
+
 def test_iter_blocks_start_bounds():
     spec = make_spec(One())
     assert list(iter_blocks(spec, 10, start=11)) == []
@@ -328,20 +346,42 @@ def test_iter_blocks_start_bounds():
             list(iter_blocks(spec, 10, start=start))
 
 
-def test_rademacher_seeds_match_single_specs():
+def test_rademacher_seeds_match_single_specs(monkeypatch):
     """Each seed's values from the shared per-block sieve are its own spec's
-    bytes, over three seed groups (64 + 64 + 2 seeds) and a short last block."""
+    bytes, over three seed groups (64 + 64 + 2 seeds) and a short last block,
+    with a sign table over all of 1..x and with one of 2^14 bytes, whose top
+    leaves most primes to the per-block hash."""
     seeds = list(range(-1, 127)) + [2**64 + 5, 3]
     x = 3 * CHUNK + 5
-    for r in (0.0, 0.5):
+    for r, table_bytes in itertools.product((0.0, 0.5), (multfun.SIGN_TABLE_BYTES, 1 << 14)):
+        monkeypatch.setattr(multfun, "SIGN_TABLE_BYTES", table_bytes)
         family = RademacherSeeds(seeds, r, x, CHUNK)
         assert len(family) == 4 and family.exact == (r == 0)
+        assert sum(t.nbytes for t in family.tables) <= table_bytes
+        assert (family.top == x) == (table_bytes > 1 << 14)
         blocks = [family.block(k) for k in range(len(family))]
         assert [w.dtype for w in blocks[0].words] == [np.uint64, np.uint64, np.uint8]
         for i, seed in enumerate(seeds):
             got = np.concatenate([b.values(i) for b in blocks])
             spec = make_spec(RandomRademacher(seed), scale_r=r)
             assert got.tobytes() == eval_range(spec, x).values[1:].tobytes(), seed
+
+
+def test_rademacher_seeds_table_stays_in_bound():
+    """The most seeds random_walk_mc takes at STREAM_LIMIT share one table
+    of at most SIGN_TABLE_BYTES; its base-prime words come from it."""
+    family = RademacherSeeds(list(range(3_904)), 0.25, STREAM_LIMIT)
+    assert sum(t.nbytes for t in family.tables) <= multfun.SIGN_TABLE_BYTES
+    assert family.top >= family.base_primes[-1]
+
+
+def test_apply_refuses_a_block_out_of_order():
+    state = ProfileState(exact=False, real=True)
+    scan = summarize(np.ones(10), 11, [15], False)
+    with pytest.raises(ValueError, match="does not follow"):
+        state.apply(scan)
+    state.feed(np.ones(10), [5])
+    assert state.apply(scan) == [(15, 15 + 0j, 15.0)]
 
 
 def spec_value_sign(spec, p: int) -> float:
