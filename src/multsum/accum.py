@@ -3,7 +3,9 @@
 Float prefix sums over long ranges are done in chunks: numpy does the
 within-chunk cumsum, and a Neumaier-style (sum, carry) pair propagates the
 running total across chunk boundaries so the error stays near one ulp of
-the result instead of growing with the number of chunks.
+the result instead of growing with the number of chunks.  A complex array
+is two real lanes, its real and imaginary parts, scanned in one pass with a
+carry each.
 """
 
 from __future__ import annotations
@@ -39,19 +41,33 @@ class NeumaierSum:
         return self.hi + self.lo
 
 
-def chunk_sums(values: np.ndarray, out: np.ndarray) -> list[float]:
+def _lanes(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real lanes of a: a itself, or the .real and .imag views of a
+    complex array."""
+    return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+
+
+def chunk_sums(values: np.ndarray, out: np.ndarray) -> list[list[float]]:
     """The carry-free half of compensated_cumsum: writes each CHUNK-value
     chunk's own prefix sums into out[:len(values)], which may be values
-    itself, and returns np.sum of each chunk, in order.  The full chunks are
-    done as rows of one 2-d array, which gives the same bits as one call per
-    chunk."""
+    itself, and returns np.sum of each chunk, in order, for each lane of
+    values (one for a real array; the real and imaginary parts of a complex
+    one).  The full chunks are done as rows of one 2-d array, which gives
+    the same bits as one call per chunk.
+
+    A lane's sums are real np.sum calls over the strided .real or .imag
+    rows, whose bits equal those of the contiguous lane; a complex np.sum
+    pairs its terms otherwise and does not.  One complex np.cumsum gives
+    both lanes' prefix sums, bit for bit those of two real ones.
+    """
     n = len(values)
     full = n - n % CHUNK
     rows = values[:full].reshape(-1, CHUNK)
-    sums = np.sum(rows, axis=1).tolist()
+    sums = [np.sum(lane, axis=1).tolist() for lane in _lanes(rows)]
     np.cumsum(rows, axis=1, out=out[:full].reshape(-1, CHUNK))
     if full < n:
-        sums.append(float(np.sum(values[full:])))
+        for lane_sums, lane in zip(sums, _lanes(values[full:])):
+            lane_sums.append(float(np.sum(lane)))
         np.cumsum(values[full:], out=out[full:n])
     return sums
 
@@ -65,23 +81,37 @@ def chunk_starts(sums: list[float], carry: NeumaierSum) -> list[float]:
     return starts
 
 
-def compensated_cumsum(values: np.ndarray, carry: NeumaierSum | None = None) -> np.ndarray:
-    """Prefix sums of a 1-d real array with a compensated cross-chunk carry.
+def compensated_cumsum(
+    values: np.ndarray,
+    carry: NeumaierSum | tuple[NeumaierSum, NeumaierSum] | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Prefix sums of a 1-d float64 or complex128 array with a compensated
+    cross-chunk carry per lane, written into out (a fresh array when None;
+    it may be values itself, and must be contiguous).
 
-    If `carry` is given, it is the running total before values[0]; it is
+    If `carry` is given, it is the running total before values[0]: a
+    NeumaierSum, or for a complex array an (re, im) pair of them.  It is
     updated in place so consecutive calls chain across blocks.
 
     Each CHUNK-value chunk is summed by np.cumsum and np.sum (chunk_sums)
-    and shifted by the carry at its start (chunk_starts).
+    and shifted by the carry at its start (chunk_starts, once per lane).  A
+    complex array's two lanes share one cumsum and one add of the complex
+    starts, whose bits are the lane-by-lane results.
     """
+    pair = np.iscomplexobj(values)
     if carry is None:
-        carry = NeumaierSum()
+        carry = (NeumaierSum(), NeumaierSum()) if pair else NeumaierSum()
     n = len(values)
     full = n - n % CHUNK
-    out = np.empty(n, dtype=np.float64)
-    starts = chunk_starts(chunk_sums(values, out), carry)
+    if out is None:
+        out = np.empty(n, dtype=np.complex128 if pair else np.float64)
+    sums = chunk_sums(values, out)
+    starts = np.empty(len(sums[0]), dtype=out.dtype)
+    for lane, lane_sums, lane_carry in zip(_lanes(starts), sums, carry if pair else (carry,)):
+        lane[:] = chunk_starts(lane_sums, lane_carry)
     body = out[:full].reshape(-1, CHUNK)
-    body += np.array(starts[: len(body)])[:, None]
+    body += starts[: len(body), None]
     if full < n:
-        out[full:] += starts[-1]
+        out[full:n] += starts[-1]
     return out

@@ -423,7 +423,7 @@ def _signed(
 
 
 def _sign_parity(
-    lo: int, hi: int, primes: np.ndarray, masks: np.ndarray
+    lo: int, hi: int, primes: np.ndarray, masks: np.ndarray, smooth: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sign-parity skeleton of the block [lo, hi) for up to 64 +-1 functions.
 
@@ -433,18 +433,24 @@ def _sign_parity(
     function i's -1 prime factors counted with multiplicity, and the smooth
     part of n over primes as int32.  smooth divides n, and n // smooth is 1
     or one prime > sqrt(hi - 1), so smooth < n marks the n with a prime
-    factor above the sieve.
+    factor above the sieve.  A smooth part already laid for the same block
+    and primes can be passed in: only the parity is laid then.
     """
     length = hi - lo
     parity = np.zeros(length, dtype=masks.dtype)
-    smooth = np.ones(length, dtype=np.int32)  # divides n <= 1e9 < 2^31
+    fresh = smooth is None
+    if fresh:
+        smooth = np.ones(length, dtype=np.int32)  # divides n <= 1e9 < 2^31
     for p, m in zip(primes.tolist(), masks.tolist()):
+        if not (fresh or m):
+            continue
         pk = p
         while pk < hi:
             start = _stride_starts(max(lo, pk), hi, pk)
             if start is not None:
                 idx = slice(start - lo, length, pk)
-                smooth[idx] *= p
+                if fresh:
+                    smooth[idx] *= p
                 if m:
                     parity[idx] ^= m
             if pk > hi // p:
@@ -455,11 +461,11 @@ def _sign_parity(
 
 def _big_primes(n: np.ndarray, smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in the block where n has a prime factor above the sieve, and
-    that prime (n // smooth there), from _sign_parity's smooth part."""
+    that prime (n // smooth there), from _sign_parity's smooth part.  smooth
+    divides n < 2^53, so the float64 quotient is exact, and faster than an
+    int64 one."""
     idx = np.flatnonzero(smooth < n)
-    cof = n.take(idx)
-    cof //= smooth.take(idx)
-    return idx, cof
+    return idx, np.divide(n.take(idx), smooth.take(idx)).astype(np.int64)
 
 
 def _exception_walk(
@@ -798,13 +804,14 @@ class RademacherSeeds:
         lo, hi = self.ranges[k]
         n = np.arange(lo, hi, dtype=np.int64)
         count = len(_sieving_primes(self.base_primes, hi))
-        words = []
-        for g, masks in enumerate(self.masks):
-            parity, smooth = _sign_parity(lo, hi, self.base_primes[:count], masks[:count])
-            idx, cof = _big_primes(n, smooth)
-            del smooth
-            parity[idx] ^= self._words(g, cof)
+        words, smooth = [], None
+        for masks in self.masks:  # the first pass lays smooth, the rest reuse it
+            parity, smooth = _sign_parity(lo, hi, self.base_primes[:count], masks[:count], smooth)
             words.append(parity)
+        idx, cof = _big_primes(n, smooth)
+        del smooth
+        for g, parity in enumerate(words):
+            parity[idx] ^= self._words(g, cof)
         return SeedBlock(words, _damping(n.astype(np.float64), self.scale_r)
                          if self.scale_r else None)
 
@@ -818,13 +825,16 @@ class RademacherSeeds:
         scratch = threading.local()
 
         def scan_block(k: int) -> list[BlockScan]:
-            # one values array per thread, reused for every seed and block:
-            # a fresh 2 MB array is faulted in anew each time
+            # one values array per thread, reused for every seed and block (a
+            # fresh 2 MB array is faulted in anew each time); exact prefixes
+            # go to a second one, as summarize explains
             if not hasattr(scratch, "vals"):
                 scratch.vals = np.empty(hi - lo)
+                scratch.prefix = np.empty(hi - lo) if self.exact else scratch.vals
             blk = self.block(k)
-            vals = scratch.vals[: len(blk)]
-            return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints, self.exact)
+            vals, prefix = scratch.vals[: len(blk)], scratch.prefix[: len(blk)]
+            return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints,
+                              self.exact, prefix)
                     for i in range(count)]
 
         return _evaluated_ahead(scan_block, len(self), min(thread_cap(), len(self)))
@@ -913,6 +923,11 @@ class BlockScan:
     and min fl(c + s) = fl(min c + s), and since |y| = max(y, -y), max |M|
     over the piece is max(fl(top + s), -fl(bottom + s)): applied with its
     carry, a BlockScan gives the bits of the full prefix array.
+
+    A complex block has no BlockScan: max |M| over a piece does not follow
+    from each lane's max and min, so ProfileState.feed lays both running
+    sums out in one pass and takes np.hypot only near each segment's
+    largest |M|^2.
     """
 
     lo: int
@@ -926,25 +941,70 @@ class BlockScan:
     piece: np.ndarray  # the piece each of them ends
 
 
-def summarize(values: np.ndarray, lo: int, checkpoints: list[int], exact: bool) -> BlockScan:
+def summarize(
+    values: np.ndarray, lo: int, checkpoints: list[int], exact: bool,
+    out: np.ndarray | None = None,
+) -> BlockScan:
     """The BlockScan of the real block `values` of f(lo), f(lo + 1), ...,
-    a contiguous float64 array, which it overwrites with the within-chunk
-    prefix sums c."""
+    a contiguous float64 array.  The within-chunk prefix sums c go into
+    `out`, a contiguous float64 array as long, or over values when None.
+
+    numpy releases the GIL in a 1-d cumsum written over its input only past
+    500 outer iterations, which a block never has, so threads that summarize
+    exact blocks at once pass their own `out`.  A float block's (chunks,
+    CHUNK) cumsum holds the GIL either way.
+    """
     n = len(values)
+    if out is None:
+        out = values
     if exact:
         size = n
-        np.cumsum(values, out=values)
-        sums = [float(values[-1])]
+        np.cumsum(values, out=out)
+        sums = [float(out[-1])]
     else:
         size = CHUNK
-        sums = chunk_sums(values, values)
+        (sums,) = chunk_sums(values, out)
     first = bisect_right(checkpoints, lo - 1)
     here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
     ends = np.array(here, dtype=np.int64) - lo
     cuts = np.union1d(np.arange(0, n, size), ends[ends + 1 < n] + 1)
-    return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(values, cuts),
-                     np.minimum.reduceat(values, cuts), here, values[ends],
+    return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(out, cuts),
+                     np.minimum.reduceat(out, cuts), here, out[ends],
                      np.searchsorted(cuts, ends, "right") - 1)
+
+
+NORM_MARGIN = 1e-12  # relative window below a segment's largest |M|^2
+_NORMAL = float(np.finfo(np.float64).tiny)
+
+
+def _norm_sups(prefix: np.ndarray, cuts: list[int]) -> list[float]:
+    """max np.hypot(M.real, M.imag) over each segment [cuts[j], cuts[j+1])
+    of the complex array prefix (the last one running to its end), bit for
+    bit, with np.hypot taken only where it can reach that max.
+
+    With u = 2^-53, q = re*re + im*im is |M|^2 within a factor 1 +- 4u
+    (two rounded squares and one rounded sum of nonnegative terms; once the
+    segment's largest q is a normal float, a subnormal square errs by less
+    than u of it), and np.hypot rounds |M| within one ulp, a factor 1 +- 2u.
+    So where hypot is largest, q is at least (1 - 20u) times the segment's
+    largest q, far inside NORM_MARGIN = 1e-12, and only the positions within
+    that margin are taken.  A segment whose largest q is below the normal
+    range (all zero, or subnormal squares), or not finite, takes np.hypot
+    over all of it.  q is one fresh array per call: a retained buffer would
+    only add to the peak memory of every stream.
+    """
+    re, im = prefix.real, prefix.imag
+    q = np.multiply(re, re)
+    q += im * im
+    sups = []
+    for a, b, top in zip(cuts, cuts[1:] + [len(prefix)],
+                         np.maximum.reduceat(q, cuts).tolist()):
+        if _NORMAL <= top < math.inf:
+            near = np.flatnonzero(q[a:b] >= top * (1 - NORM_MARGIN)) + a
+        else:
+            near = slice(a, b)
+        sups.append(float(np.hypot(re[near], im[near]).max()))
+    return sups
 
 
 @dataclass(eq=False)
@@ -966,26 +1026,37 @@ class ProfileState:
     def feed(
         self, blk: np.ndarray, checkpoints: list[int]
     ) -> list[tuple[int, complex, float]]:
-        """Consume the block of values following n_done; returns
-        (c, M(c), max_{y<=c} |M(y)|) for each checkpoint c inside it.  A real
-        block is summarized, which overwrites it, and applied."""
+        """Consume the contiguous block of values following n_done, which it
+        overwrites; returns (c, M(c), max_{y<=c} |M(y)|) for each checkpoint
+        c inside it.  A real block is summarized and applied.
+
+        A complex block's running sums M go into the block itself, both lanes
+        in one pass.  An exact spec adds the carry into the first value and
+        runs one complex cumsum: every partial sum is an integer below 2^53,
+        so each add is exact.  A float spec runs accum.compensated_cumsum
+        with the (re, im) carry pair.  The running sup takes np.hypot only
+        near the largest |M|^2 of each segment between checkpoints
+        (_norm_sups).
+        """
         if not np.iscomplexobj(blk):
             return self.apply(summarize(blk, self.n_done + 1, checkpoints, self.exact))
-        # |M| needs both running sums first: lay them out whole
         lo = self.n_done + 1
         first = bisect_right(checkpoints, self.n_done)
         here = checkpoints[first : bisect_right(checkpoints, self.n_done + len(blk), first)]
         ends = [c - lo for c in here]
-        re = self._prefix(blk.real, self.re)
-        im = self._prefix(blk.imag, self.im)
+        if self.exact:
+            blk[0] += complex(self.re.hi, self.im.hi)
+            np.cumsum(blk, out=blk)
+            self.re.hi, self.im.hi = float(blk[-1].real), float(blk[-1].imag)
+        else:
+            compensated_cumsum(blk, (self.re, self.im), blk)
         # max |M| over the segments ending at each end, plus the rest of the
-        # block, from one reduction instead of a block-long running max
+        # block, instead of a block-long running max
         cuts = [0] + [i + 1 for i in ends if i + 1 < len(blk)]
-        seg = np.maximum.reduceat(np.hypot(re, im), cuts)
-        sups = list(accumulate(seg.tolist(), max, initial=self.sup))[1:]
+        sups = list(accumulate(_norm_sups(blk, cuts), max, initial=self.sup))[1:]
         self.sup = sups[-1]
         self.n_done += len(blk)
-        return [(c, complex(re[i], im[i]), sup) for c, i, sup in zip(here, ends, sups)]
+        return [(c, complex(blk[i]), sup) for c, i, sup in zip(here, ends, sups)]
 
     def apply(self, scan: BlockScan) -> list[tuple[int, complex, float]]:
         """Move past a real block from its BlockScan: the carry's chain
@@ -999,15 +1070,6 @@ class ProfileState:
         self.sup = max(self.sup, run[-1])
         self.n_done += scan.length
         return rows
-
-    def _prefix(self, values: np.ndarray, carry: NeumaierSum) -> np.ndarray:
-        """Running sums of values after carry's total, which moves past them."""
-        if not self.exact:
-            return compensated_cumsum(np.ascontiguousarray(values), carry)
-        out = np.cumsum(values)
-        out += carry.hi
-        carry.hi = float(out[-1])
-        return out
 
     def snapshot(self) -> dict:
         """JSON-safe resume state; floats stored exactly as hex."""

@@ -29,3 +29,68 @@ def test_compensated_cumsum_matches_chunk_loop(seed):
             want = oracles.chunked_cumsum(values, want_carry)
             assert got.tobytes() == want.tobytes(), n
             assert (got_carry.hi, got_carry.lo) == (want_carry.hi, want_carry.lo), n
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_complex_cumsum_is_two_real_lanes(seed):
+    """A complex128 array and an (re, im) carry pair give, in one pass, the
+    bits and carries of two real compensated_cumsum calls, one per lane;
+    written over the input the result is the same."""
+    rng = np.random.default_rng(100 + seed)
+    lengths = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 64 * CHUNK, 3 * CHUNK + 5]
+    lengths += rng.integers(1, 40 * CHUNK, 4).tolist()
+    for n in lengths:
+        n = int(n)
+        damp = np.exp(-0.25 * np.log(np.arange(1, n + 1, dtype=np.float64)))
+        values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * damp
+        values.imag[::7] *= 1e9  # lanes of different scales
+        start = [(float(rng.standard_normal()) * 1e6, float(rng.standard_normal()) * 1e-10)
+                 for _ in range(2)]
+        want_carry = [NeumaierSum(*s) for s in start]
+        want = [oracles.chunked_cumsum(np.ascontiguousarray(lane), c)
+                for lane, c in zip((values.real, values.imag), want_carry)]
+        for out in (None, values.copy()):
+            got_carry = tuple(NeumaierSum(*s) for s in start)
+            src = values if out is None else out
+            got = compensated_cumsum(src, got_carry, out)
+            assert got.dtype == np.complex128 and (out is None or got is out)
+            assert got.real.tobytes() == want[0].tobytes(), n
+            assert got.imag.tobytes() == want[1].tobytes(), n
+            assert [(c.hi, c.lo) for c in got_carry] == [(c.hi, c.lo) for c in want_carry], n
+
+
+def test_real_cumsum_over_its_input():
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(5 * CHUNK + 3)
+    want = compensated_cumsum(values, NeumaierSum(2.5))
+    got = compensated_cumsum(values, NeumaierSum(2.5), values)
+    assert got is values and got.tobytes() == want.tobytes()
+
+
+def test_numpy_lane_rules():
+    """The numpy behaviour the two-lane scan is built on.  If an upgrade
+    breaks one of these, complex scans stop matching the per-lane ones:
+    change accum, do not loosen this test."""
+    rng = np.random.default_rng(11)
+    z = (rng.standard_normal(64 * CHUNK) + 1j * rng.standard_normal(64 * CHUNK))
+    z *= np.exp(-0.3 * np.log(np.arange(1, len(z) + 1)))
+    re, im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+
+    def same(a, b):
+        return a.tobytes() == b.tobytes()
+
+    one = np.cumsum(z)
+    assert same(one.real, np.cumsum(re)) and same(one.imag, np.cumsum(im)), (
+        "complex128 np.cumsum no longer equals per-lane real cumsums")
+    rows = np.cumsum(z.reshape(-1, CHUNK), axis=1)
+    assert same(rows.real, np.cumsum(re.reshape(-1, CHUNK), axis=1)) and same(
+        rows.imag, np.cumsum(im.reshape(-1, CHUNK), axis=1)), (
+        "complex128 np.cumsum along axis 1 no longer equals per-lane real cumsums")
+    lane = z.reshape(-1, CHUNK).real
+    assert same(np.sum(lane, axis=1), np.sum(re.reshape(-1, CHUNK), axis=1)), (
+        "np.sum over strided .real rows differs from the contiguous rows")
+    assert same(np.sum(z[:1000].imag), np.sum(im[:1000])), (
+        "np.sum over a strided .imag view differs from its contiguous copy")
+    pairs = np.sum(z.reshape(-1, CHUNK), axis=1)
+    assert not same(pairs.real, np.sum(re.reshape(-1, CHUNK), axis=1)), (
+        "complex np.sum now equals the lane sums; chunk_sums still must not use it")

@@ -156,8 +156,19 @@ def test_profile_resume_completes_identically(tmp_path, monkeypatch):
     The injected crash fires at a block boundary, so the state file written
     there is the one the resume continues from.
     """
+    check_resume_after_crash(tmp_path, monkeypatch, "char:q=4,index=1;except=3~1~0")
+
+
+@pytest.mark.parametrize("spec", ["char:q=5,index=1", "char:q=5,index=1,t=2.0"])
+def test_complex_profile_resume_completes_identically(tmp_path, monkeypatch, spec):
+    """The same for an exact and a float complex spec: the CSV bytes of the
+    resumed run equal the uninterrupted run's."""
+    check_resume_after_crash(tmp_path, monkeypatch, spec)
+
+
+def check_resume_after_crash(tmp_path, monkeypatch, spec: str) -> None:
     n = 1 << 23  # 2^22 ends a scan block (block lengths are powers of two)
-    argv = ["profile", "--spec", "char:q=4,index=1;except=3~1~0", "--n", str(n)]
+    argv = ["profile", "--spec", spec, "--n", str(n)]
     _, full_prefix = run(tmp_path / "full", *argv)
     with open(full_prefix + ".csv", "rb") as fh:
         want = fh.read()

@@ -35,12 +35,13 @@ from multsum import (
     stream_profile,
 )
 from multsum.accum import CHUNK
-from multsum.arith import FACTOR_LIMIT, euler_phi, primes_upto
+from multsum.arith import FACTOR_LIMIT, euler_phi, primes_upto, squarefree_block
 from multsum.characters import DirichletCharacter
 from multsum.multfun import (
     BLOCK,
     STREAM_LIMIT,
     _eval_block,
+    _norm_sups,
     ProfileState,
     RademacherSeeds,
     block_length,
@@ -484,35 +485,119 @@ SCAN_MODES = [  # one spec per value mode: (exact, real)
 @pytest.mark.parametrize("cfg", SCAN_MODES)
 def test_stream_profile_matches_naive_scan(cfg, block):
     """stream_profile equals a materialized prefix sum and running max bit
-    for bit, with checkpoints on the first and last element of a block,
-    several in one block, a final one-element block, and a resume that
-    starts mid-block."""
+    for bit, with checkpoints on the first and last element of a block and
+    of a compensated-sum chunk, several in one block, a final one-element
+    block, and a resume that starts mid-block."""
+    check_naive_scan(cfg, block, squarefree=False)
+
+
+@pytest.mark.parametrize("cfg", SCAN_MODES[1::2])
+def test_complex_squarefree_profile_matches_naive_scan(cfg):
+    """The same for the complex modes times mu^2(n), as iter_blocks masks them."""
+    check_naive_scan(cfg, None, squarefree=True)
+
+
+def check_naive_scan(cfg: str, block: int | None, squarefree: bool) -> None:
     spec = build_spec(cfg)
     exact, real = is_exact_spec(spec), is_real_spec(spec)
     B = block or BLOCK
     x = 3 * B + 1
     if block is None:
         assert block_length(x) == B
-    cps = [1, 2, B - 1, B, B + 1, B + 7, B + 100, 2 * B, 2 * B + 1, 3 * B, x]
+    cps = sorted({1, 2, CHUNK - 1, CHUNK, B - 1, B, B + 1, B + 7, B + 100, 2 * B, 2 * B + 1,
+                  3 * B, x})
     values = eval_range(spec, x).values
+    if squarefree:  # the product iter_blocks takes
+        np.multiply(values[1:], squarefree_block(1, x + 1, primes_upto(math.isqrt(x))),
+                    out=values[1:])
 
     def bits(sums, sups):  # float hex, so signed zeros count too
         return ([(s.real.hex(), s.imag.hex()) for s in sums],
                 [float(v).hex() for v in sups])
 
-    prof = stream_profile(spec, x, cps, block=block)
+    prof = stream_profile(spec, x, cps, block=block, squarefree=squarefree)
     assert prof.checkpoints == cps
     assert bits(prof.sums, prof.sups) == bits(*oracles.naive_profile(values, cps, exact))
 
     mid = B + B // 2 + 3
     st_live = ProfileState(exact, real)
     first = stream_profile(spec, mid, [c for c in cps if c <= mid], block=block,
-                           state=st_live)
-    rest = stream_profile(spec, x, cps, block=block,
+                           state=st_live, squarefree=squarefree)
+    rest = stream_profile(spec, x, cps, block=block, squarefree=squarefree,
                           state=ProfileState.restore(st_live.snapshot()))
     assert first.checkpoints + rest.checkpoints == cps
     assert bits(first.sums + rest.sums, first.sups + rest.sups) == bits(
         *oracles.naive_profile(values, cps, exact, resume_at=mid))
+
+
+def flipped_pair(scale: float, seed: int = 0) -> tuple[complex, complex]:
+    """Complex a and b of nearly equal modulus, in this numpy's own bits,
+    with re*re + im*im larger at a but np.hypot larger at (b - a) + a: the
+    two orders disagree, so the largest square misses the largest hypot."""
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)) * scale
+    b = np.abs(a) * np.exp(1j * rng.uniform(0, 2 * np.pi, len(a)))
+    reached = (b - a) + a  # the running sum after a, then b - a
+    square = [z.real * z.real + z.imag * z.imag for z in (a, reached)]
+    hyp = [np.hypot(z.real, z.imag) for z in (a, reached)]
+    hit = np.flatnonzero((square[0] > square[1]) & (hyp[0] < hyp[1]))
+    assert len(hit), "no flipped pair found"
+    return complex(a[hit[0]]), complex(b[hit[0]])
+
+
+def hypot_sups(prefix: np.ndarray, cuts: list[int]) -> list[float]:
+    """max |M| per segment with np.hypot over every value."""
+    return np.maximum.reduceat(np.hypot(prefix.real, prefix.imag), cuts).tolist()
+
+
+def test_norm_sups_match_hypot_everywhere():
+    """_norm_sups gives np.hypot's max over each segment bit for bit: near
+    ties whose square and hypot orders flip, in either order and across
+    cuts at 1, CHUNK - 1, CHUNK and the block's end; all-zero segments (with
+    signed zeros); subnormal ones, whose squares round coarsely; and
+    one-value segments."""
+    n = 3 * CHUNK + 5
+    rng = np.random.default_rng(3)
+    layouts = [[0], [0, 1, CHUNK - 1, CHUNK, n - 1], [0, CHUNK, 2 * CHUNK]]
+    for scale in (1.0, 1e3, 3e-161):
+        a, b = flipped_pair(scale)
+        b = (b - a) + a
+        for first, second in ((a, b), (b, a)):
+            for cuts in layouts:
+                prefix = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale * 0.3
+                for lo, hi in zip(cuts, cuts[1:] + [n]):
+                    i, j = lo + (hi - lo) // 3, lo + 2 * (hi - lo) // 3
+                    prefix[i], prefix[j] = first, second
+                got = _norm_sups(prefix, cuts)
+                assert [v.hex() for v in got] == [v.hex() for v in hypot_sups(prefix, cuts)]
+    zeros = np.zeros(n, dtype=np.complex128)
+    zeros.real[::3] = -0.0
+    zeros.imag[1::5] = -0.0
+    zeros[CHUNK:] = rng.standard_normal(n - CHUNK) * 1e-160  # subnormal squares
+    for cuts in layouts:
+        assert _norm_sups(zeros, cuts) == hypot_sups(zeros, cuts)
+
+
+@pytest.mark.parametrize("scale", [1.0, 3e-161])
+def test_feed_sup_with_flipped_near_tie(scale):
+    """A complex block whose running sums hold a near tie that squares and
+    np.hypot order differently gives oracles.naive_profile's sums and sups
+    bit for bit, with checkpoints at 1, CHUNK - 1, CHUNK and the block end,
+    and the tie before or after a chunk boundary."""
+    a, b = flipped_pair(scale)
+    n = 3 * CHUNK + 5
+    cps = [1, CHUNK - 1, CHUNK, n]
+    for i, j in ((10, 20), (CHUNK + 10, 2 * CHUNK + 10), (CHUNK - 3, CHUNK + 3)):
+        for first, second in ((a, b), (b, a)):
+            values = np.zeros(n + 1, dtype=np.complex128)  # values[k] = f(k)
+            values[i + 1], values[j + 1] = first, second - first
+            state = ProfileState(exact=False, real=False)
+            rows = state.feed(values[1:].copy(), cps)
+            sums, sups = oracles.naive_profile(values, cps, exact=False)
+            assert [r[0] for r in rows] == cps
+            assert [(r[1].real.hex(), r[1].imag.hex()) for r in rows] == [
+                (v.real.hex(), v.imag.hex()) for v in sums]
+            assert [r[2].hex() for r in rows] == [v.hex() for v in sups]
 
 
 def test_block_length_rule():
