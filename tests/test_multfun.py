@@ -553,12 +553,19 @@ def hypot_sups(prefix: np.ndarray, cuts: list[int]) -> list[float]:
 def test_norm_sups_match_hypot_everywhere():
     """_norm_sups gives np.hypot's max over each segment bit for bit: near
     ties whose square and hypot orders flip, in either order and across
-    cuts at 1, CHUNK - 1, CHUNK and the block's end; all-zero segments (with
-    signed zeros); subnormal ones, whose squares round coarsely; and
-    one-value segments."""
+    cuts at 1, CHUNK - 1, CHUNK and the block's end or a cut every 100
+    values; all-zero segments (with signed zeros); subnormal ones, whose
+    squares round coarsely; infinite and NaN ones; segments of each kind
+    side by side; and one-value segments."""
     n = 3 * CHUNK + 5
     rng = np.random.default_rng(3)
-    layouts = [[0], [0, 1, CHUNK - 1, CHUNK, n - 1], [0, CHUNK, 2 * CHUNK]]
+    layouts = [[0], [0, 1, CHUNK - 1, CHUNK, n - 1], [0, CHUNK, 2 * CHUNK],
+               list(range(0, n, 100))]
+
+    def hexes(prefix, cuts):
+        return [v.hex() for v in _norm_sups(prefix, cuts)], [
+            v.hex() for v in hypot_sups(prefix, cuts)]
+
     for scale in (1.0, 1e3, 3e-161):
         a, b = flipped_pair(scale)
         b = (b - a) + a
@@ -568,14 +575,18 @@ def test_norm_sups_match_hypot_everywhere():
                 for lo, hi in zip(cuts, cuts[1:] + [n]):
                     i, j = lo + (hi - lo) // 3, lo + 2 * (hi - lo) // 3
                     prefix[i], prefix[j] = first, second
-                got = _norm_sups(prefix, cuts)
-                assert [v.hex() for v in got] == [v.hex() for v in hypot_sups(prefix, cuts)]
-    zeros = np.zeros(n, dtype=np.complex128)
-    zeros.real[::3] = -0.0
-    zeros.imag[1::5] = -0.0
-    zeros[CHUNK:] = rng.standard_normal(n - CHUNK) * 1e-160  # subnormal squares
+                got, want = hexes(prefix, cuts)
+                assert got == want
+    mixed = np.zeros(n, dtype=np.complex128)
+    mixed.real[::3] = -0.0
+    mixed.imag[1::5] = -0.0
+    mixed[CHUNK:] = rng.standard_normal(n - CHUNK) * 1e-160  # subnormal squares
+    mixed[2 * CHUNK + 150 : 2 * CHUNK + 450] = rng.standard_normal(300) * (1 + 1j)
+    mixed[2 * CHUNK + 1000] = complex(math.inf, 1.0)
+    mixed[2 * CHUNK + 2000] = complex(math.nan, 1.0)
     for cuts in layouts:
-        assert _norm_sups(zeros, cuts) == hypot_sups(zeros, cuts)
+        got, want = hexes(mixed, cuts)
+        assert got == want
 
 
 @pytest.mark.parametrize("scale", [1.0, 3e-161])
