@@ -1,5 +1,5 @@
-"""Integer arithmetic substrate: prime sieves, factorization and primality,
-CRT solving, and unit groups of Z/qZ.
+"""Integer arithmetic substrate: prime sieves, prime-power sieve plans and
+passes, factorization and primality, CRT solving, and unit groups of Z/qZ.
 
 `factor` and `is_prime` are the package's only factorization and primality
 path, and this is the only module that imports sympy.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 import sympy
@@ -35,14 +36,127 @@ def primes_upto(n: int) -> np.ndarray:
 def squarefree_block(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Boolean squarefree mask for [lo, hi); base_primes must cover sqrt(hi-1)."""
     mask = np.ones(hi - lo, dtype=bool)
-    for p in base_primes:
-        sq = int(p) * int(p)
-        if sq >= hi:
-            break
-        start = -(-lo // sq) * sq
-        if start < hi:
-            mask[start - lo :: sq] = False
+    ps = base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), "right")]
+    squares = ps * ps
+    for start, sq in zip((-lo % squares).tolist(), squares.tolist()):
+        mask[start::sq] = False
     return mask
+
+
+SIEVE_PERIOD = 55440  # 2^4 3^2 5 7 11: a SievePass lays the powers dividing it from a table
+
+
+def prime_powers(primes: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every prime power q = p^k <= x (k >= 1) of the ascending int64
+    primes, each at most x, ordered by p and then k, and the p of each."""
+    qs, pk = [primes[:0]], primes
+    while len(pk):
+        qs.append(pk)
+        keep = np.count_nonzero(pk <= x // primes[: len(pk)])  # a prefix
+        pk = pk[:keep] * primes[:keep]
+    q = np.concatenate(qs)
+    p = np.concatenate([primes[: len(a)] for a in qs])
+    order = np.argsort(p, kind="stable")
+    return q[order], p[order]
+
+
+def periodic(
+    table: np.ndarray, lo: int, length: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """table[(lo + i) % len(table)] for i in range(length): one period laid
+    from residue lo % len(table), then copied onto itself by doubling; into
+    out when given (length values of table's dtype)."""
+    q = len(table)
+    if out is None:
+        out = np.empty(length, dtype=table.dtype)
+    s = lo % q
+    filled = min(q - s, length)
+    out[:filled] = table[s : s + filled]
+    rest = min(s, length - filled)
+    out[filled : filled + rest] = table[:rest]
+    filled += rest  # min(q, length): one whole period, or the whole block
+    while filled < length:
+        step = min(filled, length - filled)
+        out[filled : filled + step] = out[:step]
+        filled += step
+    return out
+
+
+def stride_fold(out: np.ndarray, lo: int, q: np.ndarray, w: np.ndarray, ufunc: np.ufunc) -> None:
+    """out[i] = ufunc(out[i], w[j]) wherever q[j] divides lo + i, for each j
+    in order: every start in one array expression, then one strided store
+    per q with a multiple in the block."""
+    off = -lo % q
+    hit = np.flatnonzero(off < len(out))
+    for o, s, v in zip(off[hit].tolist(), q[hit].tolist(), w[hit].tolist()):
+        view = out[o::s]
+        ufunc(view, v, out=view)
+
+
+@dataclass(eq=False)
+class PowerPlan:
+    """The prime powers that sieve the blocks [lo, hi) of a range 1..x:
+    every q = p^k <= x of the base primes (up to sqrt(x)) and of the extra
+    primes <= x, each listed once.  A block needs the base primes up to
+    sqrt(hi - 1) and every extra prime, so the powers are ordered by their
+    cut, p for a base prime and 0 for an extra one, and a block's are a
+    prefix.  The tables of its passes cover period = min(SIEVE_PERIOD,
+    x + 1) residues: no n <= x wraps around a shorter one."""
+
+    primes: np.ndarray  # ascending
+    extra: np.ndarray  # whether each of primes is an extra prime
+    q: np.ndarray
+    j: np.ndarray  # the index of each q's prime in primes
+    cut: np.ndarray
+    period: int
+
+    @classmethod
+    def of(cls, base_primes: np.ndarray, extra: Iterable[int], x: int) -> PowerPlan:
+        more = np.array(sorted(p for p in extra if p <= x), dtype=np.int64)
+        primes = np.union1d(base_primes, more)
+        is_extra = np.isin(primes, more)
+        q, p = prime_powers(primes, x)
+        j = np.searchsorted(primes, p)
+        cut = np.where(is_extra[j], 0, p)
+        order = np.argsort(cut, kind="stable")
+        return cls(primes, is_extra, q[order], j[order], cut[order], min(SIEVE_PERIOD, x + 1))
+
+
+@dataclass(eq=False)
+class SievePass:
+    """One sieve over a plan's blocks: value(n) = ufunc folded, from
+    ufunc's identity, over w(p) for every prime power p^k of the plan
+    dividing n.
+
+    What the powers dividing SIEVE_PERIOD add depends on n mod the period
+    alone, so it is laid from `table`, indexed by n mod the period; the
+    other powers are strided block by block.  Powers whose weight is the
+    identity are left out.  Built by SievePass.of(plan, w, ufunc, dtype),
+    w holding w(p) for p in plan.primes.
+    """
+
+    table: np.ndarray
+    cut: np.ndarray
+    q: np.ndarray
+    w: np.ndarray
+    ufunc: np.ufunc
+
+    @classmethod
+    def of(cls, plan: PowerPlan, w: np.ndarray, ufunc: np.ufunc, dtype: type) -> SievePass:
+        w = w[plan.j]
+        used = w != ufunc.identity
+        pre = used & (SIEVE_PERIOD % plan.q == 0)
+        table = np.full(plan.period, ufunc.identity, dtype)
+        stride_fold(table, 0, plan.q[pre], w[pre], ufunc)
+        rest = used & ~pre
+        return cls(table, plan.cut[rest], plan.q[rest], w[rest], ufunc)
+
+    def __call__(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """value(n) for n = lo, ..., lo + len(out) - 1, written into out."""
+        periodic(self.table, lo, len(out), out)
+        k = np.searchsorted(self.cut, math.isqrt(lo + len(out) - 1), "right")
+        stride_fold(out, lo, self.q[:k], self.w[:k], self.ufunc)
+        return out
 
 
 def crt_solve(congruences: list[tuple[int, int]]) -> tuple[int, int]:

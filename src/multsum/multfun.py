@@ -17,6 +17,7 @@ from bisect import bisect_right
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, TypeVar
 
@@ -34,6 +35,7 @@ BLOCK = 1 << 18  # shortest block: a 2 MB int64 array stays in one core's L2
 SUM_BLOCK = 1 << 22
 RUN = 64  # shortest exception stride laid as a run; shorter ones are gathered
 SIGN_TABLE_BYTES = 1 << 24  # largest per-prime sign-word table of RademacherSeeds
+HASH_BATCH = 1 << 15  # primes per pass of the sign hash: 256 KB arrays stay in L2
 
 _GAUSSIAN_UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 _ONE_BITS = np.float64(1.0).view(np.uint64)
@@ -238,27 +240,30 @@ def _splitmix64(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
-def _rademacher_minus(
-    seed: int, ps: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
-) -> np.ndarray:
-    """1 where seed's hashed sign at the primes ps is -1, else 0, as uint64.
-
-    out and tmp are optional uint64 scratch arrays of ps's shape.
+def _rademacher_minus(seed: int, ps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 where seed's hashed sign at the primes ps is -1, else 0, as uint64,
+    written into out when given (a uint64 array of ps's shape, or ps itself).
+    The primes are hashed HASH_BATCH at a time, so each pass stays in cache.
     """
     key = _splitmix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
-    x = np.bitwise_xor(ps, key, out=out, dtype=np.uint64, casting="unsafe")
-    _splitmix64(x, tmp)
-    x >>= np.uint64(63)
-    return x
+    if out is None:
+        out = np.empty(len(ps), dtype=np.uint64)
+    tmp = np.empty(min(len(ps), HASH_BATCH), dtype=np.uint64)
+    for a in range(0, len(ps), HASH_BATCH):
+        x = np.bitwise_xor(ps[a : a + HASH_BATCH], key, out=out[a : a + HASH_BATCH],
+                           dtype=np.uint64, casting="unsafe")
+        _splitmix64(x, tmp[: len(x)])
+        x >>= np.uint64(63)
+    return out
 
 
 def _sign_words(seeds: list[int], ps: np.ndarray, dtype: type) -> np.ndarray:
     """Words of an unsigned dtype, one per prime in ps: bit i is 1 where
     seeds[i]'s hashed sign at that prime is -1 (at most 64 seeds)."""
     words = np.zeros(len(ps), dtype=dtype)
-    minus, tmp = np.empty(len(ps), np.uint64), np.empty(len(ps), np.uint64)
+    minus = np.empty(len(ps), np.uint64)
     for i, seed in enumerate(seeds):
-        _rademacher_minus(seed, ps, minus, tmp)
+        _rademacher_minus(seed, ps, minus)
         minus <<= np.uint64(i)
         np.bitwise_or(words, minus, out=words, casting="unsafe")
     return words
@@ -386,17 +391,6 @@ def is_exact_spec(spec: MultFnSpec) -> bool:
 # block evaluation
 
 
-def _stride_starts(lo: int, hi: int, step: int) -> int | None:
-    """First multiple of step in [lo, hi), or None."""
-    start = -(-lo // step) * step
-    return start if start < hi else None
-
-
-def _sieving_primes(base_primes: np.ndarray, hi: int) -> np.ndarray:
-    """The base primes <= sqrt(hi - 1): all a block [lo, hi) is sieved by."""
-    return base_primes[: np.searchsorted(base_primes, math.isqrt(hi - 1), "right")]
-
-
 def _parity_dtype(k: int) -> type:
     """Smallest unsigned integer dtype holding k bits (k <= 64)."""
     return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
@@ -406,10 +400,11 @@ def _parity_dtype(k: int) -> type:
 def _signed(
     bit: np.ndarray, magnitude: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """(-1)^bit * magnitude (1.0 when None) as float64, for bit in {0, 1}.
+    """(-1)^(bit & 1) * magnitude (1.0 when None) as float64, for an
+    unsigned integer array bit: only its low bit counts.
 
     Writing the float sign bit gives exactly the bits of
-    np.where(bit, -magnitude, magnitude), several times faster.
+    np.where(bit & 1, -magnitude, magnitude), several times faster.
     """
     if out is None:
         out = np.empty(len(bit), dtype=np.float64)
@@ -422,44 +417,58 @@ def _signed(
     return out
 
 
-def _sign_parity(
-    lo: int, hi: int, primes: np.ndarray, masks: np.ndarray
+class _Scratch:
+    """Arrays reused from block to block, so that their pages stay mapped:
+    glibc would trim a freed block-sized array and fault it in anew."""
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, dtype: type, length: int) -> np.ndarray:
+        """The first `length` values of the array `name`, uninitialized."""
+        a = self.arrays.get(name)
+        if a is None or len(a) < length:
+            a = self.arrays[name] = np.empty(length, dtype)
+        return a[:length]
+
+    def iota(self, length: int) -> np.ndarray:
+        """0, 1, ..., length - 1 as int32, read-only: the one array here not
+        overwritten by each use."""
+        a = self.arrays.get("iota")
+        if a is None or len(a) < length:
+            a = self.arrays["iota"] = np.arange(length, dtype=np.int32)
+        return a[:length]
+
+
+def _big_primes(
+    lo: int, smooth: np.ndarray, iota: np.ndarray, scratch: _Scratch
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-parity skeleton of the block [lo, hi) for up to 64 +-1 functions.
-
-    primes hold every prime <= sqrt(hi - 1), in any order, plus any larger
-    ones to be divided out; bit i of masks[j] is 1 when function i is -1 at
-    primes[j].  Returns the parity word per n, whose bit i is the parity of
-    function i's -1 prime factors counted with multiplicity, and the smooth
-    part of n over primes as int32.  smooth divides n, and n // smooth is 1
-    or one prime > sqrt(hi - 1), so smooth < n marks the n with a prime
-    factor above the sieve.
-    """
-    length = hi - lo
-    parity = np.zeros(length, dtype=masks.dtype)
-    smooth = np.ones(length, dtype=np.int32)  # divides n <= 1e9 < 2^31
-    for p, m in zip(primes.tolist(), masks.tolist()):
-        pk = p
-        while pk < hi:
-            start = _stride_starts(max(lo, pk), hi, pk)
-            if start is not None:
-                idx = slice(start - lo, length, pk)
-                smooth[idx] *= p
-                if m:
-                    parity[idx] ^= m
-            if pk > hi // p:
-                break
-            pk *= p
-    return parity, smooth
+    """Positions in the block from lo where n has a prime factor above the
+    sieve, and that prime (n // smooth there), from the block's int32
+    smooth part, which this uses up; iota is 0, 1, ... as int32.  smooth
+    divides n < 2^31, so the float64 quotient is exact, and faster than an
+    integer one; it is cast to int64 in place.  Only the block-long mask
+    is a scratch array: keeping the shorter arrays too raised the peak
+    memory of a thread pool more than it saved in page faults."""
+    smooth -= iota  # s - i is below lo exactly where s < n = lo + i
+    pos = np.flatnonzero(np.less(smooth, lo, out=scratch.get("big", np.bool_, len(smooth))))
+    part = smooth.take(pos, mode="clip")
+    part += pos
+    quotient = np.add(pos, lo, dtype=np.float64)
+    quotient /= part
+    cof = quotient.view(np.int64)
+    np.copyto(cof, quotient, casting="unsafe")
+    return pos, cof
 
 
-def _big_primes(n: np.ndarray, smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in the block where n has a prime factor above the sieve, and
-    that prime (n // smooth there), from _sign_parity's smooth part.  smooth
-    divides n < 2^53, so the float64 quotient is exact, and faster than an
-    int64 one."""
-    idx = np.flatnonzero(smooth < n)
-    return idx, np.divide(n.take(idx), smooth.take(idx)).astype(np.int64)
+def _left_above(acc: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Where n = lo + i keeps a prime above the sieve: acc[i] < 15 (b - 1),
+    b the bit length of n (see _sign_parity), written into the bool out."""
+    hi = lo + len(acc)
+    for b in range(lo.bit_length(), (hi - 1).bit_length() + 1):
+        a, z = max(lo, 1 << (b - 1)) - lo, min(hi, 1 << b) - lo
+        np.less(acc[a:z], 15 * (b - 1), out=out[a:z])
+    return out
 
 
 def _exception_walk(
@@ -504,43 +513,110 @@ def _exception_walk(
     return runs, n - lo, m
 
 
-def _periodic(table: np.ndarray, lo: int, length: int) -> np.ndarray:
-    """table[(lo + i) % len(table)] for i in range(length): one period laid
-    from residue lo % len(table), then copied onto itself by doubling."""
-    q = len(table)
-    out = np.empty(length, dtype=table.dtype)
-    s = lo % q
-    filled = min(q - s, length)
-    out[:filled] = table[s : s + filled]
-    rest = min(s, length - filled)
-    out[filled : filled + rest] = table[:rest]
-    filled += rest  # min(q, length): one whole period, or the whole block
-    while filled < length:
-        step = min(filled, length - filled)
-        out[filled : filled + step] = out[:step]
-        filled += step
-    return out
+class _Stream:
+    """What the blocks of one stream of f over 1..x share: the exception
+    prime powers, the +-1 sieve's plan and passes, built by the first block
+    that needs them, and scratch arrays reused from block to block.
+    base_primes must cover sqrt(x)."""
+
+    def __init__(self, spec: MultFnSpec, x: int, base_primes: np.ndarray):
+        self.spec, self.x, self.base_primes = spec, x, base_primes
+        self.real = is_real_spec(spec)
+        self.scratch = _Scratch()
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The exception primes <= x whose values multiply in (a real spec
+        skips values of 1: they change nothing), and all their powers <= x
+        with the value of each, in arith.prime_powers order."""
+        exc, real = self.spec.exceptions, self.real
+        ps = np.array(sorted(p for p, w in exc.items() if p <= self.x and not (real and w == 1)),
+                      dtype=np.int64)
+        q, p = arith.prime_powers(ps, self.x)
+        w = [exc[v].real if real else exc[v] for v in p.tolist()]
+        return ps, q, np.array(w, dtype=np.float64 if real else np.complex128)
+
+    @cached_property
+    def passes(self) -> tuple[arith.SievePass, ...]:
+        """The +-1 base's sieve passes (see _sign_parity): Liouville's log
+        weights, or Rademacher's smooth part and sign parity."""
+        base = self.spec.base
+        plan = arith.PowerPlan.of(self.base_primes, self.spec.exceptions, self.x)
+        if isinstance(base, Liouville):  # odd weights; even at the extra, exception primes
+            weights = 2 * np.rint(8 * np.log2(plan.primes)).astype(np.int64) + ~plan.extra
+            return (arith.SievePass.of(plan, weights, np.add, np.uint16),)
+        masks = np.where(plan.extra, 0, _rademacher_minus(base.seed, plan.primes))
+        return (arith.SievePass.of(plan, plan.primes, np.multiply, np.int32),
+                arith.SievePass.of(plan, masks, np.bitwise_xor, np.uint8))
 
 
-def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
-    """f(n) for n in [lo, hi) as a complex128 (or float64 when real) array.
+def _sign_parity(stream: _Stream, lo: int, hi: int) -> np.ndarray:
+    """A +-1 base's sign over [lo, hi), exception values aside: the low bit
+    of each value, in a scratch array, is 1 where f(n) is negative.
 
-    base_primes must cover sqrt(hi - 1).  Blocks are independent: nothing
-    about earlier ranges is needed.  No step works per value where residues
-    and strides fix the result: characters copy their period, the coprime
-    indicator zeroes the strides of Q's primes below hi, and +-1 bases divide
-    only where a prime above the sieve remains.
+    n = s c, with s the part of n over the primes the block sieves (every
+    prime <= sqrt(hi - 1), the exception primes and the pre-sieved ones) and
+    c either 1 or one prime above sqrt(hi - 1): two would exceed hi - 1.
+
+    Liouville sieves one uint16 accumulator.  Each prime power dividing n
+    adds the odd weight 2 round(8 log2 p) + 1, or the even weight
+    2 round(8 log2 p) when p is an exception prime, so the low bit is the
+    parity of Omega(n) over the non-exception primes of s.  A weight lies
+    within [16 log2 p - 1, 16 log2 p + 2], so with Omega(s) <= log2 s,
+    16 log2 s - log2 s <= acc <= 18 log2 s.  Let b be the bit length of n
+    (2^(b-1) <= n < 2^b) and h = log2(hi - 1):
+      - c = 1: acc >= 15 log2 n >= 15 (b - 1);
+      - c > 1: s < 2^b / sqrt(hi - 1), so acc < 18 (b - h/2), at most
+        15 (b - 1) whenever 3b + 15 <= 9h.  As b <= h + 1, that holds for
+        hi > 8; below, the one n with s > 1 and c > 1 is 6 = 2 * 3, with
+        acc <= 17 < 30.  s = 1 gives acc = 0 < 15 (b - 1), as b >= 2.
+    So c > 1 exactly where acc < 15 (b - 1) (_left_above), which flips the
+    parity.  The gap between the two bounds grows with h: near 1e9 it is
+    over 160 weight units.  acc <= 18 log2 n < 540 fits in uint16.
+
+    Rademacher keeps the exact int32 smooth part s (it divides n <= 1e9 <
+    2^31) to find c and hash its sign, and XORs each -1 prime's bit into a
+    uint8 parity along the strides of its powers.
+    """
+    length = hi - lo
+    scratch = stream.scratch
+    base = stream.spec.base
+    if isinstance(base, Liouville):
+        (log,) = stream.passes
+        acc = log(lo, scratch.get("acc", np.uint16, length))
+        acc ^= _left_above(acc, lo, scratch.get("left", np.bool_, length))
+        return acc
+    smooth, parity = stream.passes
+    pos, cof = _big_primes(lo, smooth(lo, scratch.get("smooth", np.int32, length)),
+                           scratch.iota(length), scratch)
+    bits = parity(lo, scratch.get("parity", np.uint8, length))
+    bits[pos] ^= _rademacher_minus(base.seed, cof, cof.view(np.uint64)).astype(np.uint8)
+    return bits
+
+
+def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
+    """f(n) for n in [lo, hi) of the stream's spec, a fresh complex128 (or
+    float64 when real) array; the block lies in 1..x.
+
+    Blocks are independent: nothing about earlier ranges is needed, and
+    what the stream keeps (its plans, tables and scratch) is the same for
+    every block.  No step works per value where residues and strides fix
+    the result: characters copy their period, the coprime indicator zeroes
+    the strides of Q's primes below hi, and +-1 bases lay a table over
+    arith.SIEVE_PERIOD, stride the other prime powers of one per-stream
+    plan, and divide only where a prime above the sieve remains
+    (_sign_parity).
 
     Exceptions never divide n: their values multiply along the strides of
-    their prime powers.  Characters and the twist need chi(u) and log u, u
-    being n with the exception primes divided out.  The multiples of an
-    exception-smooth d are n = d m for consecutive m, so along d's stride
-    chi(m) is a run of the table and u an arange; laid in ascending d, the
-    largest such divisor of n writes last and leaves u.  _exception_walk
-    lists those strides, and gathers the few n whose strides would be too
-    short.  +-1 bases count the exception primes into the smooth part with
-    no sign, and the coprime indicator leaves their strides to the exception
-    values.
+    their prime powers (_Stream.factors).  Characters and the twist need
+    chi(u) and log u, u being n with the exception primes divided out.  The
+    multiples of an exception-smooth d are n = d m for consecutive m, so
+    along d's stride chi(m) is a run of the table and u an arange; laid in
+    ascending d, the largest such divisor of n writes last and leaves u.
+    _exception_walk lists those strides, and gathers the few n whose strides
+    would be too short.  +-1 bases sieve the exception primes with no sign
+    (an even log weight, or no parity bit), and the coprime indicator leaves
+    their strides to the exception values.
 
     Complex products are written np.multiply(fresh, factor, out=fresh), the
     order numpy's temporary elision gives `factor * fresh` in a large block:
@@ -548,75 +624,46 @@ def _eval_block(spec: MultFnSpec, lo: int, hi: int, base_primes: np.ndarray) -> 
     elision swaps them only for temporaries of 2^14 or more values, so the
     order is fixed here whatever the block length.
     """
+    spec, real = stream.spec, stream.real
     length = hi - lo
     base = spec.base
-    real = is_real_spec(spec)
     dtype = np.float64 if real else np.complex128
     exception_primes = sorted(p for p in spec.exceptions if p < hi)
 
     # mult is the product of exception values.  Without any below hi it is
     # the scalar 1+0j for complex specs, which clears signed zeros exactly as
     # an all-ones array would, and None for real ones, where 1.0 changes
-    # nothing; for the same reason a real spec skips exception values of 1
-    factors = [p for p in exception_primes if not (real and spec.exceptions[p] == 1)]
-    mult = np.ones(length, dtype=dtype) if factors else None if real else 1 + 0j
-    for p in factors:
-        w = spec.exceptions[p]
-        pk = p
-        while pk < hi:
-            start = _stride_starts(max(lo, pk), hi, pk)
-            if start is not None:
-                mult[start - lo :: pk] *= w.real if real else w
-            if pk > hi // p:
-                break
-            pk *= p
+    # nothing
+    factors, powers, values = stream.factors
+    multiplied = len(factors) > 0 and factors[0] < hi
+    mult = np.ones(length, dtype=dtype) if multiplied else None if real else 1 + 0j
+    if multiplied:
+        arith.stride_fold(mult, lo, powers, values, np.multiply)
 
     if isinstance(base, (Liouville, RandomRademacher)):
-        primes = _sieving_primes(base_primes, hi)
-        if isinstance(base, Liouville):
-            masks = np.ones(len(primes), dtype=np.uint8)
-        else:
-            masks = _rademacher_minus(base.seed, primes).astype(np.uint8)
-        if exception_primes:  # in the smooth part, with no sign
-            masks[np.isin(primes, exception_primes)] = 0
-            above = [p for p in exception_primes if p > math.isqrt(hi - 1)]
-            primes = np.concatenate([primes, np.array(above, dtype=primes.dtype)])
-            masks = np.concatenate([masks, np.zeros(len(above), dtype=np.uint8)])
-        # n stays bound to the end: freeing it early lets glibc trim the heap
-        # and fault the output's pages back in
-        n = np.arange(lo, hi, dtype=np.int64)
-        parity, smooth = _sign_parity(lo, hi, primes, masks)
-        if isinstance(base, Liouville):
-            parity ^= smooth < n
-        else:
-            idx, cof = _big_primes(n, smooth)
-            parity[idx] ^= _rademacher_minus(base.seed, cof).astype(np.uint8)
-        del smooth
-        out = _signed(parity)
+        out = _signed(_sign_parity(stream, lo, hi))
         if not real:
             out = out.astype(np.complex128)
         if mult is not None:
             np.multiply(out, mult, out=out)
     elif isinstance(base, (One, CoprimeIndicator)):
-        out = mult if factors else np.ones(length, dtype=dtype)
+        out = mult if multiplied else np.ones(length, dtype=dtype)
         for p in _tail(spec)[1] - spec.exceptions.keys():  # Q's primes
-            start = _stride_starts(lo, hi, p)
-            if start is not None:
-                out[start - lo :: p] = 0
+            out[-lo % p :: p] = 0
     else:  # CharacterTwist
         chi = base.chi
         table = chi.values.real if real else chi.values  # .real: a float64 view
-        out = _periodic(table, lo, length)
+        out = arith.periodic(table, lo, length)
         u = np.arange(lo, hi, dtype=np.float64) if base.t else None
         if exception_primes:
             runs, pos, m = _exception_walk(exception_primes, lo, hi)
             q = chi.modulus
             # a run holds at most half the block, so with q <= length each is
             # a slice of one copy of the table laid that long
-            periods = _periodic(table, 0, q + (length + 1) // 2) if q <= length else None
+            periods = arith.periodic(table, 0, q + (length + 1) // 2) if q <= length else None
             iota = np.arange((length + 1) // 2, dtype=np.float64) if u is not None else None
             for idx, m0, count in runs:
-                out[idx] = (_periodic(table, m0, count) if periods is None
+                out[idx] = (arith.periodic(table, m0, count) if periods is None
                             else periods[m0 % q : m0 % q + count])
                 if u is not None:
                     np.add(iota[:count], m0, out=u[idx])
@@ -694,12 +741,12 @@ def iter_blocks(
     (default block_length(x)), laid from `start`; with `squarefree`, each
     value is multiplied by mu^2(n)."""
     ranges, base_primes = _layout(x, block, start)
+    stream = _Stream(spec, x, base_primes)
     for lo, hi in ranges:
-        if not squarefree:
-            yield _eval_block(spec, lo, hi, base_primes)
-        else:
-            blk = _eval_block(spec, lo, hi, base_primes)
-            yield np.multiply(blk, arith.squarefree_block(lo, hi, base_primes), out=blk)
+        blk = _eval_block(stream, lo, hi)
+        if squarefree:
+            np.multiply(blk, arith.squarefree_block(lo, hi, base_primes), out=blk)
+        yield blk
 
 
 @dataclass(eq=False)
@@ -754,12 +801,15 @@ class RademacherSeeds:
     """f_s(n) = eps_s(n) n^(-scale_r) over 1..x for many seeds s, where eps_s
     is the RandomRademacher(seed=s) function.
 
-    Each block is sieved once for all seeds, and the prime left above the
-    sieve at each n gets every seed's sign from one word table per 64 seeds,
-    built once over the primes up to top = min(x, SIGN_TABLE_BYTES // bytes
-    per entry over all tables - 1) by the same hash; primes above top are
-    hashed per block.  Blocks are independent and laid out exactly as
-    iter_blocks lays them, so seed i's values equal its own spec's.
+    All seeds share one prime-power plan.  Each block lays its smooth part
+    and the primes above the sieve once; each 64-seed group then lays only
+    its parity words, from its own table over arith.SIEVE_PERIOD and
+    strides.  The prime left above the sieve at each n gets every seed's
+    sign from one word table per 64 seeds, built once over the primes up to
+    top = min(x, SIGN_TABLE_BYTES // bytes per entry over all tables - 1) by
+    the same hash; primes above top are hashed per block.  Blocks are
+    independent and laid out exactly as iter_blocks lays them, so seed i's
+    values equal its own spec's.
     """
 
     def __init__(self, seeds: list[int], scale_r: float, x: int, block: int | None = None):
@@ -779,7 +829,12 @@ class RademacherSeeds:
             table = np.zeros(self.top + 1, dtype=dt)
             table[ps] = _sign_words(group, ps, dt)
             self.tables.append(table)
-        self.masks = [self._words(g, self.base_primes) for g in range(len(self.groups))]
+        plan = arith.PowerPlan.of(self.base_primes, (), x)
+        self.smooth = arith.SievePass.of(plan, plan.primes, np.multiply, np.int32)
+        self.parity = [arith.SievePass.of(plan, self._words(g, plan.primes), np.bitwise_xor, dt)
+                       for g, dt in enumerate(dtypes)]
+        self.iota = np.arange(self.ranges[0][1] - self.ranges[0][0], dtype=np.int32)
+        self._local = threading.local()
 
     def __len__(self) -> int:
         return len(self.ranges)
@@ -793,20 +848,27 @@ class RademacherSeeds:
             words[above] = _sign_words(self.groups[g], ps[above], words.dtype)
         return words
 
+    def _scratch(self) -> _Scratch:
+        """The calling thread's scratch arrays."""
+        if not hasattr(self._local, "scratch"):
+            self._local.scratch = _Scratch()
+        return self._local.scratch
+
     def block(self, k: int) -> SeedBlock:
-        """Evaluate the k-th block; safe to call from several threads."""
+        """Evaluate the k-th block; safe to call from several threads.  The
+        smooth part and the primes above the sieve are laid once, in the
+        thread's scratch arrays; each group then lays only its parity words,
+        fresh arrays, as the SeedBlock keeps them."""
         lo, hi = self.ranges[k]
-        n = np.arange(lo, hi, dtype=np.int64)
-        count = len(_sieving_primes(self.base_primes, hi))
+        scratch = self._scratch()
+        pos, cof = _big_primes(lo, self.smooth(lo, scratch.get("smooth", np.int32, hi - lo)),
+                               self.iota[: hi - lo], scratch)
         words = []
-        for g, masks in enumerate(self.masks):
-            parity, smooth = _sign_parity(lo, hi, self.base_primes[:count], masks[:count])
-            if not g:  # the same positions and primes for every group
-                idx, cof = _big_primes(n, smooth)
-            del smooth
-            parity[idx] ^= self._words(g, cof)
-            words.append(parity)
-        return SeedBlock(words, _damping(n.astype(np.float64), self.scale_r)
+        for g, parity in enumerate(self.parity):
+            word = parity(lo, np.empty(hi - lo, parity.table.dtype))
+            word[pos] ^= self._words(g, cof)
+            words.append(word)
+        return SeedBlock(words, _damping(np.arange(lo, hi, dtype=np.float64), self.scale_r)
                          if self.scale_r else None)
 
     def scans(self, checkpoints: list[int]) -> Iterator[list[BlockScan]]:
@@ -814,19 +876,18 @@ class RademacherSeeds:
         block.  A pool of thread_cap() threads evaluates and summarizes the
         next blocks, so the caller's ProfileStates only apply them, in block
         order: the results never depend on the thread count."""
-        lo, hi = self.ranges[0]  # the longest block
         count = sum(map(len, self.groups))
-        scratch = threading.local()
 
         def scan_block(k: int) -> list[BlockScan]:
-            # one values array per thread, reused for every seed and block:
-            # a fresh 2 MB array is faulted in anew each time
-            if not hasattr(scratch, "vals"):
-                scratch.vals = np.empty(hi - lo)
             blk = self.block(k)
-            vals = scratch.vals[: len(blk)]
-            return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints, self.exact)
-                    for i in range(count)]
+            # one values array per thread, reused for every seed and block;
+            # an exact family writes its prefix sums into a second one, as
+            # numpy releases the GIL in a 1-d cumsum only out of place
+            scratch = self._scratch()
+            vals = scratch.get("values", np.float64, len(blk))
+            prefix = scratch.get("prefix", np.float64, len(blk)) if self.exact else vals
+            return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints, self.exact,
+                              prefix) for i in range(count)]
 
         return _evaluated_ahead(scan_block, len(self), min(thread_cap(), len(self)))
 
@@ -932,24 +993,30 @@ class BlockScan:
     piece: np.ndarray  # the piece each of them ends
 
 
-def summarize(values: np.ndarray, lo: int, checkpoints: list[int], exact: bool) -> BlockScan:
+def summarize(
+    values: np.ndarray, lo: int, checkpoints: list[int], exact: bool,
+    out: np.ndarray | None = None,
+) -> BlockScan:
     """The BlockScan of the real block `values` of f(lo), f(lo + 1), ...,
-    a contiguous float64 array, which it overwrites with the within-chunk
-    prefix sums c."""
+    a contiguous float64 array.  The within-chunk prefix sums c go into
+    out, a contiguous float64 array of the same length, or values itself
+    when None."""
     n = len(values)
+    if out is None:
+        out = values
     if exact:
         size = n
-        np.cumsum(values, out=values)
-        sums = [float(values[-1])]
+        np.cumsum(values, out=out)
+        sums = [float(out[-1])]
     else:
         size = CHUNK
-        (sums,) = chunk_sums(values, values)
+        (sums,) = chunk_sums(values, out)
     first = bisect_right(checkpoints, lo - 1)
     here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
     ends = np.array(here, dtype=np.int64) - lo
     cuts = np.union1d(np.arange(0, n, size), ends[ends + 1 < n] + 1)
-    return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(values, cuts),
-                     np.minimum.reduceat(values, cuts), here, values[ends],
+    return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(out, cuts),
+                     np.minimum.reduceat(out, cuts), here, out[ends],
                      np.searchsorted(cuts, ends, "right") - 1)
 
 

@@ -188,3 +188,17 @@ def residue_values(spec, lo: int, hi: int):
     else:
         vals = base.chi.values[np.mod(u, base.chi.modulus)]
     return vals * mult
+
+
+def sieve_cofactor(lo: int, hi: int, primes):
+    """n with every listed prime divided out, for lo <= n < hi, by integer
+    division along the strides of each prime's powers below hi."""
+    import numpy as np
+
+    u = np.arange(lo, hi, dtype=np.int64)
+    for p in map(int, primes):
+        pk = p
+        while pk < hi:
+            u[-lo % pk :: pk] //= p
+            pk *= p
+    return u

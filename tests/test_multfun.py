@@ -35,11 +35,12 @@ from multsum import (
     stream_profile,
 )
 from multsum.accum import CHUNK
-from multsum.arith import FACTOR_LIMIT, euler_phi, primes_upto, squarefree_block
+from multsum.arith import SIEVE_PERIOD, FACTOR_LIMIT, euler_phi, primes_upto, squarefree_block
 from multsum.characters import DirichletCharacter
 from multsum.multfun import (
     BLOCK,
     STREAM_LIMIT,
+    _Stream,
     _eval_block,
     _norm_sups,
     ProfileState,
@@ -622,6 +623,11 @@ def test_block_length_rule():
     assert lengths[-1] >= 64 * math.isqrt(STREAM_LIMIT)
 
 
+def eval_block(spec, lo: int, hi: int) -> np.ndarray:
+    """The block [lo, hi) of a stream of spec over 1..hi - 1."""
+    return _eval_block(_Stream(spec, hi - 1, primes_upto(math.isqrt(hi - 1))), lo, hi)
+
+
 HIGH_SPECS = [
     ("one;except=2~0.5~0", 0.0),
     ("liouville", 0.0),
@@ -646,7 +652,7 @@ def test_eval_block_near_stream_limit(cfg, rel):
     spec = build_spec(cfg)
     hi = STREAM_LIMIT + 1
     lo = hi - block_length(STREAM_LIMIT)
-    vals = _eval_block(spec, lo, hi, primes_upto(math.isqrt(STREAM_LIMIT)))
+    vals = eval_block(spec, lo, hi)
     deep = [2**23 * 119, 3**12 * 1879]
     assert all(lo <= n < hi for n in deep)
     for n in [*range(STREAM_LIMIT - 1000, hi), *deep]:
@@ -848,7 +854,7 @@ def _assert_matches_reference(spec, lo, hi):
     """_eval_block equals oracles.residue_values: bit for bit when every value
     is in {0, +-1, +-i}, else to a few ulps (the exception products are
     multiplied in another order)."""
-    got = _eval_block(spec, lo, hi, primes_upto(math.isqrt(hi - 1)))
+    got = eval_block(spec, lo, hi)
     want = oracles.residue_values(spec, lo, hi)
     assert got.dtype == (np.float64 if is_real_spec(spec) else np.complex128)
     if is_real_spec(spec):
@@ -947,7 +953,7 @@ def test_exception_walk_edges(cfg):
     Blocks this short send most strides through the gather pass."""
     spec = build_spec(cfg)
     for lo, hi in WALK_BLOCKS:
-        vals = _eval_block(spec, lo, hi, primes_upto(math.isqrt(hi - 1)))
+        vals = eval_block(spec, lo, hi)
         assert len(vals) == hi - lo
         for n in range(lo, hi):
             got, want = complex(vals[n - lo]), oracles.spec_value(spec, n)
@@ -965,3 +971,106 @@ def test_exception_walk_covers_large_sets():
     spec = make_spec(CharacterTwist(character_by_index(31, 3)), exceptions=exceptions)
     for lo, hi in ((1, 5000), (10**8 - 777, 10**8 + 4321)):
         _assert_matches_reference(spec, lo, hi)
+
+
+# blocks of a stream to 1e9 at the edges of the log sieve's margin: the first
+# block, the deepest powers of 2 and 3, the square of 31607 (the largest prime
+# below sqrt(1e9)), and the last block
+MARGIN_BLOCKS = [
+    (1, 1 << 16),
+    (2**29 - 2**15, 2**29 + 2**15),
+    (3**18 - 2**15, 3**18 + 2**15),
+    (31607**2 - 2**15, 31607**2 + 2**15),
+    (STREAM_LIMIT + 1 - 2**16, STREAM_LIMIT + 1),
+]
+
+
+@pytest.mark.parametrize("cfg", ["liouville", "liouville;except=2~1~0,3~-1~0",
+                                 "liouville;except=3~0~1,31627~-1~0"])
+def test_log_sieve_margin(cfg):
+    """Liouville's uint16 log weights (multfun._sign_parity) on MARGIN_BLOCKS:
+    on every n, acc < 15 (b - 1), b the bit length of n, exactly where n
+    keeps a prime above sqrt(hi - 1) once the sieved primes are divided out
+    (oracles.sieve_cofactor).  The n nearest that threshold on either side,
+    the least prime above sqrt(hi - 1) and its largest multiple in the
+    block, and the edge powers agree with factorization, with exceptions at
+    2 and 3 and one above sqrt(1e9); so do short streams from n = 1 in
+    blocks of up to 8 values, where hi - 1 < 8 leaves no margin."""
+    spec = build_spec(cfg)
+    for x, block in itertools.product(range(1, 40), (1, 2, 3, 5, 8)):
+        got = np.concatenate(list(iter_blocks(spec, x, block)))
+        assert got.tolist() == [oracles.spec_value(spec, n) for n in range(1, x + 1)], (x, block)
+    stream = _Stream(spec, STREAM_LIMIT, primes_upto(math.isqrt(STREAM_LIMIT)))
+    (log,) = stream.passes
+    for lo, hi in MARGIN_BLOCKS:
+        acc = log(lo, np.empty(hi - lo, dtype=np.uint16)).astype(np.int64)
+        n = np.arange(lo, hi)
+        root = math.isqrt(hi - 1)
+        sieved = {p for p in stream.base_primes.tolist() if p <= root} | spec.exceptions.keys()
+        left = oracles.sieve_cofactor(lo, hi, sieved) > 1
+        gap = acc - 15 * (np.frexp(n.astype(np.float64))[1] - 1)
+        assert np.array_equal(gap < 0, left), (cfg, lo)
+        vals = _eval_block(stream, lo, hi)
+        c = int(sympy.nextprime(root))
+        edges = [m for m in (2**29, 3**18, 31607**2, c, (hi - 1) // c * c) if lo <= m < hi]
+        edges += [lo + int(np.argmax(np.where(left, gap, -999))),
+                  lo + int(np.argmin(np.where(left, 999, gap)))]
+        for m in edges:
+            assert complex(vals[m - lo]) == oracles.spec_value(spec, m), (cfg, m)
+
+
+@pytest.mark.parametrize("cfg", ["liouville", "rademacher:seed=11",
+                                 "liouville;except=2~-1~0,3~0~1",
+                                 "rademacher:seed=11;except=2~1~0,3~-1~0,31627~0~1"])
+def test_pm1_blocks_near_stream_limit_match_factorization(cfg):
+    """A seeded random sample of n from the last two derived-length blocks
+    below 1e9 agrees with factorization."""
+    spec = build_spec(cfg)
+    start = STREAM_LIMIT + 1 - 2 * block_length(STREAM_LIMIT)
+    vals = np.concatenate(list(iter_blocks(spec, STREAM_LIMIT, start=start)))
+    rng = np.random.default_rng(2020)
+    for m in rng.integers(start, STREAM_LIMIT + 1, 300).tolist():
+        assert complex(vals[m - start]) == oracles.spec_value(spec, m), (cfg, m)
+
+
+def test_presieve_tables_match_a_direct_sieve():
+    """Over one SIEVE_PERIOD the pass tables hold what the prime powers
+    dividing the period add, and no such power is strided as well:
+    Rademacher's smooth part is gcd(n, period), its parity the -1 primes of
+    gcd(n, period) counted with multiplicity, and Liouville's accumulator
+    the sum of 2 round(8 log2 p) + 1 (an exception prime: + 0) over them."""
+    x = 10**6
+    i = np.arange(SIEVE_PERIOD)
+    g = np.gcd(i, SIEVE_PERIOD)
+    v = {}
+    for p in (2, 3, 5, 7, 11):
+        v[p], rest = np.zeros(SIEVE_PERIOD, dtype=np.int64), g.copy()
+        while (hit := rest % p == 0).any():
+            v[p] += hit
+            rest[hit] //= p
+        assert not SIEVE_PERIOD % p**int(v[p].max())
+    for cfg in ("rademacher:seed=1;except=3~1~0", "liouville;except=3~1~0"):
+        spec = build_spec(cfg)
+        stream = _Stream(spec, x, primes_upto(math.isqrt(x)))
+        for sieve in stream.passes:
+            assert len(sieve.table) == SIEVE_PERIOD
+            assert not (SIEVE_PERIOD % sieve.q == 0).any()
+        if isinstance(spec.base, Liouville):
+            weight = {p: 2 * round(8 * math.log2(p)) + (p not in spec.exceptions) for p in v}
+            want = sum(v[p] * weight[p] for p in v)
+            assert np.array_equal(stream.passes[0].table, want)
+        else:
+            minus = {p: spec_value_sign(spec, p) < 0 and p not in spec.exceptions for p in v}
+            assert np.array_equal(stream.passes[0].table, g)
+            assert np.array_equal(stream.passes[1].table, sum(v[p] * minus[p] for p in v) % 2)
+
+
+@pytest.mark.parametrize("cfg", ["liouville", "rademacher:seed=2;except=3~0~1"])
+def test_pm1_blocks_share_no_memory(cfg):
+    """The blocks of a +-1 stream come from reused scratch arrays, yet each
+    one handed out is its own array."""
+    spec = build_spec(cfg)
+    x = 5 * CHUNK + 7
+    blocks = list(iter_blocks(spec, x, CHUNK))
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(blocks, 2))
+    assert np.concatenate(blocks).tobytes() == eval_range(spec, x).values[1:].tobytes()
