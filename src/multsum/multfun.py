@@ -880,12 +880,20 @@ class RademacherSeeds:
 
         def scan_block(k: int) -> list[BlockScan]:
             blk = self.block(k)
-            # one values array per thread, reused for every seed and block;
-            # an exact family writes its prefix sums into a second one, as
-            # numpy releases the GIL in a 1-d cumsum only out of place
+            n = len(blk)
+            # one buffer per thread, reused for every seed and block.  The
+            # prefix sums go out of place, as only then does numpy release
+            # the GIL in an accumulate: an exact family's whole-block cumsum
+            # into a second array, a damped family's per-chunk ones CHUNK
+            # values before its values, each chunk's over the chunk before
+            # it, already read (accum.chunk_sums)
             scratch = self._scratch()
-            vals = scratch.get("values", np.float64, len(blk))
-            prefix = scratch.get("prefix", np.float64, len(blk)) if self.exact else vals
+            if self.exact:
+                vals = scratch.get("values", np.float64, n)
+                prefix = scratch.get("prefix", np.float64, n)
+            else:
+                buf = scratch.get("values", np.float64, n + CHUNK)
+                vals, prefix = buf[CHUNK:], buf[:n]
             return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints, self.exact,
                               prefix) for i in range(count)]
 
@@ -1000,7 +1008,15 @@ def summarize(
     """The BlockScan of the real block `values` of f(lo), f(lo + 1), ...,
     a contiguous float64 array.  The within-chunk prefix sums c go into
     out, a contiguous float64 array of the same length, or values itself
-    when None."""
+    when None.
+
+    numpy releases the GIL in an accumulate only out of place, and in a
+    2-d one only past 500 rows, so a pool thread overlaps others only when
+    out is not values: an exact block's one cumsum needs a separate out; a
+    float block's per-chunk accumulates (accum.chunk_sums) may also write
+    into the same buffer starting CHUNK values before values, each chunk's
+    prefix over the chunk before it, which is read by then.
+    """
     n = len(values)
     if out is None:
         out = values

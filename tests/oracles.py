@@ -166,6 +166,27 @@ def chunked_cumsum(values, carry):
     return out
 
 
+def chunk_rows(values):
+    """accum.chunk_sums the row-wise way: one 2-d np.cumsum(axis=1) over
+    the full CHUNK-value rows and a 1-d one over the partial tail, and per
+    lane (the contiguous real and imaginary parts of a complex array)
+    np.sum(axis=1) of the rows, then np.sum of the tail."""
+    import numpy as np
+    from multsum.accum import CHUNK
+
+    n = len(values)
+    full = n - n % CHUNK
+    prefix = np.empty_like(values)
+    prefix[:full] = np.cumsum(values[:full].reshape(-1, CHUNK), axis=1).ravel()
+    prefix[full:] = np.cumsum(values[full:])
+    lanes = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    sums = []
+    for lane in map(np.ascontiguousarray, lanes):
+        row_sums = np.sum(lane[:full].reshape(-1, CHUNK), axis=1).tolist()
+        sums.append(row_sums + ([float(np.sum(lane[full:]))] if full < n else []))
+    return prefix, sums
+
+
 def residue_values(spec, lo: int, hi: int):
     """f(n) for lo <= n < hi of an undamped, untwisted character or coprime
     spec, the per-value way: u is n with the exception primes divided out,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from multsum.accum import CHUNK, NeumaierSum, compensated_cumsum
+from multsum.accum import CHUNK, NeumaierSum, chunk_sums, compensated_cumsum
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -59,12 +59,64 @@ def test_complex_cumsum_is_two_real_lanes(seed):
             assert [(c.hi, c.lo) for c in got_carry] == [(c.hi, c.lo) for c in want_carry], n
 
 
+def _layouts(values):
+    """(values, out) pairs: a fresh out; a copy of values as its own out;
+    one buffer holding a copy, with out starting CHUNK values before it."""
+    n = len(values)
+    same = values.copy()
+    buf = np.empty(n + CHUNK, dtype=values.dtype)
+    buf[CHUNK:] = values
+    return {"fresh": (values, np.empty_like(values)), "in_place": (same, same),
+            "shifted": (buf[CHUNK:], buf[:n])}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("seed", range(2))
+def test_chunk_sums_matches_rows_in_every_layout(seed, dtype):
+    """Per-chunk accumulates give the bits of the 2-d row cumsum and the
+    row sums of each lane, into a fresh out, in place, and into the one
+    buffer whose out starts CHUNK values before the values."""
+    rng = np.random.default_rng(200 + seed)
+    lengths = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 64 * CHUNK, 3 * CHUNK + 5]
+    lengths += rng.integers(1, 70 * CHUNK, 4).tolist()
+    for n in map(int, lengths):
+        damp = np.exp(-0.25 * np.log(np.arange(1, n + 1, dtype=np.float64)))
+        values = rng.standard_normal(n) * damp
+        if dtype is np.complex128:
+            values = values + 1j * rng.standard_normal(n) * 1e9
+        want_prefix, want_sums = oracles.chunk_rows(values)
+        for name, (src, out) in _layouts(values).items():
+            sums = chunk_sums(src, out)
+            assert out.tobytes() == want_prefix.tobytes(), (n, name)
+            assert sums == want_sums, (n, name)
+
+
+@pytest.mark.parametrize("case", ["after", "one_before", "two_chunks_before",
+                                  "reversed", "other_stride"])
+def test_chunk_sums_refuses_other_overlaps(case):
+    """An out overlapping values other than in place or CHUNK values before
+    it would be overwritten before it is read: refused, nothing written."""
+    n = 3 * CHUNK + 5
+    buf = np.arange(2 * n + 2 * CHUNK, dtype=np.float64)
+    values, out = {
+        "after": (buf[:n], buf[CHUNK:]),
+        "one_before": (buf[1 : n + 1], buf[:n]),
+        "two_chunks_before": (buf[2 * CHUNK : 2 * CHUNK + n], buf[:n]),
+        "reversed": (buf[:n], buf[n - 1 :: -1]),
+        "other_stride": (buf[: 2 * n : 2], buf[:n]),
+    }[case]
+    before = buf.copy()
+    with pytest.raises(ValueError, match="overlaps"):
+        chunk_sums(values, out)
+    assert buf.tobytes() == before.tobytes()
+
+
 def test_numpy_lane_rules():
-    """The numpy behaviour the two-lane scan is built on.  If an upgrade
-    breaks one of these, complex scans stop matching the per-lane ones:
-    change accum, do not loosen this test.  (chunk_sums takes real sums of
-    each lane because a complex np.sum's bits are not promised to be them;
-    nothing here pins how it rounds.)"""
+    """The numpy behaviour the two-lane, per-chunk scan is built on.  If an
+    upgrade breaks one of these, scans stop matching the per-lane or the
+    row-wise ones: change accum, do not loosen this test.  (chunk_sums
+    takes real sums of each lane because a complex np.sum's bits are not
+    promised to be them; nothing here pins how it rounds.)"""
     rng = np.random.default_rng(11)
     z = (rng.standard_normal(64 * CHUNK) + 1j * rng.standard_normal(64 * CHUNK))
     z *= np.exp(-0.3 * np.log(np.arange(1, len(z) + 1)))
@@ -80,6 +132,11 @@ def test_numpy_lane_rules():
     assert same(rows.real, np.cumsum(re.reshape(-1, CHUNK), axis=1)) and same(
         rows.imag, np.cumsum(im.reshape(-1, CHUNK), axis=1)), (
         "complex128 np.cumsum along axis 1 no longer equals per-lane real cumsums")
+    for arr in (z, re):
+        blocks = np.cumsum(arr.reshape(-1, CHUNK), axis=1)
+        assert all(same(np.add.accumulate(arr[r * CHUNK : (r + 1) * CHUNK]), blocks[r])
+                   for r in range(len(blocks))), (
+            "a row's 1-d np.add.accumulate no longer equals that row of the 2-d cumsum")
     lane = z.reshape(-1, CHUNK).real
     assert same(np.sum(lane, axis=1), np.sum(re.reshape(-1, CHUNK), axis=1)), (
         "np.sum over strided .real rows differs from the contiguous rows")

@@ -377,6 +377,30 @@ def test_rademacher_seeds_table_stays_in_bound():
     assert family.top >= family.base_primes[-1]
 
 
+def test_summarize_through_the_shifted_buffer():
+    """A damped block summarized with out CHUNK values before its values in
+    one buffer, as RademacherSeeds.scans does, gives every BlockScan field
+    of a fresh out and of an in-place scan: checkpoints inside the blocks,
+    and a last block ending in a partial chunk."""
+    x = BLOCK + 3 * CHUNK + 5
+    cps = [1, 1000, 10 * CHUNK + 17, BLOCK - 1, BLOCK, BLOCK + CHUNK + 3, x]
+    family = RademacherSeeds([3, 7], 0.25, x, BLOCK)
+    assert [hi - lo for lo, hi in family.ranges] == [BLOCK, 3 * CHUNK + 5]
+    for k, (lo, hi) in enumerate(family.ranges):
+        blk = family.block(k)
+        n = hi - lo
+        for i in range(2):
+            values = blk.values(i)
+            buf = np.empty(n + CHUNK)
+            scans = [summarize(values.copy(), lo, cps, False, np.empty(n)),
+                     summarize(values.copy(), lo, cps, False),
+                     summarize(blk.values(i, buf[CHUNK:]), lo, cps, False, buf[:n])]
+            fields = [[v.tobytes() if isinstance(v, np.ndarray) else v
+                       for v in vars(scan).values()] for scan in scans]
+            assert fields[0] == fields[1] == fields[2], (k, i)
+            assert scans[0].here == [c for c in cps if lo <= c < hi], (k, i)
+
+
 def test_apply_refuses_a_block_out_of_order():
     state = ProfileState(exact=False, real=True)
     scan = summarize(np.ones(10), 11, [15], False)
