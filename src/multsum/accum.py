@@ -115,7 +115,7 @@ def chunk_starts(sums: list[float], carry: NeumaierSum) -> list[float]:
 
 def compensated_cumsum(
     values: np.ndarray,
-    carry: NeumaierSum | tuple[NeumaierSum, NeumaierSum] | None = None,
+    carry: NeumaierSum | tuple[NeumaierSum, NeumaierSum],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Prefix sums of a 1-d float64 or complex128 array with a compensated
@@ -123,9 +123,9 @@ def compensated_cumsum(
     out is there for the complex path: ProfileState.feed passes the block
     itself, which is then scanned in place (out must be contiguous).
 
-    If `carry` is given, it is the running total before values[0]: a
-    NeumaierSum, or for a complex array an (re, im) pair of them.  It is
-    updated in place so consecutive calls chain across blocks.
+    `carry` is the running total before values[0]: a NeumaierSum, or for a
+    complex array an (re, im) pair of them.  It is updated in place so
+    consecutive calls chain across blocks.
 
     Each CHUNK-value chunk is summed by np.add.accumulate and np.sum
     (chunk_sums) and shifted by the carry at its start (chunk_starts, once
@@ -134,8 +134,6 @@ def compensated_cumsum(
     results.
     """
     pair = np.iscomplexobj(values)
-    if carry is None:
-        carry = (NeumaierSum(), NeumaierSum()) if pair else NeumaierSum()
     n = len(values)
     full = n - n % CHUNK
     if out is None:

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from bisect import bisect_right
 
 from . import __version__
 from .characters import (
@@ -75,11 +74,6 @@ def _parse_complex(text: str) -> complex:
         re_, im_ = t.split(",", 1)
         return complex(float(re_), float(im_))
     return complex(float(t), 0.0)
-
-
-def _character(args):
-    index = args.index if args.index == "real" else int(args.index)
-    return character_by_index(args.q, index)
 
 
 def _parse_checkpoints(text: str, n: int) -> list[int]:
@@ -249,16 +243,14 @@ def _run_profile(args, prefix: str):
     _write_csv(csv_path, PROFILE_COLUMNS, rows)
     fh = open(csv_path, "a", newline="")
 
-    def on_checkpoint(x: int, s: complex, sup: float) -> None:
-        row = _profile_row(x, s, sup)
-        rows.append(row)
-        fh.write(_csv_line(row))
-        fh.flush()
-        # the state covers its whole block, so it only matches the rows once
-        # the block's last checkpoint is written
-        if len(rows) != bisect_right(checkpoints, state.n_done):
+    def on_block(block_rows: list[tuple[int, complex, float]]) -> None:
+        if not block_rows:  # the CSV and the state file stay as they were
             return
-        snap = {
+        new = [_profile_row(*row) for row in block_rows]
+        rows.extend(new)
+        fh.writelines(map(_csv_line, new))
+        fh.flush()
+        snap = {  # the state covers exactly the rows so far
             "config_hash": chash,
             "snapshot": state.snapshot(),
             "rows": rows,
@@ -268,7 +260,7 @@ def _run_profile(args, prefix: str):
         os.replace(state_path + ".tmp", state_path)
 
     try:
-        stream_profile(spec, n, checkpoints, state=state, on_checkpoint=on_checkpoint)
+        stream_profile(spec, n, checkpoints, state=state, on_block=on_block)
     finally:
         fh.close()
     if os.path.exists(state_path):
@@ -279,7 +271,7 @@ def _run_profile(args, prefix: str):
 
 
 def _run_modchar_growth(args, prefix: str):
-    chi = _character(args)
+    chi = character_by_index(args.q, args.index)
     z = _parse_complex(args.z)
     spec = modified_spec(chi, args.r, z)
     n = _parse_count(args.n)
@@ -308,7 +300,7 @@ def _run_modchar_growth(args, prefix: str):
 
 
 def _run_witness_rotation(args, prefix: str):
-    chi = _character(args)
+    chi = character_by_index(args.q, args.index)
     f = make_spec(CharacterTwist(chi=chi), exceptions=_parse_flips(args.flips))
     plan = _parse_plan(args.plan)
     wit = rotation_witness(
@@ -336,7 +328,7 @@ def _run_witness_rotation(args, prefix: str):
 
 
 def _run_sf_pair(args, prefix: str):
-    chi = _character(args)
+    chi = character_by_index(args.q, args.index)
     g = make_spec(CharacterTwist(chi=chi), exceptions=_parse_flips(args.flips))
     pair = squarefree_pair(
         g,
@@ -362,7 +354,7 @@ def _run_sf_pair(args, prefix: str):
 
 
 def _run_series_check(args, prefix: str):
-    chi = _character(args)
+    chi = character_by_index(args.q, args.index)
     exceptions: dict[int, complex] = {}
     if args.flip is not None:
         cv = chi(args.flip)
@@ -456,7 +448,7 @@ def _run_mean_value(args, prefix: str):
 
 def _run_concentration(args, prefix: str):
     f = build_spec(args.spec)
-    chi = _character(args)
+    chi = character_by_index(args.q, args.index)
     x = _parse_count(args.x)
     rep = concentration_experiment(f, chi, args.t, args.Q, args.a, x)
     columns = ["x", "Q", "a", "t", "N0", "re_f_of_q", "im_f_of_q",
@@ -476,7 +468,7 @@ def _run_concentration(args, prefix: str):
 
 
 def _run_zero_scan(args, prefix: str):
-    chi = _character(args)
+    chi = character_by_index(args.q, args.index)
     z = _parse_complex(args.z)
     state = recursion_state(chi, args.r, z)
     M = _parse_count(args.M)

@@ -336,7 +336,9 @@ def squarefree_pair(
     """Locate windows where mu^2(n)g(n) realizes the flipped-prime identity.
 
     residues r_j <= H must be squarefree with no prime factor deviating from
-    chi, all of the same g-sign; primes p_j > H must carry g(p_j) = -chi(p_j).
+    chi, all of the same g-sign; primes p_j > H must carry g(p_j) = -chi(p_j),
+    which holds once each deviates from chi (_check_plan) with chi real and
+    g(p_j) = +-1.
     The first window makes every element at a residue r_j squarefree and
     coprime to the deviation set; the second forces p_j || element at r_j.
     """
@@ -368,9 +370,6 @@ def squarefree_pair(
             sign = s_r
         elif s_r != sign:
             raise ValueError("residues must share a common g-sign")
-    for p in primes:
-        if prime_unit_value(g, p) * chi(p) != -1:
-            raise ValueError(f"g({p})chi({p}) must equal -1 for the 2t identity")
 
     # auxiliary primes force mu^2 = 0 at squarefree non-plan residues
     aux: dict[int, int] = {}

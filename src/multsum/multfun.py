@@ -135,6 +135,7 @@ def build_spec(config: str) -> MultFnSpec:
     bases: one | liouville | rademacher | coprime | char
     keys:  q=, index= (int or "real"), t=, seed=, Q=
     e.g.  "char:q=4,index=1;except=3~1~0"  or  "one;except=2~0.5~0"
+    Each key, clause and exception prime appears at most once, non-empty.
     """
     parts = [s.strip() for s in config.strip().split(";") if s.strip()]
     if not parts:
@@ -146,16 +147,17 @@ def build_spec(config: str) -> MultFnSpec:
     if arg_str:
         for kv in arg_str.split(","):
             k, sep, v = kv.partition("=")
-            if not sep:
-                raise ValueError(f"malformed key=value pair {kv!r} in spec")
-            args[k.strip().lower()] = v.strip()
+            k, v = k.strip().lower(), v.strip()
+            if not sep or not v or k in args:
+                raise ValueError(f"key=value pair {kv!r} in spec is malformed, empty or repeated")
+            args[k] = v
 
     if name == "one":
         base: BaseRule = One()
     elif name == "liouville":
         base = Liouville()
     elif name == "rademacher":
-        base = RandomRademacher(seed=int(args.pop("seed", None) or 0))
+        base = RandomRademacher(seed=int(args.pop("seed", "0")))
     elif name == "coprime":
         q_val = args.pop("q", None)
         if q_val is None:
@@ -168,20 +170,20 @@ def build_spec(config: str) -> MultFnSpec:
         if q_val is None or idx is None:
             raise ValueError("char base requires q= and index=")
         chi = character_by_index(int(q_val), idx)
-        base = CharacterTwist(chi=chi, t=float(args.pop("t", None) or 0.0))
+        base = CharacterTwist(chi=chi, t=float(args.pop("t", "0")))
     else:
         raise ValueError(f"unknown base {name!r}")
     if args:
         raise ValueError(f"unused keys {sorted(args)} for base {name!r}")
 
-    scale_r = 0.0
+    scale_r = None
     exceptions: dict[int, complex] = {}
     for part in parts[1:]:
         key, sep, val = part.partition("=")
         key = key.strip().lower()
         if not sep:
             raise ValueError(f"malformed spec clause {part!r}")
-        if key == "scale_r":
+        if key == "scale_r" and scale_r is None:
             scale_r = float(val)
         elif key == "except":
             for ent in val.split(","):
@@ -189,10 +191,12 @@ def build_spec(config: str) -> MultFnSpec:
                 if len(fields) != 3:
                     raise ValueError(f"exception entry {ent!r} is not p~re~im")
                 p, re_s, im_s = fields
+                if int(p) in exceptions:
+                    raise ValueError(f"exception prime {p} given twice in spec")
                 exceptions[int(p)] = complex(float(re_s), float(im_s))
         else:
-            raise ValueError(f"unknown spec clause {key!r}")
-    return make_spec(base, scale_r=scale_r, exceptions=exceptions)
+            raise ValueError(f"unknown or repeated spec clause {key!r}")
+    return make_spec(base, scale_r=0.0 if scale_r is None else scale_r, exceptions=exceptions)
 
 
 def spec_config(spec: MultFnSpec) -> str:
@@ -812,11 +816,11 @@ class RademacherSeeds:
     values equal its own spec's.
     """
 
-    def __init__(self, seeds: list[int], scale_r: float, x: int, block: int | None = None):
+    def __init__(self, seeds: list[int], scale_r: float, x: int):
         if not seeds:
             raise ValueError("need at least one seed")
         _check_scale_r(scale_r)
-        self.ranges, self.base_primes = _layout(x, block)
+        self.ranges, self.base_primes = _layout(x)
         self.groups = [list(seeds[j : j + 64]) for j in range(0, len(seeds), 64)]
         self.scale_r = scale_r
         self.exact = scale_r == 0
@@ -935,14 +939,14 @@ class SievedRange:
     real: bool
 
 
-def eval_range(spec: MultFnSpec, N: int, block: int | None = None) -> SievedRange:
+def eval_range(spec: MultFnSpec, N: int) -> SievedRange:
     """Materialize f(1..N).  Capacity: N <= EVAL_CAPACITY (memory bound)."""
     if not 1 <= N <= EVAL_CAPACITY:
         raise CapacityError(f"N={N} outside 1..{EVAL_CAPACITY} for eval_range")
     real = is_real_spec(spec)
     values = np.zeros(N + 1, dtype=np.float64 if real else np.complex128)
     pos = 1
-    for blk in iter_blocks(spec, N, block):
+    for blk in iter_blocks(spec, N):
         values[pos : pos + len(blk)] = blk
         pos += len(blk)
     return SievedRange(
@@ -1172,20 +1176,19 @@ def stream_profile(
     spec: MultFnSpec,
     x: int,
     checkpoints: list[int],
-    block: int | None = None,
     state: ProfileState | None = None,
-    on_checkpoint: Callable[[int, complex, float], None] | None = None,
+    on_block: Callable[[list[tuple[int, complex, float]]], None] | None = None,
     squarefree: bool = False,
 ) -> PartialSumProfile:
     """Profile f (times mu^2(n) when `squarefree`) over 1..x without
     materializing values.
 
-    Blocks hold `block` values (default block_length(x)).  The compensated
-    float sums are laid in accum.CHUNK chunks from each block start, so they
-    equal one scan over the whole range only when `block` is a multiple of
-    CHUNK, as every derived length is.  `state` (from a previous run's
-    snapshot) resumes mid-scan; rows already covered by the restored state
-    are not re-emitted.
+    Blocks hold block_length(x) values, a multiple of accum.CHUNK, so the
+    float sums are those of one compensated scan over 1..x.  `state` (a
+    snapshot's) resumes mid-scan; rows it covers are not re-emitted.
+    on_block(rows) is called after `state` consumes each block, with the
+    block's (c, M(c), max_{y<=c} |M(y)|) rows, possibly none: the state
+    then covers exactly the rows emitted so far.
     """
     check_checkpoints(checkpoints, x)
     exact, real = is_exact_spec(spec), is_real_spec(spec)
@@ -1194,11 +1197,11 @@ def stream_profile(
     elif state.exact != exact or state.real != real:
         raise ValueError("resume state does not match the spec's value modes")
     rows = []  # a resumed state skips the rows it covers
-    for blk in iter_blocks(spec, x, block, state.n_done + 1, squarefree):
-        for row in state.feed(blk, checkpoints):
-            rows.append(row)
-            if on_checkpoint is not None:
-                on_checkpoint(*row)
+    for blk in iter_blocks(spec, x, start=state.n_done + 1, squarefree=squarefree):
+        block_rows = state.feed(blk, checkpoints)
+        rows += block_rows
+        if on_block is not None:
+            on_block(block_rows)
     return PartialSumProfile(
         spec=spec, checkpoints=[c for c, _, _ in rows],
         sums=[s for _, s, _ in rows], sups=[sup for _, _, sup in rows], exact=exact,

@@ -93,6 +93,8 @@ def delange_mean(
     squarefree variant replaces the local factor with (1 + f(p)p^(-it)/p)
     and masks the empirical sum to squarefree n.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got t = {t}")
     ps = _primes_in(1, x)
     fv = value_at_primes(f, ps)
     pt = fv / ps if t == 0 else fv * np.exp(-1j * t * np.log(ps.astype(np.float64))) / ps

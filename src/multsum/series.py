@@ -48,8 +48,8 @@ def _em_correction(s: complex, M: float) -> tuple[complex, float]:
 def zeta(s: complex) -> complex:
     """Riemann zeta for Re(s) > 1, via truncation plus Euler-Maclaurin tail."""
     s = complex(s)
-    if s.real <= 1.0:
-        raise ValueError(f"zeta requires Re(s) > 1, got Re(s) = {s.real}")
+    if not (s.real > 1.0 and cmath.isfinite(s)):
+        raise ValueError(f"zeta requires a finite s with Re(s) > 1, got s = {s}")
     M = max(20, int(abs(s.imag)) + 1)
     while True:
         n = np.arange(1, M, dtype=np.float64)
@@ -87,14 +87,14 @@ def l_chi(s: complex, chi) -> complex:
     s = complex(s)
     q = chi.modulus
     if chi.principal:
-        if s.real <= 1.0:
-            raise ValueError("principal characters need Re(s) > 1")
+        if not (s.real > 1.0 and cmath.isfinite(s)):
+            raise ValueError(f"principal characters need a finite s with Re(s) > 1, got s = {s}")
         val = zeta(s)
         for p, _ in arith.factor(q):
             val *= 1 - cmath.exp(-s * math.log(p))
         return val
-    if s.real <= 0.0:
-        raise ValueError(f"l_chi requires Re(s) > 0, got Re(s) = {s.real}")
+    if not (s.real > 0.0 and cmath.isfinite(s)):
+        raise ValueError(f"l_chi requires a finite s with Re(s) > 0, got s = {s}")
 
     residues = [a for a in range(1, q) if chi.values[a] != 0]
     K = max(20, int(abs(s.imag)) + 1)
@@ -149,8 +149,8 @@ def dirichlet_partial(
 ) -> complex:
     """sum_{n<=N} f(n) n^(-s), optionally restricted to squarefree n."""
     s = complex(s)
-    if s.real <= 0:
-        raise ValueError(f"partial Dirichlet sums need Re(s) > 0, got {s.real}")
+    if not (s.real > 0 and cmath.isfinite(s)):
+        raise ValueError(f"partial Dirichlet sums need a finite s with Re(s) > 0, got s = {s}")
     return sum_blocks(
         f, N, lambda n, v: v * np.exp(-s * np.log(n)), squarefree_support
     )

@@ -124,10 +124,11 @@ def naive_profile(values, checkpoints, exact: bool, resume_at: int = 0):
     One prefix sum over the whole range, then a running max of |M|.  Exact
     specs use a plain cumsum (integers below 2^53 add exactly).  Float specs
     use accum.compensated_cumsum, whose chunks are laid from n = 1 (and from
-    n = resume_at + 1, carry kept, as a resumed scan lays them).  A streaming
-    scan reproduces that for block lengths that are multiples of
-    accum.CHUNK, the derived lengths among them; other lengths lay the
-    chunks from each block start, and float sums can differ.
+    n = resume_at + 1, carry kept, as a resumed scan lays them).
+    stream_profile reproduces that: its blocks hold block_length(x) values,
+    a multiple of accum.CHUNK.  Blocks fed to a ProfileState by hand lay
+    their chunks from each block start, so float sums over blocks of other
+    lengths can differ.
     """
     import numpy as np
     from multsum.accum import NeumaierSum, compensated_cumsum

@@ -1,5 +1,6 @@
 """Tests for characters: tables, modified sums, witnesses, window checks."""
 
+import cmath
 import hashlib
 import math
 
@@ -267,6 +268,21 @@ def test_growth_witness_frozen(chi4):
     w0 = growth_witness(st, 1 << 24)
     assert (w0.m_list, w0.n, w0.measured) == ((), 4, 2)
     assert w0.bound_ok and w0.exact_match
+
+
+def test_growth_witness_within_tolerance(chi4):
+    """A modification by a cube root of unity is not exact: the witness keeps
+    the copies whose phase z^(K m) is 1 and matches its prediction within
+    the float tolerance.  X < 1 and a negative Sigma argument are refused."""
+    st = recursion_state(chi4, 3, cmath.exp(2j * math.pi / 3))
+    assert not st.exact
+    w = growth_witness(st, 1 << 24, density=2.0)
+    assert w.regime == "witness" and (w.A, w.K, w.m_list) == (4, 2, (3, 6))
+    assert abs(w.measured - w.predicted) <= 1e-9 and w.exact_match and w.bound_ok
+    with pytest.raises(ValueError, match="X must be >= 1"):
+        growth_witness(st, 0)
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        sigma_recursion(st, -1)
 
 
 def test_growth_witness_zero_sum_regime(chi4):

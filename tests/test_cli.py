@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,22 @@ def test_inner_errors_exit_1(tmp_path, capsys):
     assert code == 1 and "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mean-value", "--spec", "one", "--t", "nan", "--x", "100"],
+    ["mean-value", "--spec", "one", "--t", "inf", "--x", "100"],
+    ["series-check", "--q", "5", "--s", "nan,0", "--n", "100"],
+    ["series-check", "--q", "5", "--s", "2,inf", "--n", "100"],
+])
+def test_non_finite_arguments_exit_1(tmp_path, capsys, argv):
+    """A non-finite t or s is refused with exit 1 and the argument named on
+    stderr: --t nan used to exit 0 with a NaN row."""
+    code, prefix = run(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("t must be finite" if argv[0] == "mean-value" else "a finite s with") in err, err
+    assert not os.path.exists(prefix + ".csv")
+
+
 def test_profile_refuses_q_above_factor_limit(tmp_path, capsys):
     """Q = 1e30 used to pass the spec parser and die with an int64
     OverflowError inside block evaluation."""
@@ -150,11 +167,27 @@ def test_baseline_missing_and_incomparable(tmp_path, capsys):
     assert code == 1 and "incomparable" in err
 
 
-def test_profile_resume_completes_identically(tmp_path, monkeypatch):
-    """Crash after a checkpoint that ends a scan block, then resume.
+def test_baseline_compare_columns_and_row_count(tmp_path):
+    """A baseline with other columns is incomparable (an error); one with
+    another row count is a fail."""
+    code, prefix = run(tmp_path, "profile", "--spec", "one", "--n", "100",
+                       "--checkpoints", "10,100")
+    assert code == 0
+    with open(prefix + ".json") as fh:
+        rec = json.load(fh)
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({**rec, "columns": rec["columns"][:-1]}))
+    with pytest.raises(ValueError, match="column sets differ"):
+        cli.baseline_compare(rec, str(base))
+    base.write_text(json.dumps({**rec, "rows": rec["rows"][:1]}))
+    assert cli.baseline_compare(rec, str(base)) == ("fail", ["row count 2 != baseline 1"])
 
-    The injected crash fires at a block boundary, so the state file written
-    there is the one the resume continues from.
+
+def test_profile_resume_completes_identically(tmp_path, monkeypatch):
+    """Crash right after the scan block that ends at a checkpoint, then resume.
+
+    The injected crash fires once the block's hook has returned, so the
+    state file written there is the one the resume continues from.
     """
     check_resume_after_crash(tmp_path, monkeypatch, "char:q=4,index=1;except=3~1~0")
 
@@ -175,14 +208,13 @@ def check_resume_after_crash(tmp_path, monkeypatch, spec: str) -> None:
 
     real_stream = cli.stream_profile
 
-    def crashing_stream(spec, x, checkpoints, state=None, on_checkpoint=None):
-        def wrapped(cx, cs, csup):
-            on_checkpoint(cx, cs, csup)
-            if cx == 1 << 22:
+    def crashing_stream(spec, x, checkpoints, state=None, on_block=None):
+        def wrapped(rows):
+            on_block(rows)
+            if any(c == 1 << 22 for c, _, _ in rows):
                 raise RuntimeError("injected crash")
 
-        return real_stream(spec, x, checkpoints, state=state,
-                           on_checkpoint=wrapped)
+        return real_stream(spec, x, checkpoints, state=state, on_block=wrapped)
 
     monkeypatch.setattr(cli, "stream_profile", crashing_stream)
     prefix = str(tmp_path / "part")
@@ -199,8 +231,9 @@ def check_resume_after_crash(tmp_path, monkeypatch, spec: str) -> None:
 
 
 def test_profile_resume_after_mid_block_crash(tmp_path, monkeypatch):
-    """A crash after a checkpoint that is not the last of its block leaves
-    the state of an earlier block (here none), never one ahead of its rows."""
+    """A crash inside the block that holds a checkpoint not the last of its
+    block, before the block reaches its hook, leaves the state of an earlier
+    block (here none), never one ahead of its rows."""
     argv = ["profile", "--spec", "char:q=4,index=1", "--n", str(1 << 20)]
     _, full_prefix = run(tmp_path / "full", *argv)
     with open(full_prefix + ".csv", "rb") as fh:
@@ -208,20 +241,58 @@ def test_profile_resume_after_mid_block_crash(tmp_path, monkeypatch):
 
     real_stream = cli.stream_profile
 
-    def crashing_stream(spec, x, checkpoints, state=None, on_checkpoint=None):
-        def wrapped(cx, cs, csup):
-            on_checkpoint(cx, cs, csup)
-            if cx == 1024:
+    def crashing_stream(spec, x, checkpoints, state=None, on_block=None):
+        def wrapped(rows):
+            if any(c == 1024 for c, _, _ in rows):
                 raise RuntimeError("injected crash")
+            on_block(rows)
 
-        return real_stream(spec, x, checkpoints, state=state,
-                           on_checkpoint=wrapped)
+        return real_stream(spec, x, checkpoints, state=state, on_block=wrapped)
 
     monkeypatch.setattr(cli, "stream_profile", crashing_stream)
     prefix = str(tmp_path / "part")
     with pytest.raises(RuntimeError):
         cli.main([*argv, "--out", prefix])
+    assert not os.path.exists(prefix + ".state.json")
     monkeypatch.setattr(cli, "stream_profile", real_stream)
+
+    code = cli.main([*argv, "--out", prefix, "--resume"])
+    assert code == 0
+    with open(prefix + ".csv", "rb") as fh:
+        assert fh.read() == want
+
+
+def test_profile_resume_after_a_block_without_checkpoints(tmp_path, monkeypatch):
+    """A crash right after a block that holds no checkpoint leaves the state
+    file of the last block that held one, and the resumed CSV bytes equal
+    the uninterrupted run's.  At n = 2^20 the blocks hold 2^18 values, so
+    the third one, 2^19 + 1..3 * 2^18, holds no dyadic checkpoint."""
+    argv = ["profile", "--spec", "char:q=5,index=1,t=2.0", "--n", str(1 << 20)]
+    _, full_prefix = run(tmp_path / "full", *argv)
+    with open(full_prefix + ".csv", "rb") as fh:
+        want = fh.read()
+
+    prefix = str(tmp_path / "part")
+    real_stream = cli.stream_profile
+    saved = []  # the state file after each block's hook
+
+    def crashing_stream(spec, x, checkpoints, state=None, on_block=None):
+        def wrapped(rows):
+            on_block(rows)
+            with open(prefix + ".state.json") as fh:
+                saved.append(fh.read())
+            if not rows:
+                raise RuntimeError("injected crash")
+
+        return real_stream(spec, x, checkpoints, state=state, on_block=wrapped)
+
+    monkeypatch.setattr(cli, "stream_profile", crashing_stream)
+    with pytest.raises(RuntimeError):
+        cli.main([*argv, "--out", prefix])
+    monkeypatch.setattr(cli, "stream_profile", real_stream)
+    assert len(saved) == 3 and saved[2] == saved[1] != saved[0]
+    state = json.loads(saved[1])
+    assert state["snapshot"]["n_done"] == state["rows"][-1][0] == 1 << 19
 
     code = cli.main([*argv, "--out", prefix, "--resume"])
     assert code == 0
@@ -233,14 +304,13 @@ def test_profile_resume_guards(tmp_path, monkeypatch, capsys):
     argv = ["profile", "--spec", "char:q=4,index=1", "--n", "4096"]
     real_stream = cli.stream_profile
 
-    def crashing_stream(spec, x, checkpoints, state=None, on_checkpoint=None):
-        def wrapped(cx, cs, csup):
-            on_checkpoint(cx, cs, csup)
-            if cx >= 4096:
+    def crashing_stream(spec, x, checkpoints, state=None, on_block=None):
+        def wrapped(rows):
+            on_block(rows)
+            if any(c >= 4096 for c, _, _ in rows):
                 raise RuntimeError("injected crash")
 
-        return real_stream(spec, x, checkpoints, state=state,
-                           on_checkpoint=wrapped)
+        return real_stream(spec, x, checkpoints, state=state, on_block=wrapped)
 
     monkeypatch.setattr(cli, "stream_profile", crashing_stream)
     prefix = str(tmp_path / "part")
@@ -406,6 +476,32 @@ def test_mean_value_and_concentration_and_zero_scan(tmp_path):
         rec = json.load(fh)
     row = dict(zip(rec["columns"], rec["rows"][0]))
     assert row["first_m"] == -1  # z = chi(3): every window sum vanishes
+
+
+def test_zero_scan_hit(tmp_path):
+    """z = 1 at r = 3 makes the first block sum nonzero: Sigma(4) = 2, the
+    sum of the modified character over 1..4 from the sieve."""
+    code, prefix = run(tmp_path, "zero-scan", "--q", "4", "--index", "1", "--r", "3",
+                       "--z", "1", "--M", "50")
+    assert code == 0
+    with open(prefix + ".csv", "rb") as fh:
+        assert fh.read() == b"M,first_m,first_A,re_sigma,im_sigma\n50,1,4,2,0\n"
+    spec = multsum.modified_spec(multsum.character_by_index(4, 1), 3, 1)
+    assert np.cumsum(multsum.eval_range(spec, 4).values)[4] == 2
+
+
+def test_character_index_grammar_is_the_spec_one(tmp_path):
+    """--index takes "real" in any case, as the spec grammar's index= does,
+    and writes the row of --index real."""
+    records = []
+    for index in ("real", "Real"):
+        code, prefix = run(tmp_path / index, "zero-scan", "--q", "5", "--index", index,
+                           "--r", "3", "--z", "1", "--M", "50")
+        assert code == 0
+        with open(prefix + ".json") as fh:
+            records.append(json.load(fh))
+    want, got = records
+    assert got["rows"] == want["rows"] and got["config"] == want["config"]
 
 
 # argv atoms for the parser fuzz: numbers the parsers must refuse or take,

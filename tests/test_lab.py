@@ -193,7 +193,7 @@ def test_squarefree_pair_validation(chi4, chi5):
     with pytest.raises(ValueError):
         squarefree_pair(g, chi5, 6, [7], [1, 2])  # residue g-signs +1 vs -1
     with pytest.raises(ValueError):
-        squarefree_pair(g, chi5, 6, [13], [1])  # g(13)chi(13) = +1, not -1
+        squarefree_pair(g, chi5, 6, [13], [1])  # g(13)chi(13) = +1: 13 does not deviate
     g_missing = make_spec(CharacterTwist(chi5), exceptions={7: 1})
     with pytest.raises(ValueError):
         squarefree_pair(g_missing, chi5, 6, [7], [1])  # g(5) unset at p | q
@@ -238,6 +238,30 @@ def test_plan_validation_shared(construction, case, chi4, chi5):
             squarefree_pair(g, chi5, 6, primes, residues)
 
 
+def test_window_refusals_before_the_scan(chi4, chi5):
+    """A damped spec at a factored number, H < 1, an unknown modulus kind, q
+    not dividing W, a deviation prime <= H dividing q with a nonzero value,
+    and in a squarefree pair a g(p) off +-1 or a residue with a square, are
+    each refused with a ValueError naming the fault."""
+    f = make_spec(CharacterTwist(chi4), exceptions={5: 1j})
+    with pytest.raises(ValueError, match="undamped"):
+        lab.value_from_factors(make_spec(One(), scale_r=0.5), [(2, 1)])
+    with pytest.raises(ValueError, match="H must be >= 1"):
+        rotation_witness(f, chi4, 0, [])
+    with pytest.raises(ValueError, match="unknown window modulus kind 'cyclic'"):
+        rotation_witness(f, chi4, 4, [], modulus_kind="cyclic")
+    with pytest.raises(ValueError, match="q=5 does not divide the window modulus"):
+        rotation_witness(make_spec(CharacterTwist(chi5)), chi5, 4, [])  # W = (4!)^2
+    with pytest.raises(ValueError, match="deviation prime 2 <= H shares a factor with q"):
+        rotation_witness(make_spec(CharacterTwist(chi4), exceptions={2: 1}), chi4, 4, [])
+    g = make_spec(CharacterTwist(chi5), exceptions={5: 1, 7: 1, 11: -1})
+    with pytest.raises(ValueError, match=r"g\(7\) must be \+-1"):
+        squarefree_pair(make_spec(CharacterTwist(chi5), exceptions={5: 1, 7: 0.5}),
+                        chi5, 6, [7], [1])
+    with pytest.raises(ValueError, match="residue 4 must be squarefree"):
+        squarefree_pair(g, chi5, 6, [7], [4])
+
+
 def test_squarefree_pair_refuses_mixed_signs(chi5):
     """g(1) = +1 but g(2) = chi5(2) = -1: the gap would not be 2t * sign."""
     g = make_spec(CharacterTwist(chi5), exceptions={5: 1, 7: 1, 11: -1})
@@ -280,6 +304,14 @@ def test_growth_profile_regimes():
     assert flat.regime == "bounded"
     with pytest.raises(ValueError):
         growth_profile(make_spec(One()), 100, kind="cubefree")
+
+
+def test_growth_profile_slope_needs_two_late_checkpoints():
+    """With one or two checkpoints the later half holds fewer than two
+    points to fit, so the slope is 0."""
+    for cps in ([100], [10, 100]):
+        prof = growth_profile(make_spec(One()), 100, checkpoints=cps)
+        assert prof.slope == 0.0 and prof.sups == [float(c) for c in cps]
 
 
 def test_checkpoint_builders():

@@ -215,8 +215,8 @@ def test_generated_spec_round_trip(base, exceptions, scale_r, a, b, huge):
     again = build_spec(canon)
     assert spec_config(again) == canon
     assert again.exceptions == spec.exceptions and again.scale_r == spec.scale_r
-    for key in (a * b, huge):
-        with pytest.raises(ValueError):
+    for key in (a * b, huge):  # refused as a key, in a second clause or the first
+        with pytest.raises(ValueError, match=r"not prime|below 2\^64"):
             build_spec(f"{canon};except={key}~0.5~0")
 
 
@@ -278,10 +278,20 @@ def test_build_spec_rejects_bad_grammar():
         "one;except=2~nan~0",
         "one;except=2~0~inf",
         "char:q=5,char_index=1",  # the grammar has no alias
+        "char:q=5,q=7,index=1",  # each key, clause and exception prime once
+        "char:q=5,index=1,index=real",
+        "one;scale_r=0.1;scale_r=0.2",
+        "one;except=2~1~0,2~0~1",
+        "one;except=2~1~0;except=2~0~1",
+        "rademacher:seed=",  # and never empty
+        "char:q=5,index=1,t=",
+        "char:q=5,index= ",
     ]
     for cfg in bad:
         with pytest.raises(ValueError):
             build_spec(cfg)
+    # distinct primes may come in two clauses
+    assert build_spec("one;except=2~1~0;except=3~0~1").exceptions == {2: 1, 3: 1j}
 
 
 def test_rademacher_block_independence():
@@ -357,7 +367,9 @@ def test_rademacher_seeds_match_single_specs(monkeypatch):
     x = 3 * CHUNK + 5
     for r, table_bytes in itertools.product((0.0, 0.5), (multfun.SIGN_TABLE_BYTES, 1 << 14)):
         monkeypatch.setattr(multfun, "SIGN_TABLE_BYTES", table_bytes)
-        family = RademacherSeeds(seeds, r, x, CHUNK)
+        with monkeypatch.context() as patch:
+            short_blocks(patch, CHUNK)
+            family = RademacherSeeds(seeds, r, x)
         assert len(family) == 4 and family.exact == (r == 0)
         assert sum(t.nbytes for t in family.tables) <= table_bytes
         assert (family.top == x) == (table_bytes > 1 << 14)
@@ -384,7 +396,7 @@ def test_summarize_through_the_shifted_buffer():
     and a last block ending in a partial chunk."""
     x = BLOCK + 3 * CHUNK + 5
     cps = [1, 1000, 10 * CHUNK + 17, BLOCK - 1, BLOCK, BLOCK + CHUNK + 3, x]
-    family = RademacherSeeds([3, 7], 0.25, x, BLOCK)
+    family = RademacherSeeds([3, 7], 0.25, x)
     assert [hi - lo for lo, hi in family.ranges] == [BLOCK, 3 * CHUNK + 5]
     for k, (lo, hi) in enumerate(family.ranges):
         blk = family.block(k)
@@ -434,29 +446,67 @@ def test_eval_range_capacity_and_bounds():
         list(iter_blocks(make_spec(One()), 0))
 
 
-def test_profile_matches_brute_cumsum(chi4):
+def short_blocks(monkeypatch, length: int) -> None:
+    """Lay every stream in blocks of `length` values, in place of
+    block_length(x): short blocks at small x."""
+    monkeypatch.setattr(multfun, "block_length", lambda x: length)
+
+
+def test_profile_matches_brute_cumsum(chi4, monkeypatch):
     spec = make_spec(CharacterTwist(chi4), exceptions={3: 1})
     N = 5000
     rng = eval_range(spec, N)
     cum = np.cumsum(rng.values[1:])
     cps = [10, 100, 777, 4096, 5000]
-    prof = stream_profile(spec, N, cps, block=512)
+    short_blocks(monkeypatch, 512)
+    prof = stream_profile(spec, N, cps)
     assert prof.checkpoints == cps
     for i, x in enumerate(cps):
         assert prof.sums[i] == complex(cum[x - 1]), x
         assert prof.sups[i] == float(np.max(np.abs(cum[:x]))), x
 
 
-def test_stream_profile_matches_materialized(chi5):
+def test_stream_profile_matches_materialized(chi5, monkeypatch):
     spec = make_spec(CharacterTwist(chi5, t=0.25), exceptions={2: 0.5})
     N = 20000
     cps = [64, 4096, 20000]
-    # the block is a CHUNK multiple: the oracle lays its chunks from n = 1
-    via_stream = stream_profile(spec, N, cps, block=1 << 12)
     sums, sups = oracles.naive_profile(eval_range(spec, N).values, cps, False)
+    # the block is a CHUNK multiple: the oracle lays its chunks from n = 1
+    short_blocks(monkeypatch, 1 << 12)
+    via_stream = stream_profile(spec, N, cps)
     assert via_stream.checkpoints == cps
     assert via_stream.sums == sums
     assert via_stream.sups == sups
+
+
+def test_on_block_sees_each_block_once(monkeypatch):
+    """on_block is called once per block, after the state has consumed it,
+    so the state's n_done is that block's end; blocks without a checkpoint
+    get an empty list, and the rows of all calls are the profile's.  A scan
+    resumed from the snapshot of one call makes the remaining calls."""
+    short_blocks(monkeypatch, CHUNK)
+    x = 5 * CHUNK + 7
+    cps = [1, 2, CHUNK, 3 * CHUNK + 1, x]
+    for cfg in SCAN_MODES:
+        spec = build_spec(cfg)
+        state = ProfileState(is_exact_spec(spec), is_real_spec(spec))
+        calls, snaps = [], []
+
+        def hook(rows, state=state, calls=calls, snaps=snaps):
+            calls.append((state.n_done, rows))
+            snaps.append(state.snapshot())
+
+        prof = stream_profile(spec, x, cps, state=state, on_block=hook)
+        assert [n for n, _ in calls] == [CHUNK, 2 * CHUNK, 3 * CHUNK, 4 * CHUNK, 5 * CHUNK, x]
+        assert [len(rows) for _, rows in calls] == [3, 0, 0, 1, 0, 1], cfg
+        assert [row for _, rows in calls for row in rows] == list(
+            zip(prof.checkpoints, prof.sums, prof.sups)), cfg
+
+        resumed = ProfileState.restore(snaps[1])
+        rest = []
+        stream_profile(spec, x, cps, state=resumed,
+                       on_block=lambda rows: rest.append((resumed.n_done, rows)))
+        assert rest == calls[2:], cfg
 
 
 def test_profile_checkpoint_validation():
@@ -469,25 +519,26 @@ def test_profile_checkpoint_validation():
         stream_profile(spec, 100, [10, 200])
 
 
-def test_snapshot_resume_matches_full_run(chi5):
+def test_snapshot_resume_matches_full_run(chi5, monkeypatch):
     """A profile resumed from a snapshot matches the uninterrupted run.
 
     Integer-exact specs resume bit-identically.  Float specs may regroup the
     compensated-summation chunks at the resume point, so they are only
     guaranteed to agree to accumulator precision.
     """
+    short_blocks(monkeypatch, 512)
     for spec, tol in (
         (make_spec(CharacterTwist(chi5)), 0.0),
         (make_spec(CharacterTwist(chi5, t=0.3), exceptions={2: 0.7}), 1e-9),
     ):
         exact, real = is_exact_spec(spec), is_real_spec(spec)
         cps = [2500, 5000, 10000]
-        full = stream_profile(spec, 10000, cps, block=512)
+        full = stream_profile(spec, 10000, cps)
 
         st_live = ProfileState(exact, real)
-        first = stream_profile(spec, 5000, [2500, 5000], block=512, state=st_live)
+        first = stream_profile(spec, 5000, [2500, 5000], state=st_live)
         resumed = ProfileState.restore(st_live.snapshot())
-        rest = stream_profile(spec, 10000, cps, block=512, state=resumed)
+        rest = stream_profile(spec, 10000, cps, state=resumed)
 
         assert first.checkpoints + rest.checkpoints == cps
         sums = first.sums + rest.sums
@@ -508,21 +559,21 @@ SCAN_MODES = [  # one spec per value mode: (exact, real)
 
 @pytest.mark.parametrize("block", [4096, None])
 @pytest.mark.parametrize("cfg", SCAN_MODES)
-def test_stream_profile_matches_naive_scan(cfg, block):
+def test_stream_profile_matches_naive_scan(cfg, block, monkeypatch):
     """stream_profile equals a materialized prefix sum and running max bit
     for bit, with checkpoints on the first and last element of a block and
     of a compensated-sum chunk, several in one block, a final one-element
     block, and a resume that starts mid-block."""
-    check_naive_scan(cfg, block, squarefree=False)
+    check_naive_scan(cfg, block, False, monkeypatch)
 
 
 @pytest.mark.parametrize("cfg", SCAN_MODES[1::2])
-def test_complex_squarefree_profile_matches_naive_scan(cfg):
+def test_complex_squarefree_profile_matches_naive_scan(cfg, monkeypatch):
     """The same for the complex modes times mu^2(n), as iter_blocks masks them."""
-    check_naive_scan(cfg, None, squarefree=True)
+    check_naive_scan(cfg, None, True, monkeypatch)
 
 
-def check_naive_scan(cfg: str, block: int | None, squarefree: bool) -> None:
+def check_naive_scan(cfg: str, block: int | None, squarefree: bool, monkeypatch) -> None:
     spec = build_spec(cfg)
     exact, real = is_exact_spec(spec), is_real_spec(spec)
     B = block or BLOCK
@@ -540,15 +591,17 @@ def check_naive_scan(cfg: str, block: int | None, squarefree: bool) -> None:
         return ([(s.real.hex(), s.imag.hex()) for s in sums],
                 [float(v).hex() for v in sups])
 
-    prof = stream_profile(spec, x, cps, block=block, squarefree=squarefree)
+    if block is not None:
+        short_blocks(monkeypatch, block)
+    prof = stream_profile(spec, x, cps, squarefree=squarefree)
     assert prof.checkpoints == cps
     assert bits(prof.sums, prof.sups) == bits(*oracles.naive_profile(values, cps, exact))
 
     mid = B + B // 2 + 3
     st_live = ProfileState(exact, real)
-    first = stream_profile(spec, mid, [c for c in cps if c <= mid], block=block,
-                           state=st_live, squarefree=squarefree)
-    rest = stream_profile(spec, x, cps, block=block, squarefree=squarefree,
+    first = stream_profile(spec, mid, [c for c in cps if c <= mid], state=st_live,
+                           squarefree=squarefree)
+    rest = stream_profile(spec, x, cps, squarefree=squarefree,
                           state=ProfileState.restore(st_live.snapshot()))
     assert first.checkpoints + rest.checkpoints == cps
     assert bits(first.sums + rest.sums, first.sups + rest.sups) == bits(
@@ -796,7 +849,7 @@ def test_eval_range_bytes_pinned(cfg):
     assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_VALUES[cfg]
 
 
-def test_complex_values_do_not_depend_on_block_length():
+def test_complex_values_do_not_depend_on_block_length(monkeypatch):
     """A complex character with a non-Gaussian exception gives the same bits
     at block lengths of 2^14 + 1 values and up.  Products are taken in one
     operand order whatever the length: numpy elides `a * temp` into
@@ -804,14 +857,16 @@ def test_complex_values_do_not_depend_on_block_length():
     complex multiply rounds differently with the operands swapped."""
     spec = build_spec("char:q=7,index=2;except=3~0.3~0.2")
     x = 10**6
-    want = eval_range(spec, x).values.tobytes()
+    want = eval_range(spec, x).values[1:].tobytes()
     cps = [1 << k for k in range(20)] + [x]
     prof = stream_profile(spec, x, cps)
     for block in (2**14 + 1, 2**16, 2**18):
-        assert eval_range(spec, x, block).values.tobytes() == want, block
-        if block % CHUNK:  # the scan lays its chunks from each block start
+        assert np.concatenate(list(iter_blocks(spec, x, block))).tobytes() == want, block
+        if block % CHUNK:  # a scan of such blocks lays its chunks from each block start
             continue
-        got = stream_profile(spec, x, cps, block=block)
+        with monkeypatch.context() as patch:
+            short_blocks(patch, block)
+            got = stream_profile(spec, x, cps)
         assert [(s.real.hex(), s.imag.hex()) for s in got.sums] == [
             (s.real.hex(), s.imag.hex()) for s in prof.sums], block
         assert [v.hex() for v in got.sups] == [v.hex() for v in prof.sups], block
@@ -841,8 +896,8 @@ def test_twisted_values_do_not_depend_on_block_length():
     numpy multiplies a one-value array into itself by a scalar loop, which
     rounds the complex product differently."""
     spec = build_spec("char:q=7,index=2,t=0.5")
-    want = eval_range(spec, 3000).values.tobytes()
-    assert eval_range(spec, 3000, block=1).values.tobytes() == want
+    want = eval_range(spec, 3000).values[1:].tobytes()
+    assert np.concatenate(list(iter_blocks(spec, 3000, 1))).tobytes() == want
 
 
 def test_prime_unit_value_past_int64():

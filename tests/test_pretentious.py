@@ -129,6 +129,14 @@ def test_delange_mean_perturbed_one():
     assert not rep.squarefree_support
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_delange_mean_refuses_non_finite_t(t):
+    """A NaN t used to give a NaN prediction and gap, an infinite one a
+    "math domain error"."""
+    with pytest.raises(ValueError, match="t must be finite"):
+        delange_mean(make_spec(One()), t, 100)
+
+
 def test_delange_mean_squarefree_one():
     rep = delange_mean(make_spec(One()), 0.0, 10**5, squarefree_support=True)
     density = 6 / math.pi**2

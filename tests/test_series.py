@@ -188,3 +188,15 @@ def test_residual_check_validation(chi4, chi5):
     complex_chi = character_by_index(5, 1)
     with pytest.raises(ValueError):
         residual_check(make_spec(CharacterTwist(complex_chi)), complex_chi, 2.0, 1000)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, complex(2, math.nan),
+                               complex(2, math.inf)])
+def test_non_finite_s_refused(chi4, s):
+    """zeta, l_chi and dirichlet_partial refuse an s with a part that is not
+    finite, naming s, where zeta(nan) used to return NaN."""
+    for call in (lambda: zeta(s), lambda: l_chi(s, chi4),
+                 lambda: l_chi(s, character_by_index(4, 0)),
+                 lambda: dirichlet_partial(make_spec(One()), s, 100)):
+        with pytest.raises(ValueError, match="a finite s with Re"):
+            call()
