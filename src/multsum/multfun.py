@@ -1183,8 +1183,9 @@ def stream_profile(
     """Profile f (times mu^2(n) when `squarefree`) over 1..x without
     materializing values.
 
-    Blocks hold block_length(x) values, a multiple of accum.CHUNK, so the
-    float sums are those of one compensated scan over 1..x.  `state` (a
+    Blocks of block_length(x) values (a multiple of accum.CHUNK) are laid
+    from n_done + 1: from a fresh state, or one saved at a multiple of CHUNK,
+    the float sums are those of one compensated scan over 1..x.  `state` (a
     snapshot's) resumes mid-scan; rows it covers are not re-emitted.
     on_block(rows) is called after `state` consumes each block, with the
     block's (c, M(c), max_{y<=c} |M(y)|) rows, possibly none: the state

@@ -231,33 +231,40 @@ def check_resume_after_crash(tmp_path, monkeypatch, spec: str) -> None:
 
 
 def test_profile_resume_after_mid_block_crash(tmp_path, monkeypatch):
-    """A crash inside the block that holds a checkpoint not the last of its
-    block, before the block reaches its hook, leaves the state of an earlier
-    block (here none), never one ahead of its rows."""
+    """A crash in the hook after a block's rows reach the CSV but before its
+    state is committed leaves rows past the state (here there is none), and
+    the resume rewrites them rather than appending after them."""
     argv = ["profile", "--spec", "char:q=4,index=1", "--n", str(1 << 20)]
     _, full_prefix = run(tmp_path / "full", *argv)
     with open(full_prefix + ".csv", "rb") as fh:
         want = fh.read()
 
-    real_stream = cli.stream_profile
+    real_replace = os.replace
 
-    def crashing_stream(spec, x, checkpoints, state=None, on_block=None):
-        def wrapped(rows):
-            if any(c == 1024 for c, _, _ in rows):
-                raise RuntimeError("injected crash")
-            on_block(rows)
+    def crashing_replace(src, dst):
+        if str(dst).endswith(".state.json"):
+            raise RuntimeError("injected crash")
+        real_replace(src, dst)
 
-        return real_stream(spec, x, checkpoints, state=state, on_block=wrapped)
-
-    monkeypatch.setattr(cli, "stream_profile", crashing_stream)
+    monkeypatch.setattr(os, "replace", crashing_replace)
     prefix = str(tmp_path / "part")
     with pytest.raises(RuntimeError):
         cli.main([*argv, "--out", prefix])
     assert not os.path.exists(prefix + ".state.json")
-    monkeypatch.setattr(cli, "stream_profile", real_stream)
+    with open(prefix + ".csv", "rb") as fh:
+        partial = fh.read()
+    assert b"\n1024," in partial and want.startswith(partial) and partial != want
+    # the CSV is rewritten from the record at the end, so only a resume that
+    # crashes the same way shows whether it appended to the stray rows
+    with pytest.raises(RuntimeError):
+        cli.main([*argv, "--out", prefix, "--resume"])
+    with open(prefix + ".csv", "rb") as fh:
+        assert fh.read() == partial
+    monkeypatch.setattr(os, "replace", real_replace)
 
     code = cli.main([*argv, "--out", prefix, "--resume"])
     assert code == 0
+    assert not os.path.exists(prefix + ".state.json")
     with open(prefix + ".csv", "rb") as fh:
         assert fh.read() == want
 
