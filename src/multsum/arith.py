@@ -285,13 +285,27 @@ UNIT_GROUP_LIMIT = 10**6
 
 @dataclass(eq=False)
 class UnitGroup:
-    """Structure of (Z/qZ)*: independent generators with their orders, and a
-    discrete-log table mapping each coprime residue to its exponent tuple."""
+    """Structure of (Z/qZ)*: independent generators with their orders, every
+    unit mod q, and row for row its exponents on the generators:
+    units[i] = prod_j g_j^dlog[i, j] mod q."""
 
     modulus: int
     generators: list[tuple[int, int]]
     orders: tuple[int, ...]
-    dlog: dict[int, tuple[int, ...]]
+    units: np.ndarray  # int64
+    dlog: np.ndarray  # int64, one row of len(orders) exponents per unit
+
+
+def _powers(g: int, order: int, q: int) -> np.ndarray:
+    """g^t mod q for t in range(order), by doubling; products stay below q^2."""
+    pw = np.empty(order, dtype=np.int64)
+    pw[0] = 1 % q
+    filled = 1
+    while filled < order:
+        step = min(filled, order - filled)
+        pw[filled : filled + step] = pw[:step] * pow(g, filled, q) % q
+        filled += step
+    return pw
 
 
 def unit_group(q: int) -> UnitGroup:
@@ -315,21 +329,13 @@ def unit_group(q: int) -> UnitGroup:
                 # lift to a generator that is 1 in every other CRT coordinate
                 g, _ = crt_solve([(g % pe, pe), (1, rest)])
             gens.append((g, order))
-    items: list[tuple[tuple[int, ...], int]] = [((), 1 % q)]
-    for g, order in gens:
-        nxt = []
-        for tup, val in items:
-            pw = 1
-            for t in range(order):
-                nxt.append((tup + (t,), val * pw % q))
-                pw = pw * g % q
-        items = nxt
-    dlog = {val: tup for tup, val in items}
-    if len(dlog) != euler_phi(q):
+    orders = tuple(order for _, order in gens)
+    units = np.array([1 % q], dtype=np.int64)
+    for g, order in gens:  # the last generator's exponent runs fastest
+        units = np.multiply.outer(units, _powers(g, order, q)).ravel() % q
+    dlog = np.indices(orders, dtype=np.int64).reshape(len(orders), len(units)).T
+    seen = np.zeros(q, dtype=bool)
+    seen[units] = True
+    if np.count_nonzero(seen) != euler_phi(q):
         raise AssertionError(f"unit group enumeration broken for q={q}")
-    return UnitGroup(
-        modulus=q,
-        generators=gens,
-        orders=tuple(order for _, order in gens),
-        dlog=dlog,
-    )
+    return UnitGroup(modulus=q, generators=gens, orders=orders, units=units, dlog=dlog)

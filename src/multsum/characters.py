@@ -11,6 +11,7 @@ window constructions and the Euler-product check take such variants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,69 +63,33 @@ def _root_of_unity(k: int, order: int) -> complex:
     return complex(math.cos(ang), math.sin(ang))
 
 
-def _group_lcm(orders: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    lcm = 1
-    for d in orders:
-        lcm = lcm * d // math.gcd(lcm, d)
-    return lcm, tuple(lcm // d for d in orders)
-
-
-def _pairing_table(
-    q: int, ug: arith.UnitGroup, cs: tuple[int, ...], weights: tuple[int, ...], lcm: int
-) -> np.ndarray:
-    """pair[a] = exponent of chi(a) as a power of exp(2*pi*i/lcm); -1 off
-    the coprime residues."""
-    pair = np.full(max(q, 1), -1, dtype=np.int64)
-    for a, ts in ug.dlog.items():
-        pair[a] = sum(c * t * w for c, t, w in zip(cs, ts, weights)) % lcm
-    return pair
-
-
-def _conductor(q: int, pair: np.ndarray, lcm: int) -> int:
-    """Smallest d | q with chi trivial on every residue that is 1 mod d."""
-    for d in range(1, q + 1):
-        if q % d:
-            continue
-        if all(pair[a] <= 0 for a in range(1 % d, q, d)):
-            return d
-    return q
-
-
 def _build_character(
     q: int, ug: arith.UnitGroup, cs: tuple[int, ...], index: int
 ) -> DirichletCharacter:
-    lcm, weights = _group_lcm(ug.orders)
-    pair = _pairing_table(q, ug, cs, weights, lcm)
-    values = np.zeros(max(q, 1), dtype=np.complex128)
-    for a in np.flatnonzero(pair >= 0):
-        values[a] = _root_of_unity(int(pair[a]), lcm)
+    """The character with exponents cs: chi(u) = e(pair(u)/lcm), pair(u) =
+    sum_j cs[j] dlog(u)[j] lcm/orders[j] mod lcm.  Every pair is a multiple
+    of step, so one _root_of_unity per multiple tabulates the values."""
+    lcm = math.lcm(*ug.orders)
+    cw = np.array([c * (lcm // d) for c, d in zip(cs, ug.orders)], dtype=np.int64)
+    step = math.gcd(lcm, *cw.tolist())
+    roots = np.array([_root_of_unity(k, lcm) for k in range(0, lcm, step)], dtype=np.complex128)
+    exps = ug.dlog @ cw % lcm
+    pair = np.full(q, -1, dtype=np.int64)  # -1 off the units
+    pair[ug.units] = exps
+    values = np.zeros(q, dtype=np.complex128)
+    values[ug.units] = roots[exps // step]
+    powers = [[p**k for k in range(e + 1)] for p, e in arith.factor(q)]
+    divisors = sorted(math.prod(ds) for ds in itertools.product(*powers))
     return DirichletCharacter(
         modulus=q,
         index=index,
         values=values,
         exponents=cs,
-        principal=all(c == 0 for c in cs),
+        principal=not any(cs),
         real=all(2 * c % d == 0 for c, d in zip(cs, ug.orders)),
-        conductor=_conductor(q, pair, lcm),
+        # the smallest d | q with chi trivial on every residue 1 mod d
+        conductor=next(d for d in divisors if (pair[1 % d :: d] <= 0).all()),
     )
-
-
-def _index_of(cs: tuple[int, ...], orders: tuple[int, ...]) -> int:
-    idx = 0
-    for c, d in zip(cs, orders):
-        idx = idx * d + c
-    return idx
-
-
-def _decode_index(index: int, orders: tuple[int, ...]) -> tuple[int, ...]:
-    cs: list[int] = []
-    rem = index
-    for d in reversed(orders):
-        rem, c = divmod(rem, d)
-        cs.append(c)
-    if rem:
-        raise ValueError("character index out of range")
-    return tuple(reversed(cs))
 
 
 def _check_modulus(q: int) -> None:
@@ -139,9 +104,7 @@ def character_table(q: int) -> list[DirichletCharacter]:
     phi(q)^2; meant for small moduli (single lookups scale further)."""
     _check_modulus(q)
     ug = arith.unit_group(q)
-    duals: list[tuple[int, ...]] = [()]
-    for d in ug.orders:
-        duals = [tup + (c,) for tup in duals for c in range(d)]
+    duals = itertools.product(*map(range, ug.orders))
     return [_build_character(q, ug, cs, i) for i, cs in enumerate(duals)]
 
 
@@ -151,23 +114,21 @@ def character_by_index(q: int, index: int | str) -> DirichletCharacter:
     _check_modulus(q)
     ug = arith.unit_group(q)
     if isinstance(index, str) and index.strip().lower() == "real":
-        cands: list[tuple[int, ...]] = [()]
-        for d in ug.orders:
-            opts = [0] + ([d // 2] if d % 2 == 0 else [])
-            cands = [tup + (c,) for tup in cands for c in opts]
-        reals = [cs for cs in cands if any(cs)]
+        halves = [(0, d // 2) if d % 2 == 0 else (0,) for d in ug.orders]
+        reals = [cs for cs in itertools.product(*halves) if any(cs)]
         if len(reals) != 1:
             raise ValueError(
                 f"modulus {q} has {len(reals)} real non-principal characters; "
                 "pick one by numeric index"
             )
         cs = reals[0]
-        return _build_character(q, ug, cs, _index_of(cs, ug.orders))
+        return _build_character(q, ug, cs, int(np.ravel_multi_index(cs, ug.orders)))
     i = int(index)
-    phi = arith.euler_phi(q)
+    phi = len(ug.units)
     if not 0 <= i < phi:
         raise ValueError(f"character index {i} outside 0..{phi - 1} for q={q}")
-    return _build_character(q, ug, _decode_index(i, ug.orders), i)
+    cs = tuple(int(c) for c in np.unravel_index(i, ug.orders))
+    return _build_character(q, ug, cs, i)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +194,10 @@ def recursion_state(chi: DirichletCharacter, r: int, z: complex) -> RecursionSta
     z = complex(z)
     q = chi.modulus
     period = r * q
-    vals = chi.values[np.arange(period + 1) % max(q, 1)].copy()
-    vals[0] = 0
-    vals[r::r] = 0
-    s_table = np.cumsum(vals)
+    s_table = arith.periodic(chi.values, 0, period + 1)
+    s_table[0] = 0
+    s_table[r::r] = 0
+    np.cumsum(s_table, out=s_table)
     return RecursionState(
         chi=chi,
         r=r,

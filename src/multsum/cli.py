@@ -20,6 +20,7 @@ import sys
 import time
 
 from . import __version__
+from .accum import CHUNK
 from .characters import (
     character_by_index,
     first_nonzero_sigma,
@@ -100,14 +101,12 @@ def _parse_flips(text: str) -> dict[int, complex]:
     out: dict[int, complex] = {}
     for item in text.split(","):
         parts = item.split("~")
-        if len(parts) == 2:
-            p, re_ = parts
-            out[int(p)] = complex(float(re_), 0.0)
-        elif len(parts) == 3:
-            p, re_, im_ = parts
-            out[int(p)] = complex(float(re_), float(im_))
-        else:
+        if len(parts) not in (2, 3):
             raise ValueError(f"bad flip entry {item!r}; use p~re or p~re~im")
+        p = int(parts[0])
+        if p in out:
+            raise ValueError(f"flip prime {p} given twice")
+        out[p] = complex(float(parts[1]), float(parts[2]) if len(parts) == 3 else 0.0)
     return out
 
 
@@ -231,6 +230,9 @@ def _run_profile(args, prefix: str):
                    or not all(type(v) in (int, float) for v in r) for r in rows):
                 raise ValueError(f"malformed resume state (a row is not {width} numbers)")
             rows = [list(map(float, r)) for r in rows]
+            if state.n_done != n and state.n_done % CHUNK:
+                # blocks laid from there would regroup the compensated chunks
+                raise ValueError(f"resume state stops at {state.n_done}, not a multiple of {CHUNK}")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{exc}; rerun without --resume") from None
         covered = [c for c in checkpoints if c <= state.n_done]

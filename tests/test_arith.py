@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multsum import (
+    CapacityError,
     InfeasibleError,
     crt_solve,
     euler_phi,
@@ -149,9 +150,11 @@ def test_unit_group_structures():
     g8 = unit_group(8)
     assert sorted(g8.orders) == [2, 2]
     g1 = unit_group(1)
-    assert g1.orders == () and g1.dlog == {0: ()}
+    assert g1.orders == () and dict(zip(g1.units.tolist(), map(tuple, g1.dlog.tolist()))) == {0: ()}
     g9 = unit_group(9)
     assert g9.orders == (6,)
+    with pytest.raises(CapacityError):
+        unit_group(10**6 + 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 12, 16, 24, 35, 36, 60, 97, 120, 200])
@@ -161,8 +164,8 @@ def test_unit_group_dlog_regenerates(q):
     for _, order in ug.generators:
         phi *= order
     assert phi == euler_phi(q)
-    assert len(ug.dlog) == euler_phi(q)
-    for res, exps in ug.dlog.items():
+    assert len(set(ug.units.tolist())) == len(ug.dlog) == euler_phi(q)
+    for res, exps in zip(ug.units.tolist(), ug.dlog.tolist()):
         assert math.gcd(res, q) == 1 or q == 1
         prod = 1 % q
         for (g, _), e in zip(ug.generators, exps):

@@ -170,6 +170,18 @@ def test_recursion_refuses_principal_character():
         recursion_state(chi0, 3, -1)
 
 
+@pytest.mark.parametrize("q, index, r, z", [(4, 1, 3, -1), (5, 1, 7, 1j), (39, 23, 11, -1)])
+def test_recursion_table_is_the_indexed_recipe(q, index, r, z):
+    """The period table laid by arith.periodic and summed in place has the
+    bytes of the earlier recipe: an index array into the values, then a
+    cumsum into a second array."""
+    chi = character_by_index(q, index)
+    vals = chi.values[np.arange(r * q + 1) % q].copy()
+    vals[0] = 0
+    vals[r::r] = 0
+    assert recursion_state(chi, r, z).s_table.tobytes() == np.cumsum(vals).tobytes()
+
+
 def test_s_restricted_values(chi4):
     st = recursion_state(chi4, 3, 1)
     assert s_restricted(st, 10) == 1  # frozen: chi4 over n <= 10 coprime to 3

@@ -92,6 +92,12 @@ def test_inner_errors_exit_1(tmp_path, capsys):
     assert code == 1  # chi(5) = 0 cannot be flipped
     code, _ = run(tmp_path, "profile", "--spec", "one;except=2~nan~0", "--n", "100")
     assert code == 1 and "not finite" in capsys.readouterr().err
+    code, _ = run(tmp_path, "witness-rotation", "--q", "4", "--index", "1",
+                  "--flips", "5~0~1~2", "--H", "4", "--plan", "5~1~1")
+    assert code == 1 and "bad flip entry '5~0~1~2'" in capsys.readouterr().err
+    code = cli.main(["distance", "--f", "one", "--g", "liouville", "--x", "10",
+                     "--out", str(tmp_path / "missing" / "d")])
+    assert code == 1 and "error:" in capsys.readouterr().err  # the record is unwritable
 
 
 @pytest.mark.parametrize("argv", [
@@ -374,6 +380,31 @@ def test_profile_resume_refuses_malformed_state(tmp_path, capsys):
         assert "malformed resume state" in err and "rerun without --resume" in err
 
 
+def test_profile_resume_refuses_a_state_off_a_chunk(tmp_path, capsys):
+    """The CLI saves states at block ends only.  One the library saved at
+    n_done = 5000, not a multiple of CHUNK, used to resume at --n 1e6 into a
+    CSV that differed from the uninterrupted run's in 8 rows (5 for the
+    damped spec): blocks laid from 5001 regroup the compensated chunks."""
+    for i, spec in enumerate(["char:q=4,index=1;except=3~0.3~0", "one;scale_r=0.25"]):
+        argv = ["profile", "--spec", spec, "--n", "16384"]
+        code, full_prefix = run(tmp_path / f"full{i}", *argv)
+        assert code == 0
+        with open(full_prefix + ".json") as fh:
+            chash = json.load(fh)["config_hash"]
+        f = multsum.build_spec(spec)
+        state = cli.ProfileState(cli.is_exact_spec(f), cli.is_real_spec(f))
+        covered = [c for c in cli.dyadic_checkpoints(16384) if c <= 5000]
+        prof = cli.stream_profile(f, 5000, covered, state=state)
+        rows = [cli._profile_row(*row) for row in zip(prof.checkpoints, prof.sums, prof.sups)]
+        prefix = str(tmp_path / f"part{i}")
+        with open(prefix + ".state.json", "w") as fh:
+            json.dump({"config_hash": chash, "snapshot": state.snapshot(), "rows": rows}, fh)
+        code = cli.main([*argv, "--out", prefix, "--resume"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "stops at 5000, not a multiple of 4096" in err and "rerun without --resume" in err
+
+
 def test_modchar_growth_rows(tmp_path):
     code, prefix = run(tmp_path, "modchar-growth", "--q", "4", "--r", "3",
                        "--z", "1", "--n", "4096")
@@ -407,6 +438,23 @@ def test_witness_rotation_window_refusals(tmp_path, capsys):
     code, _ = run(tmp_path, *rotation, "--w", "7")
     assert code == 1  # w without the primorial modulus
     assert "primorial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness-rotation", "--q", "4", "--index", "1", "--flips", "{}", "--H", "4",
+     "--plan", "5~1~1"],
+    ["sf-pair", "--q", "5", "--flips", "7~1,{},11~-1", "--H", "6",
+     "--primes", "7,11", "--residues", "1,6"],
+])
+@pytest.mark.parametrize("flips", ["5~1,5~0~1", "5~0~1,5~1"])
+def test_flips_refuse_a_prime_given_twice(tmp_path, capsys, argv, flips):
+    """--flips refuses a repeated prime in either order, as except= does:
+    5~1,5~0~1 used to drop the 5~1 and run with f(5) = i, and the reverse
+    order failed with an unrelated error."""
+    code, prefix = run(tmp_path, *[a.format(flips) for a in argv])
+    assert code == 1
+    assert "flip prime 5 given twice" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".csv")
 
 
 def test_windows_past_factor_limit_refused(tmp_path, capsys):
@@ -509,6 +557,18 @@ def test_character_index_grammar_is_the_spec_one(tmp_path):
             records.append(json.load(fh))
     want, got = records
     assert got["rows"] == want["rows"] and got["config"] == want["config"]
+
+
+def test_plain_real_z_is_the_named_one(tmp_path):
+    """--z -1.0 (a plain real number) writes the row of --z -1."""
+    rows = []
+    for z in ("-1", "-1.0"):
+        code, prefix = run(tmp_path / z, "zero-scan", "--q", "5", "--index", "1",
+                           "--r", "3", "--z", z, "--M", "50")
+        assert code == 0
+        with open(prefix + ".csv", "rb") as fh:
+            rows.append(fh.read())
+    assert rows[0] == rows[1]
 
 
 # argv atoms for the parser fuzz: numbers the parsers must refuse or take,
