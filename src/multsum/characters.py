@@ -233,6 +233,8 @@ def sigma_recursion(state: RecursionState, x: int) -> complex:
 def sigma_many(state: RecursionState, xs: np.ndarray) -> np.ndarray:
     """Vectorized Sigma over an int64 array of nonnegative arguments."""
     xs = np.asarray(xs, dtype=np.int64)
+    if (xs < 0).any():
+        raise ValueError(f"x must be >= 0, got {int(xs[xs < 0][0])}")
     total = np.zeros(xs.shape, dtype=np.complex128)
     cur = xs.copy()
     k = 0

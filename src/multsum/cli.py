@@ -43,11 +43,12 @@ from .multfun import (
     RandomRademacher,
     ProfileState,
     build_spec,
+    check_checkpoints,
     is_exact_spec,
     is_real_spec,
+    iter_blocks,
     make_spec,
     spec_config,
-    stream_profile,
 )
 from .pretentious import delange_mean, distance
 from .series import residual_check
@@ -206,6 +207,7 @@ def _run_profile(args, prefix: str):
     spec = build_spec(args.spec)
     n = _parse_count(args.n)
     checkpoints = _parse_checkpoints(args.checkpoints, n)
+    check_checkpoints(checkpoints, n)
     config = spec_config(spec)
     params = {"n": n, "checkpoints": args.checkpoints}
     experiment = "profile"
@@ -213,7 +215,8 @@ def _run_profile(args, prefix: str):
     state_path = prefix + ".state.json"
     csv_path = prefix + ".csv"
 
-    state = ProfileState(is_exact_spec(spec), is_real_spec(spec))
+    exact, real = is_exact_spec(spec), is_real_spec(spec)
+    state = ProfileState(exact, real)
     rows: list[list[float]] = []
     if args.resume and os.path.exists(state_path):
         with open(state_path) as fh:
@@ -225,6 +228,8 @@ def _run_profile(args, prefix: str):
             )
         try:
             state = ProfileState.restore(saved.get("snapshot"))
+            if (state.exact, state.real) != (exact, real):
+                raise ValueError("resume state does not match the spec's value modes")
             rows, width = saved.get("rows", []), len(PROFILE_COLUMNS)
             if any(type(r) is not list or len(r) != width
                    or not all(type(v) in (int, float) for v in r) for r in rows):
@@ -243,28 +248,19 @@ def _run_profile(args, prefix: str):
             )
 
     _write_csv(csv_path, PROFILE_COLUMNS, rows)
-    fh = open(csv_path, "a", newline="")
-
-    def on_block(block_rows: list[tuple[int, complex, float]]) -> None:
-        if not block_rows:  # the CSV and the state file stay as they were
-            return
-        new = [_profile_row(*row) for row in block_rows]
-        rows.extend(new)
-        fh.writelines(map(_csv_line, new))
-        fh.flush()
-        snap = {  # the state covers exactly the rows so far
-            "config_hash": chash,
-            "snapshot": state.snapshot(),
-            "rows": rows,
-        }
-        with open(state_path + ".tmp", "w") as sfh:
-            json.dump(snap, sfh)
-        os.replace(state_path + ".tmp", state_path)
-
-    try:
-        stream_profile(spec, n, checkpoints, state=state, on_block=on_block)
-    finally:
-        fh.close()
+    with open(csv_path, "a", newline="") as fh:
+        for blk in iter_blocks(spec, n, start=state.n_done + 1):
+            new = [_profile_row(*row) for row in state.feed(blk, checkpoints)]
+            if not new:  # the CSV and the state file stay as they were
+                continue
+            rows += new
+            fh.writelines(map(_csv_line, new))
+            fh.flush()
+            # the state covers exactly the rows so far
+            snap = {"config_hash": chash, "snapshot": state.snapshot(), "rows": rows}
+            with open(state_path + ".tmp", "w") as sfh:
+                json.dump(snap, sfh)
+            os.replace(state_path + ".tmp", state_path)
     if os.path.exists(state_path):
         os.remove(state_path)
     last = rows[-1]

@@ -505,6 +505,9 @@ def random_walk_mc(
                             f"than EVAL_CAPACITY={EVAL_CAPACITY}")
     if isinstance(seeds, int):
         seeds = list(range(seeds))
+    elif len(set(seeds)) < len(seeds):
+        twice = next(s for i, s in enumerate(seeds) if s in seeds[:i])
+        raise ValueError(f"seed {twice} given twice")
     family = RademacherSeeds(seeds, scale_r, N)
     if checkpoints is None:
         checkpoints = decade_checkpoints(N)

@@ -1173,36 +1173,18 @@ def check_checkpoints(checkpoints: list[int], x: int) -> None:
 
 
 def stream_profile(
-    spec: MultFnSpec,
-    x: int,
-    checkpoints: list[int],
-    state: ProfileState | None = None,
-    on_block: Callable[[list[tuple[int, complex, float]]], None] | None = None,
-    squarefree: bool = False,
+    spec: MultFnSpec, x: int, checkpoints: list[int], squarefree: bool = False
 ) -> PartialSumProfile:
     """Profile f (times mu^2(n) when `squarefree`) over 1..x without
-    materializing values.
-
-    Blocks of block_length(x) values (a multiple of accum.CHUNK) are laid
-    from n_done + 1: from a fresh state, or one saved at a multiple of CHUNK,
-    the float sums are those of one compensated scan over 1..x.  `state` (a
-    snapshot's) resumes mid-scan; rows it covers are not re-emitted.
-    on_block(rows) is called after `state` consumes each block, with the
-    block's (c, M(c), max_{y<=c} |M(y)|) rows, possibly none: the state
-    then covers exactly the rows emitted so far.
+    materializing values: one fresh ProfileState fed every block of
+    iter_blocks, so the float sums are those of one compensated scan over
+    1..x.  Rows are (c, M(c), max_{y<=c} |M(y)|) per checkpoint c.
     """
     check_checkpoints(checkpoints, x)
-    exact, real = is_exact_spec(spec), is_real_spec(spec)
-    if state is None:
-        state = ProfileState(exact, real)
-    elif state.exact != exact or state.real != real:
-        raise ValueError("resume state does not match the spec's value modes")
-    rows = []  # a resumed state skips the rows it covers
-    for blk in iter_blocks(spec, x, start=state.n_done + 1, squarefree=squarefree):
-        block_rows = state.feed(blk, checkpoints)
-        rows += block_rows
-        if on_block is not None:
-            on_block(block_rows)
+    exact = is_exact_spec(spec)
+    state = ProfileState(exact, is_real_spec(spec))
+    rows = [row for blk in iter_blocks(spec, x, squarefree=squarefree)
+            for row in state.feed(blk, checkpoints)]
     return PartialSumProfile(
         spec=spec, checkpoints=[c for c, _, _ in rows],
         sums=[s for _, s, _ in rows], sups=[sup for _, _, sup in rows], exact=exact,

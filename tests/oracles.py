@@ -124,11 +124,12 @@ def naive_profile(values, checkpoints, exact: bool, resume_at: int = 0):
     One prefix sum over the whole range, then a running max of |M|.  Exact
     specs use a plain cumsum (integers below 2^53 add exactly).  Float specs
     use accum.compensated_cumsum, whose chunks are laid from n = 1 (and from
-    n = resume_at + 1, carry kept, as a resumed scan lays them).
-    stream_profile reproduces that: its blocks hold block_length(x) values,
-    a multiple of accum.CHUNK.  Blocks fed to a ProfileState by hand lay
-    their chunks from each block start, so float sums over blocks of other
-    lengths can differ.
+    n = resume_at + 1, carry kept, as the CLI's profile lays them when it
+    resumes from a snapshot: iter_blocks from n_done + 1 into
+    ProfileState.feed).  stream_profile reproduces the scan from n = 1: its
+    blocks hold block_length(x) values, a multiple of accum.CHUNK.  Blocks
+    of other lengths lay their chunks from each block start, so their float
+    sums can differ.
     """
     import numpy as np
     from multsum.accum import NeumaierSum, compensated_cumsum

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from multsum import lab, multfun
 
@@ -46,14 +47,31 @@ def test_random_walk_mc_summary_shape():
         assert all(type(v) is float for v in row)
 
 
-def test_complex_profile_reaches_traced_compensated_cumsum():
-    """A float complex profile calls accum.compensated_cumsum through a name
-    the tracer wraps; without that call a traced run has no
-    accum.compensated_cumsum_s and counts as incorrect."""
+def _complex_profile():
+    multfun.stream_profile(multfun.build_spec("char:q=5,index=1,t=2.0"), 5000, [5000])
+
+
+def _squarefree_growth_profile():
+    lab.growth_profile(multfun.build_spec("char:q=5,index=1"), 5000, kind="squarefree")
+
+
+TRACED_CALLS = [  # (call, a span it must record)
+    (_complex_profile, "accum.compensated_cumsum"),
+    (_squarefree_growth_profile, "arith.squarefree_block"),
+    (_squarefree_growth_profile, "arith.primes_upto"),
+]
+
+
+@pytest.mark.parametrize("call, span", TRACED_CALLS, ids=[span for _, span in TRACED_CALLS])
+def test_profile_reaches_traced_span(call, span):
+    """A float complex profile calls accum.compensated_cumsum, and a
+    square-free growth profile arith.squarefree_block and arith.primes_upto,
+    through names the tracer wraps; without one of those calls a traced run
+    lacks its per-layer metric and counts as incorrect."""
     tracer = _tracer().Tracer()
     tracer.install()
     try:
-        multfun.stream_profile(multfun.build_spec("char:q=5,index=1,t=2.0"), 5000, [5000])
+        call()
     finally:
         tracer.uninstall()
-    assert "accum.compensated_cumsum" in {s["name"] for s in tracer.spans}
+    assert span in {s["name"] for s in tracer.spans}

@@ -235,6 +235,16 @@ def test_sigma_many_matches_scalar(chi4):
         assert complex(v) == sigma_recursion(st, int(x)), int(x)
 
 
+def test_sigma_many_refuses_negative_arguments(chi4):
+    """A negative entry used to take table terms for as long as the largest
+    entry ran, so its value depended on the other entries (1 at -2 here)."""
+    st = recursion_state(chi4, 3, 1j)
+    with pytest.raises(ValueError, match="x must be >= 0, got -2"):
+        sigma_many(st, [-2, 10])
+    with pytest.raises(ValueError, match="got -1"):
+        sigma_many(st, np.array([[5, 0], [-1, -7]]))
+
+
 def test_iterate_check_exact_zero(chi4, chi5):
     rng = np.random.default_rng(20260818)
     for chi in (chi4, chi5):

@@ -192,8 +192,8 @@ def test_baseline_compare_columns_and_row_count(tmp_path):
 def test_profile_resume_completes_identically(tmp_path, monkeypatch):
     """Crash right after the scan block that ends at a checkpoint, then resume.
 
-    The injected crash fires once the block's hook has returned, so the
-    state file written there is the one the resume continues from.
+    The injected crash fires on the next block after it, so the state file
+    written for it is the one the resume continues from.
     """
     check_resume_after_crash(tmp_path, monkeypatch, "char:q=4,index=1;except=3~1~0")
 
@@ -205,6 +205,24 @@ def test_complex_profile_resume_completes_identically(tmp_path, monkeypatch, spe
     check_resume_after_crash(tmp_path, monkeypatch, spec)
 
 
+def crash_after_block(monkeypatch, crash) -> None:
+    """Wrap cli.iter_blocks so that the next() after each block lo..hi calls
+    crash(lo, hi) and raises when it returns true: by then the profile has
+    consumed that block and committed its rows and state."""
+    real_blocks = cli.iter_blocks
+
+    def crashing_blocks(spec, x, start=1):
+        lo = start
+        for blk in real_blocks(spec, x, start=start):
+            hi = lo + len(blk) - 1
+            yield blk
+            if crash(lo, hi):
+                raise RuntimeError("injected crash")
+            lo = hi + 1
+
+    monkeypatch.setattr(cli, "iter_blocks", crashing_blocks)
+
+
 def check_resume_after_crash(tmp_path, monkeypatch, spec: str) -> None:
     n = 1 << 23  # 2^22 ends a scan block (block lengths are powers of two)
     argv = ["profile", "--spec", spec, "--n", str(n)]
@@ -212,22 +230,12 @@ def check_resume_after_crash(tmp_path, monkeypatch, spec: str) -> None:
     with open(full_prefix + ".csv", "rb") as fh:
         want = fh.read()
 
-    real_stream = cli.stream_profile
-
-    def crashing_stream(spec, x, checkpoints, state=None, on_block=None):
-        def wrapped(rows):
-            on_block(rows)
-            if any(c == 1 << 22 for c, _, _ in rows):
-                raise RuntimeError("injected crash")
-
-        return real_stream(spec, x, checkpoints, state=state, on_block=wrapped)
-
-    monkeypatch.setattr(cli, "stream_profile", crashing_stream)
+    crash_after_block(monkeypatch, lambda lo, hi: lo <= 1 << 22 <= hi)
     prefix = str(tmp_path / "part")
     with pytest.raises(RuntimeError):
         cli.main([*argv, "--out", prefix])
     assert os.path.exists(prefix + ".state.json")
-    monkeypatch.setattr(cli, "stream_profile", real_stream)
+    monkeypatch.undo()
 
     code = cli.main([*argv, "--out", prefix, "--resume"])
     assert code == 0
@@ -237,8 +245,8 @@ def check_resume_after_crash(tmp_path, monkeypatch, spec: str) -> None:
 
 
 def test_profile_resume_after_mid_block_crash(tmp_path, monkeypatch):
-    """A crash in the hook after a block's rows reach the CSV but before its
-    state is committed leaves rows past the state (here there is none), and
+    """A crash after a block's rows reach the CSV but before its state is
+    committed leaves rows past the state (here there is none), and
     the resume rewrites them rather than appending after them."""
     argv = ["profile", "--spec", "char:q=4,index=1", "--n", str(1 << 20)]
     _, full_prefix = run(tmp_path / "full", *argv)
@@ -286,23 +294,17 @@ def test_profile_resume_after_a_block_without_checkpoints(tmp_path, monkeypatch)
         want = fh.read()
 
     prefix = str(tmp_path / "part")
-    real_stream = cli.stream_profile
-    saved = []  # the state file after each block's hook
+    saved = []  # the state file after each block
 
-    def crashing_stream(spec, x, checkpoints, state=None, on_block=None):
-        def wrapped(rows):
-            on_block(rows)
-            with open(prefix + ".state.json") as fh:
-                saved.append(fh.read())
-            if not rows:
-                raise RuntimeError("injected crash")
+    def crash(lo, hi):
+        with open(prefix + ".state.json") as fh:
+            saved.append(fh.read())
+        return not any(lo <= 1 << k <= hi for k in range(21))  # no checkpoint
 
-        return real_stream(spec, x, checkpoints, state=state, on_block=wrapped)
-
-    monkeypatch.setattr(cli, "stream_profile", crashing_stream)
+    crash_after_block(monkeypatch, crash)
     with pytest.raises(RuntimeError):
         cli.main([*argv, "--out", prefix])
-    monkeypatch.setattr(cli, "stream_profile", real_stream)
+    monkeypatch.undo()
     assert len(saved) == 3 and saved[2] == saved[1] != saved[0]
     state = json.loads(saved[1])
     assert state["snapshot"]["n_done"] == state["rows"][-1][0] == 1 << 19
@@ -315,21 +317,11 @@ def test_profile_resume_after_a_block_without_checkpoints(tmp_path, monkeypatch)
 
 def test_profile_resume_guards(tmp_path, monkeypatch, capsys):
     argv = ["profile", "--spec", "char:q=4,index=1", "--n", "4096"]
-    real_stream = cli.stream_profile
-
-    def crashing_stream(spec, x, checkpoints, state=None, on_block=None):
-        def wrapped(rows):
-            on_block(rows)
-            if any(c >= 4096 for c, _, _ in rows):
-                raise RuntimeError("injected crash")
-
-        return real_stream(spec, x, checkpoints, state=state, on_block=wrapped)
-
-    monkeypatch.setattr(cli, "stream_profile", crashing_stream)
+    crash_after_block(monkeypatch, lambda lo, hi: hi >= 4096)
     prefix = str(tmp_path / "part")
     with pytest.raises(RuntimeError):
         cli.main([*argv, "--out", prefix])
-    monkeypatch.setattr(cli, "stream_profile", real_stream)
+    monkeypatch.undo()
 
     # a different invocation must refuse the leftover state
     code = cli.main(["profile", "--spec", "char:q=4,index=1", "--n", "8192",
@@ -394,8 +386,8 @@ def test_profile_resume_refuses_a_state_off_a_chunk(tmp_path, capsys):
         f = multsum.build_spec(spec)
         state = cli.ProfileState(cli.is_exact_spec(f), cli.is_real_spec(f))
         covered = [c for c in cli.dyadic_checkpoints(16384) if c <= 5000]
-        prof = cli.stream_profile(f, 5000, covered, state=state)
-        rows = [cli._profile_row(*row) for row in zip(prof.checkpoints, prof.sums, prof.sups)]
+        rows = [cli._profile_row(*row) for blk in cli.iter_blocks(f, 5000)
+                for row in state.feed(blk, covered)]
         prefix = str(tmp_path / f"part{i}")
         with open(prefix + ".state.json", "w") as fh:
             json.dump({"config_hash": chash, "snapshot": state.snapshot(), "rows": rows}, fh)
@@ -403,6 +395,24 @@ def test_profile_resume_refuses_a_state_off_a_chunk(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1
         assert "stops at 5000, not a multiple of 4096" in err and "rerun without --resume" in err
+
+
+def test_profile_resume_refuses_a_state_of_other_value_modes(tmp_path, capsys):
+    """A state file with the right config_hash whose snapshot flips the
+    spec's exact flag exits 1: its scan would not be the spec's."""
+    argv = ["profile", "--spec", "char:q=4,index=1", "--n", "4096"]
+    code, full_prefix = run(tmp_path / "full", *argv)
+    assert code == 0
+    with open(full_prefix + ".json") as fh:
+        chash = json.load(fh)["config_hash"]
+    snapshot = cli.ProfileState(exact=False, real=True).snapshot()
+    prefix = str(tmp_path / "part")
+    with open(prefix + ".state.json", "w") as fh:
+        json.dump({"config_hash": chash, "snapshot": snapshot, "rows": []}, fh)
+    code = cli.main([*argv, "--out", prefix, "--resume"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "value modes" in err and "rerun without --resume" in err
 
 
 def test_modchar_growth_rows(tmp_path):
@@ -454,6 +464,15 @@ def test_flips_refuse_a_prime_given_twice(tmp_path, capsys, argv, flips):
     code, prefix = run(tmp_path, *[a.format(flips) for a in argv])
     assert code == 1
     assert "flip prime 5 given twice" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".csv")
+
+
+def test_random_mc_refuses_a_seed_given_twice(tmp_path, capsys):
+    """--seeds 1,1 used to write two sup_seed1 columns and count seed 1 twice
+    in the median."""
+    code, prefix = run(tmp_path, "random-mc", "--seeds", "3,1,2,1", "--n", "1000")
+    assert code == 1
+    assert "seed 1 given twice" in capsys.readouterr().err
     assert not os.path.exists(prefix + ".csv")
 
 

@@ -390,7 +390,7 @@ def test_random_walk_mc_multi_block_thread_invariance():
 @pytest.mark.parametrize("seeds, r, n", [
     ([5], 0.25, MC_N),
     (list(range(8)), 1.0, MC_N),  # a full uint8 word
-    (list(range(8)) + [3], 0.0, MC_N),  # uint16, a duplicated seed
+    (list(range(8)) + [2**64 + 3], 0.0, MC_N),  # uint16, seed 3's key twice
     (list(range(15)) + [-1, 2**64 + 5], 0.25, MC_N),  # uint32; keys mod 2^64
     (list(range(-1, 64)), 0.0, (1 << 18) + 5),  # a second 64-seed group
 ])

@@ -479,36 +479,6 @@ def test_stream_profile_matches_materialized(chi5, monkeypatch):
     assert via_stream.sups == sups
 
 
-def test_on_block_sees_each_block_once(monkeypatch):
-    """on_block is called once per block, after the state has consumed it,
-    so the state's n_done is that block's end; blocks without a checkpoint
-    get an empty list, and the rows of all calls are the profile's.  A scan
-    resumed from the snapshot of one call makes the remaining calls."""
-    short_blocks(monkeypatch, CHUNK)
-    x = 5 * CHUNK + 7
-    cps = [1, 2, CHUNK, 3 * CHUNK + 1, x]
-    for cfg in SCAN_MODES:
-        spec = build_spec(cfg)
-        state = ProfileState(is_exact_spec(spec), is_real_spec(spec))
-        calls, snaps = [], []
-
-        def hook(rows, state=state, calls=calls, snaps=snaps):
-            calls.append((state.n_done, rows))
-            snaps.append(state.snapshot())
-
-        prof = stream_profile(spec, x, cps, state=state, on_block=hook)
-        assert [n for n, _ in calls] == [CHUNK, 2 * CHUNK, 3 * CHUNK, 4 * CHUNK, 5 * CHUNK, x]
-        assert [len(rows) for _, rows in calls] == [3, 0, 0, 1, 0, 1], cfg
-        assert [row for _, rows in calls for row in rows] == list(
-            zip(prof.checkpoints, prof.sums, prof.sups)), cfg
-
-        resumed = ProfileState.restore(snaps[1])
-        rest = []
-        stream_profile(spec, x, cps, state=resumed,
-                       on_block=lambda rows: rest.append((resumed.n_done, rows)))
-        assert rest == calls[2:], cfg
-
-
 def test_profile_checkpoint_validation():
     spec = make_spec(One())
     with pytest.raises(ValueError):
@@ -531,22 +501,26 @@ def test_snapshot_resume_matches_full_run(chi5, monkeypatch):
         (make_spec(CharacterTwist(chi5)), 0.0),
         (make_spec(CharacterTwist(chi5, t=0.3), exceptions={2: 0.7}), 1e-9),
     ):
-        exact, real = is_exact_spec(spec), is_real_spec(spec)
         cps = [2500, 5000, 10000]
         full = stream_profile(spec, 10000, cps)
-
-        st_live = ProfileState(exact, real)
-        first = stream_profile(spec, 5000, [2500, 5000], state=st_live)
-        resumed = ProfileState.restore(st_live.snapshot())
-        rest = stream_profile(spec, 10000, cps, state=resumed)
-
-        assert first.checkpoints + rest.checkpoints == cps
-        sums = first.sums + rest.sums
-        sups = first.sups + rest.sups
-        for got, want in zip(sums, full.sums):
+        rows = resumed_rows(spec, 5000, 10000, cps)
+        assert [c for c, _, _ in rows] == cps
+        for (_, got, got_sup), want, want_sup in zip(rows, full.sums, full.sups):
             assert abs(got - want) <= tol, (spec_config(spec), got, want)
-        for got, want in zip(sups, full.sups):
-            assert abs(got - want) <= tol, (spec_config(spec), got, want)
+            assert abs(got_sup - want_sup) <= tol, (spec_config(spec), got_sup, want_sup)
+
+
+def resumed_rows(spec, mid: int, x: int, cps: list[int], squarefree: bool = False) -> list:
+    """The rows of a profile of 1..mid, then of the rest up to x resumed from
+    its snapshot, as the CLI's profile drives them: iter_blocks from
+    n_done + 1 into ProfileState.feed."""
+    state = ProfileState(is_exact_spec(spec), is_real_spec(spec))
+    rows = [row for blk in iter_blocks(spec, mid, squarefree=squarefree)
+            for row in state.feed(blk, [c for c in cps if c <= mid])]
+    state = ProfileState.restore(state.snapshot())
+    return rows + [row for blk in iter_blocks(spec, x, start=state.n_done + 1,
+                                              squarefree=squarefree)
+                   for row in state.feed(blk, cps)]
 
 
 SCAN_MODES = [  # one spec per value mode: (exact, real)
@@ -575,7 +549,7 @@ def test_complex_squarefree_profile_matches_naive_scan(cfg, monkeypatch):
 
 def check_naive_scan(cfg: str, block: int | None, squarefree: bool, monkeypatch) -> None:
     spec = build_spec(cfg)
-    exact, real = is_exact_spec(spec), is_real_spec(spec)
+    exact = is_exact_spec(spec)
     B = block or BLOCK
     x = 3 * B + 1
     if block is None:
@@ -598,13 +572,9 @@ def check_naive_scan(cfg: str, block: int | None, squarefree: bool, monkeypatch)
     assert bits(prof.sums, prof.sups) == bits(*oracles.naive_profile(values, cps, exact))
 
     mid = B + B // 2 + 3
-    st_live = ProfileState(exact, real)
-    first = stream_profile(spec, mid, [c for c in cps if c <= mid], state=st_live,
-                           squarefree=squarefree)
-    rest = stream_profile(spec, x, cps, squarefree=squarefree,
-                          state=ProfileState.restore(st_live.snapshot()))
-    assert first.checkpoints + rest.checkpoints == cps
-    assert bits(first.sums + rest.sums, first.sups + rest.sups) == bits(
+    rows = resumed_rows(spec, mid, x, cps, squarefree)
+    assert [c for c, _, _ in rows] == cps
+    assert bits([s for _, s, _ in rows], [sup for _, _, sup in rows]) == bits(
         *oracles.naive_profile(values, cps, exact, resume_at=mid))
 
 
@@ -757,13 +727,6 @@ def test_restore_refuses_malformed_snapshots():
     for d in bad:
         with pytest.raises(ValueError, match="malformed resume state"):
             ProfileState.restore(d)
-
-
-def test_resume_state_mode_mismatch(chi5):
-    st = ProfileState(exact=True, real=True)
-    spec = make_spec(CharacterTwist(chi5, t=0.3))
-    with pytest.raises(ValueError):
-        stream_profile(spec, 100, [100], state=st)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 import oracles
 from multsum import (
@@ -70,6 +71,26 @@ def test_l_chi_matches_hurwitz(chi4, chi5):
             want = oracles.hurwitz_l(s, chi)
             got = l_chi(s, chi)
             assert abs(got - want) < 1e-11 * max(1.0, abs(want)), (chi.modulus, s)
+
+
+@pytest.mark.parametrize("s, cutoffs", [(0.2 + 20j, [21, 42]), (0.5 + 100j, [101, 202])])
+def test_l_chi_doubles_its_cutoff(monkeypatch, s, cutoffs):
+    """Once |Im s| reaches about 20 the first cutoff K = |Im s| + 1 leaves a
+    correction term above the tolerance, so K doubles; the value still
+    matches mpmath's L(s, chi) within 1e-10."""
+    chi = character_by_index(4, 1)
+    seen = []
+    em_correction = series._em_correction
+
+    def recorded(s, M):
+        seen.append(int(M))  # M = K + a/q
+        return em_correction(s, M)
+
+    monkeypatch.setattr(series, "_em_correction", recorded)
+    with mp.workdps(30):
+        want = complex(mp.dirichlet(mp.mpc(s), [complex(chi(a)) for a in range(4)]))
+    assert abs(l_chi(s, chi) - want) <= 1e-10
+    assert seen == [k for k in cutoffs for _ in range(2)]  # residues 1 and 3
 
 
 def test_l_chi_stable_across_one(chi4):
