@@ -505,9 +505,12 @@ def random_walk_mc(
                             f"than EVAL_CAPACITY={EVAL_CAPACITY}")
     if isinstance(seeds, int):
         seeds = list(range(seeds))
-    elif len(set(seeds)) < len(seeds):
-        twice = next(s for i, s in enumerate(seeds) if s in seeds[:i])
-        raise ValueError(f"seed {twice} given twice")
+    elif len({s % 2**64 for s in seeds}) < len(seeds):  # signs are keyed by seed mod 2^64
+        keys = [s % 2**64 for s in seeds]
+        i = next(i for i, k in enumerate(keys) if k in keys[:i])
+        first, twice = seeds[keys.index(keys[i])], seeds[i]
+        raise ValueError(f"seed {twice} given twice" if first == twice
+                         else f"seeds {first} and {twice} are equal mod 2^64: one walk")
     family = RademacherSeeds(seeds, scale_r, N)
     if checkpoints is None:
         checkpoints = decade_checkpoints(N)

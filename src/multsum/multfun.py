@@ -33,7 +33,6 @@ BLOCK = 1 << 18  # shortest block: a 2 MB int64 array stays in one core's L2
 # Block length of sum_blocks: its per-block np.sum grouping is part of the
 # float results, so it stays fixed whatever block_length says.
 SUM_BLOCK = 1 << 22
-RUN = 64  # shortest exception stride laid as a run; shorter ones are gathered
 SIGN_TABLE_BYTES = 1 << 24  # largest per-prime sign-word table of RademacherSeeds
 HASH_BATCH = 1 << 15  # primes per pass of the sign hash: 256 KB arrays stay in L2
 
@@ -475,46 +474,23 @@ def _left_above(acc: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exception_walk(
-    primes: list[int], lo: int, hi: int
-) -> tuple[list[tuple[slice, int, int]], np.ndarray, np.ndarray]:
-    """Where n in [lo, hi) has u = n / s, s its largest divisor built from
-    the given primes (ascending), as strides and a gather list.
-
-    The multiples of each such d > 1 are n = d m for consecutive m.  runs
-    holds (stride, m0, count) for every d <= cut = (hi - lo) // RUN,
-    ascending, so laying a function of m along each run in order leaves it
-    at m = u wherever s <= cut.  The n with s > cut are listed instead, as
-    pos = n - lo and m = u: each is a multiple of some d = e p > cut with
-    e <= cut and p at least e's largest prime (the first such divisor of s
-    when its primes are multiplied in ascending order).  So the work grows
-    with the d <= cut, never with all exception-smooth d below hi.
-    """
-    cut = (hi - lo) // RUN
-    ds, tops = [1], [1]  # the d <= cut and their largest prime factors
+def _exception_walk(primes: list[int], lo: int, hi: int) -> Iterator[tuple[slice, int, int]]:
+    """Table runs (stride, m0, count) over the multiples n = d m in [lo, hi)
+    of every d > 1 built from the given primes, in ascending d.
+    Laying a function of m along them in order leaves it at m = u = n / s, s
+    the largest such divisor of n: every other one divides s, so s writes
+    last.  The work grows with the exception-smooth d below hi."""
+    ds = [1]
     for p in primes:
         for d in ds[:]:
             d *= p
-            while d <= cut:
+            while d < hi:
                 ds.append(d)
-                tops.append(p)
                 d *= p
-    runs = []
     for d in sorted(ds)[1:]:
         m0 = -(-lo // d)
         if m0 * d < hi:
-            runs.append((slice(m0 * d - lo, hi - lo, d), m0, (hi - 1 - m0 * d) // d + 1))
-    firsts = [e * p for e, top in zip(ds, tops) for p in primes if p >= top and cut < e * p < hi]
-    n = np.unique(np.concatenate(
-        [np.empty(0, dtype=np.int64)]
-        + [np.arange(-(-lo // d) * d, hi, d, dtype=np.int64) for d in firsts]))
-    m = n.copy()
-    for p in primes:
-        hit = np.flatnonzero(m % p == 0)
-        while len(hit):
-            m[hit] //= p
-            hit = hit[m[hit] % p == 0]
-    return runs, n - lo, m
+            yield slice(m0 * d - lo, hi - lo, d), m0, (hi - 1 - m0 * d) // d + 1
 
 
 class _Stream:
@@ -617,10 +593,9 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
     multiples of an exception-smooth d are n = d m for consecutive m, so
     along d's stride chi(m) is a run of the table and u an arange; laid in
     ascending d, the largest such divisor of n writes last and leaves u.
-    _exception_walk lists those strides, and gathers the few n whose strides
-    would be too short.  +-1 bases sieve the exception primes with no sign
-    (an even log weight, or no parity bit), and the coprime indicator leaves
-    their strides to the exception values.
+    _exception_walk lists those strides.  +-1 bases sieve the exception
+    primes with no sign (an even log weight, or no parity bit), and the
+    coprime indicator leaves their strides to the exception values.
 
     Complex products are written np.multiply(fresh, factor, out=fresh), the
     order numpy's temporary elision gives `factor * fresh` in a large block:
@@ -660,20 +635,16 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
         out = arith.periodic(table, lo, length)
         u = np.arange(lo, hi, dtype=np.float64) if base.t else None
         if exception_primes:
-            runs, pos, m = _exception_walk(exception_primes, lo, hi)
             q = chi.modulus
             # a run holds at most half the block, so with q <= length each is
             # a slice of one copy of the table laid that long
             periods = arith.periodic(table, 0, q + (length + 1) // 2) if q <= length else None
             iota = np.arange((length + 1) // 2, dtype=np.float64) if u is not None else None
-            for idx, m0, count in runs:
+            for idx, m0, count in _exception_walk(exception_primes, lo, hi):
                 out[idx] = (arith.periodic(table, m0, count) if periods is None
                             else periods[m0 % q : m0 % q + count])
                 if u is not None:
                     np.add(iota[:count], m0, out=u[idx])
-            out[pos] = table[m % q]
-            if u is not None:
-                u[pos] = m
         if mult is not None:
             np.multiply(out, mult, out=out)
         if u is not None:

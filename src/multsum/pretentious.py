@@ -38,7 +38,9 @@ class DistanceResult:
 
 
 def _primes_in(y: int, x: int) -> np.ndarray:
-    if not 0 <= y < x <= PRIME_SUM_LIMIT:
+    if not 0 <= y < x:
+        raise ValueError(f"prime window (y, x] = ({y}, {x}] needs 0 <= y < x")
+    if x > PRIME_SUM_LIMIT:
         raise CapacityError(f"prime window ({y}, {x}] outside 0..{PRIME_SUM_LIMIT}")
     ps = arith.primes_upto(x)
     return ps[ps > y]

@@ -2,6 +2,8 @@
 
 import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,27 @@ def run(tmp_path, *argv) -> tuple[int, str]:
     prefix = str(tmp_path / argv[0].replace("-", "_"))
     code = cli.main([*argv, "--out", prefix])
     return code, prefix
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each command in README.md's `## Command line` sh block,
+    with `\\` continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    """Every README command line exits 0 and writes its CSV and JSON."""
+    commands = readme_commands()
+    assert len(commands) == 10, commands
+    for argv in commands:
+        i = argv.index("--out") + 1
+        argv[i] = prefix = str(tmp_path / argv[i])
+        assert cli.main(argv) == 0, argv
+        assert os.path.getsize(prefix + ".csv") > 0, argv
+        with open(prefix + ".json") as fh:
+            assert json.load(fh)["experiment"] == argv[0], argv
 
 
 def test_distance_golden_bytes(tmp_path):
@@ -113,6 +136,22 @@ def test_non_finite_arguments_exit_1(tmp_path, capsys, argv):
     assert code == 1
     err = capsys.readouterr().err
     assert ("t must be finite" if argv[0] == "mean-value" else "a finite s with") in err, err
+    assert not os.path.exists(prefix + ".csv")
+
+
+@pytest.mark.parametrize("argv, window", [
+    (["mean-value", "--spec", "one", "--x", "1"], "(1, 1]"),
+    (["distance", "--f", "one", "--g", "liouville", "--x", "10", "--y", "10"], "(10, 10]"),
+    (["distance", "--f", "one", "--g", "liouville", "--x", "10", "--y", "20"], "(20, 10]"),
+])
+def test_empty_prime_window_exit_1(tmp_path, capsys, argv, window):
+    """An empty or reversed prime window (y, x] is refused with exit 1 and y
+    and x named: it used to be reported as outside the prime-sum limit."""
+    code, prefix = run(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"prime window (y, x] = {window} needs 0 <= y < x" in err, err
+    assert "outside" not in err
     assert not os.path.exists(prefix + ".csv")
 
 
@@ -473,6 +512,19 @@ def test_random_mc_refuses_a_seed_given_twice(tmp_path, capsys):
     code, prefix = run(tmp_path, "random-mc", "--seeds", "3,1,2,1", "--n", "1000")
     assert code == 1
     assert "seed 1 given twice" in capsys.readouterr().err
+    assert not os.path.exists(prefix + ".csv")
+
+
+@pytest.mark.parametrize("seeds, named", [
+    ("5,18446744073709551621", "seeds 5 and 18446744073709551621"),
+    ("-1,18446744073709551615", "seeds -1 and 18446744073709551615"),
+])
+def test_random_mc_refuses_seeds_equal_mod_2_64(tmp_path, capsys, seeds, named):
+    """Signs are keyed by the seed mod 2^64: such seeds used to write two
+    identical sup_seed columns and count one walk twice in the median."""
+    code, prefix = run(tmp_path, "random-mc", f"--seeds={seeds}", "--n", "1000")
+    assert code == 1
+    assert named in capsys.readouterr().err
     assert not os.path.exists(prefix + ".csv")
 
 

@@ -371,7 +371,7 @@ def test_random_walk_mc_multi_block_thread_invariance():
     script = (
         "import json, multsum\n"
         "for r in (0.25, 0.0):\n"
-        f"    out = multsum.random_walk_mc([0, 1, 2, 3, 4, 5, 6, -1, 2**64 + 5], r, "
+        f"    out = multsum.random_walk_mc([0, 1, 2, 3, 4, 5, 6, -1, 2**64 + 100], r, "
         f"{MC_N}, {MC_CPS})\n"
         "    print(json.dumps([[v.hex() for v in row] for row in out.sups_per_seed]"
         " + [[v.hex() for v in out.median_sups]]))\n"
@@ -390,8 +390,8 @@ def test_random_walk_mc_multi_block_thread_invariance():
 @pytest.mark.parametrize("seeds, r, n", [
     ([5], 0.25, MC_N),
     (list(range(8)), 1.0, MC_N),  # a full uint8 word
-    (list(range(8)) + [2**64 + 3], 0.0, MC_N),  # uint16, seed 3's key twice
-    (list(range(15)) + [-1, 2**64 + 5], 0.25, MC_N),  # uint32; keys mod 2^64
+    (list(range(8)) + [2**64 + 100], 0.0, MC_N),  # uint16; a seed past 2^64
+    (list(range(15)) + [-1, 2**64 + 100], 0.25, MC_N),  # uint32; keys mod 2^64
     (list(range(-1, 64)), 0.0, (1 << 18) + 5),  # a second 64-seed group
 ])
 def test_random_walk_mc_rows_match_standalone_profiles(seeds, r, n):
@@ -460,6 +460,14 @@ def test_random_walk_mc_validation(monkeypatch):
             random_walk_mc(seeds, 0.25, n)
     with pytest.raises(AssertionError, match="work started"):
         random_walk_mc(3_904, 0.25, STREAM_LIMIT)  # at the bound: not refused
+    # signs are keyed by the seed mod 2^64, so such seeds would give one walk
+    with pytest.raises(ValueError, match="seed 6 given twice"):
+        random_walk_mc([6, 5, 6], 0.25, MC_N)
+    for seeds, first, twice in (([5, 2**64 + 5, 6], 5, 2**64 + 5),
+                                ([0, -1, 2**64 - 1], -1, 2**64 - 1),
+                                ([2**65 + 7, 3, 7], 2**65 + 7, 7)):
+        with pytest.raises(ValueError, match=f"seeds {first} and {twice} are equal mod 2"):
+            random_walk_mc(seeds, 0.25, MC_N)
     for cps in ([], [10, 10], [100, 10], [0, 10], [10, MC_N + 1]):
         with pytest.raises(ValueError, match="checkpoint"):
             random_walk_mc([1, 2], 0.25, MC_N, cps)

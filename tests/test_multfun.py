@@ -803,6 +803,15 @@ PINNED_VALUES = {
         "e84d76dabb01420a1d6e4f19dfcc02e3e2764cf9e0145ccc0132da75a6aaa93a",
     'char:q=7,index=2;except=2~-1~0':
         "163466f04c4e16cbd9207451bb77a0103f3c1b51cd6ec6319cabbe622ed7d62f",
+    # frozen while n with exception-smooth part above (hi - lo) // 64 were
+    # gathered apart from the table runs: a twist's u, three exception
+    # primes, and exception primes dividing q
+    'char:q=5,index=1,t=2.0;except=2~0~1,3~0.5~0':
+        "c2cb363cb8ef99c0505190db9c64ee823a264f560dc2fbd5f63c7f4b0d4aaa89",
+    'char:q=4,index=1;except=3~0~1,5~1~0,7~-1~0':
+        "2f8d8bc4e5fbb24edc54adf8b46550fddb77f4e6519975b7314f1f7c7d4b135d",
+    'char:q=12,index=1;except=2~0~1,3~-1~0':
+        "c4cb32aead988972d326d495ce3615526e38f8e1e9ac3372e30838a0d4db3299",
 }
 
 
@@ -992,7 +1001,8 @@ def test_exception_walk_edges(cfg):
     """_eval_block against factorization on the edges of the exception walk:
     blocks at the deepest powers of 2 and 3 below 1e9, one-value blocks,
     blocks starting off every stride, and an exception prime at or above hi.
-    Blocks this short send most strides through the gather pass."""
+    Blocks this short hold few multiples of each stride, and many strides
+    with one multiple or none."""
     spec = build_spec(cfg)
     for lo, hi in WALK_BLOCKS:
         vals = eval_block(spec, lo, hi)
@@ -1006,8 +1016,9 @@ def test_exception_walk_edges(cfg):
 
 
 def test_exception_walk_covers_large_sets():
-    """Ten small exception primes: the walk's runs and gathers still give
-    chi(u) times the exception product on every n of a block."""
+    """Ten small exception primes: the walk's table runs, one per
+    exception-smooth d below hi, still give chi(u) times the exception
+    product on every n of a block."""
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     exceptions = {p: (-1) ** i * 1j for i, p in enumerate(primes)}
     spec = make_spec(CharacterTwist(character_by_index(31, 3)), exceptions=exceptions)

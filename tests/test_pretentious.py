@@ -65,8 +65,9 @@ def test_distance_matches_brute(chi4, chi5):
 
 def test_distance_window_validation():
     f = make_spec(One())
-    with pytest.raises(CapacityError):
+    with pytest.raises(ValueError, match=r"\(10, 10\] needs 0 <= y < x") as refused:
         distance(f, f, 10, y=10)
+    assert not isinstance(refused.value, CapacityError)  # an empty window, not a capacity
     with pytest.raises(CapacityError):
         distance(f, f, 10**8 + 1)
 
