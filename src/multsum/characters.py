@@ -54,25 +54,23 @@ class DirichletCharacter:
         return complex(self.values[n % self.modulus])
 
 
-def _root_of_unity(k: int, order: int) -> complex:
-    """exp(2*pi*i*k/order), exact when it lands on a fourth root of unity."""
-    k %= order
-    if 4 * k % order == 0:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[4 * k // order]
-    ang = 2.0 * math.pi * k / order
-    return complex(math.cos(ang), math.sin(ang))
-
-
 def _build_character(
     q: int, ug: arith.UnitGroup, cs: tuple[int, ...], index: int
 ) -> DirichletCharacter:
     """The character with exponents cs: chi(u) = e(pair(u)/lcm), pair(u) =
     sum_j cs[j] dlog(u)[j] lcm/orders[j] mod lcm.  Every pair is a multiple
-    of step, so one _root_of_unity per multiple tabulates the values."""
+    k of step, so one root cos + i sin of 2 pi k / lcm per multiple
+    tabulates the values, exact where it is a fourth root of unity."""
     lcm = math.lcm(*ug.orders)
     cw = np.array([c * (lcm // d) for c, d in zip(cs, ug.orders)], dtype=np.int64)
     step = math.gcd(lcm, *cw.tolist())
-    roots = np.array([_root_of_unity(k, lcm) for k in range(0, lcm, step)], dtype=np.complex128)
+    k = np.arange(0, lcm, step)
+    angle = 2.0 * math.pi * k / lcm
+    roots = np.empty(len(k), dtype=np.complex128)
+    np.cos(angle, out=roots.real)
+    np.sin(angle, out=roots.imag)
+    quarter = np.flatnonzero(4 * k % lcm == 0)
+    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // lcm]
     exps = ug.dlog @ cw % lcm
     pair = np.full(q, -1, dtype=np.int64)  # -1 off the units
     pair[ug.units] = exps

@@ -957,7 +957,10 @@ class BlockScan:
     to nearest is monotone, so over a piece max fl(c + s) = fl(max c + s)
     and min fl(c + s) = fl(min c + s), and since |y| = max(y, -y), max |M|
     over the piece is max(fl(top + s), -fl(bottom + s)): applied with its
-    carry, a BlockScan gives the bits of the full prefix array.
+    carry, a BlockScan gives the bits of the full prefix array.  An exact
+    spec's top, bottom and at come from 64-value group sums, with prefix
+    sums laid out only where a piece's max or min can lie (_group_extremes),
+    and are those of the full prefix all the same.
 
     A complex block has no BlockScan: max |M| over a piece does not follow
     from each lane's max and min, so ProfileState.feed lays both running
@@ -976,14 +979,22 @@ class BlockScan:
     piece: np.ndarray  # the piece each of them ends
 
 
+GROUP = 64  # values per group of an exact block's bounded scan
+
+
 def summarize(
     values: np.ndarray, lo: int, checkpoints: list[int], exact: bool,
     out: np.ndarray | None = None,
 ) -> BlockScan:
     """The BlockScan of the real block `values` of f(lo), f(lo + 1), ...,
-    a contiguous float64 array.  The within-chunk prefix sums c go into
-    out, a contiguous float64 array of the same length, or values itself
-    when None.
+    a contiguous float64 array.
+
+    A float block's within-chunk prefix sums c go into out, a contiguous
+    float64 array of the same length, or values itself when None.  An
+    exact block's extremes come from its group sums (_group_extremes), and
+    out is left as it is, unless that would lay out the prefix of more than
+    half the groups: one np.cumsum then lays the whole block's into out.
+    No caller reads out afterwards.
 
     numpy releases the GIL in an accumulate only out of place, and in a
     2-d one only past 500 rows, so a pool thread overlaps others only when
@@ -992,33 +1003,100 @@ def summarize(
     into the same buffer starting CHUNK values before values, each chunk's
     prefix over the chunk before it, which is read by then.
     """
+    return _scan(values, lo, checkpoints, exact, out, False)[0]
+
+
+def _scan(
+    values: np.ndarray, lo: int, checkpoints: list[int], exact: bool,
+    out: np.ndarray | None, full_prefix: bool,
+) -> tuple[BlockScan, bool]:
+    """summarize, with an exact block sent straight to the whole block's
+    np.cumsum when full_prefix; also returns whether an exact block took it."""
     n = len(values)
     if out is None:
         out = values
-    if exact:
-        size = n
-        np.cumsum(values, out=out)
-        sums = [float(out[-1])]
-    else:
-        size = CHUNK
-        (sums,) = chunk_sums(values, out)
+    size = n if exact else CHUNK
     first = bisect_right(checkpoints, lo - 1)
     here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
     ends = np.array(here, dtype=np.int64) - lo
     cuts = np.union1d(np.arange(0, n, size), ends[ends + 1 < n] + 1)
+    piece = np.searchsorted(cuts, ends, "right") - 1
+    grouped = _group_extremes(values, cuts, ends) if exact and not full_prefix else None
+    if grouped is not None:
+        total, top, bottom, at = grouped
+        return BlockScan(lo, n, [total], cuts // size, top, bottom, here, at, piece), False
+    if exact:
+        np.cumsum(values, out=out)
+        sums = [float(out[-1])]
+    else:
+        (sums,) = chunk_sums(values, out)
     return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(out, cuts),
-                     np.minimum.reduceat(out, cuts), here, out[ends],
-                     np.searchsorted(cuts, ends, "right") - 1)
+                     np.minimum.reduceat(out, cuts), here, out[ends], piece), exact
+
+
+def _group_extremes(
+    values: np.ndarray, cuts: np.ndarray, ends: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
+    """An exact block's total, the max and min of its prefix sums c over
+    each piece [cuts[k], cuts[k + 1]) (the last one running to its end), and
+    c at ends; None when more than half the GROUP-value groups would be
+    laid out.
+
+    A reduce-then-scan after G. E. Blelloch, "Prefix sums and their
+    applications" (1990).  The values lie in {-1, 0, 1}, so inside a group
+    of L <= GROUP values with total g, following the prefix s, c stays in
+    [s - (L - g)/2, s + (L + g)/2], and GROUP in place of L only widens it.
+    The group ends' prefixes e, a cumsum of the group totals, are values c
+    takes.  So a piece's max and min lie in the groups whose bounds pass
+    the extremes of e over the piece, or at those e; only those groups, and
+    the ones a piece starts in or a checkpoint ends in, have their prefix
+    laid out, by a row cumsum plus s.  Every group outside them lies inside
+    one piece.  Each add is of integers below 2^53, so exact, and an exact
+    sum is -0.0 only when every term is: every e and laid c has the bits of
+    np.cumsum(values), with the first group's s = -0.0, which adds exactly.
+    """
+    n = len(values)
+    g = np.add.reduceat(values, np.arange(0, n, GROUP))
+    e = np.cumsum(g)
+    s = np.concatenate(([-0.0], e[:-1]))
+    # piece k holds the ends of the groups held[k] up to held[k + 1]
+    held = cuts // GROUP
+    count = np.diff(held, append=len(e))
+    e_top = np.where(count > 0, np.maximum.reduceat(e, held), -math.inf)
+    e_bottom = np.where(count > 0, np.minimum.reduceat(e, held), math.inf)
+    lay = ((s + (GROUP + g) / 2 > np.repeat(e_top, count))
+           | (s - (GROUP - g) / 2 < np.repeat(e_bottom, count)))
+    lay[held] = True
+    lay[ends // GROUP] = True
+    rows = np.flatnonzero(lay)
+    if 2 * len(rows) > len(e):
+        return None
+    full = n // GROUP
+    k = np.searchsorted(rows, full)  # a laid short tail group comes last
+    laid = np.empty((len(rows), GROUP))
+    np.take(values[: full * GROUP].reshape(-1, GROUP), rows[:k], axis=0, out=laid[:k],
+            mode="clip")
+    if k < len(rows):  # padded with -0.0, its last c repeats
+        laid[k] = -0.0
+        laid[k, : n - full * GROUP] = values[full * GROUP :]
+    np.cumsum(laid, axis=1, out=laid)
+    laid += s[rows, None]
+    flat = laid.ravel()
+    starts = np.searchsorted(rows, held) * GROUP + cuts % GROUP
+    at = flat[np.searchsorted(rows, ends // GROUP) * GROUP + ends % GROUP]
+    return (float(e[-1]), np.maximum(np.maximum.reduceat(flat, starts), e_top),
+            np.minimum(np.minimum.reduceat(flat, starts), e_bottom), at)
 
 
 NORM_MARGIN = 1e-12  # relative window below a segment's largest |M|^2
+NORM_CAP = float(1 << 20)  # Gaussian-integer tops below this skip the window
 _NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def _norm_sups(prefix: np.ndarray, cuts: list[int]) -> list[float]:
+def _norm_sups(prefix: np.ndarray, cuts: list[int], gaussian: bool = False) -> list[float]:
     """max np.hypot(M.real, M.imag) over each segment [cuts[j], cuts[j+1])
-    of the complex array prefix (the last one running to its end), bit for
-    bit, with np.hypot taken only where it can reach that max.
+    of the contiguous complex array prefix (the last one running to its
+    end), bit for bit, with np.hypot taken only where it can reach that max.
 
     With u = 2^-53, q = re*re + im*im is |M|^2 within a factor 1 +- 4u
     (two rounded squares and one rounded sum of nonnegative terms; once the
@@ -1031,13 +1109,26 @@ def _norm_sups(prefix: np.ndarray, cuts: list[int]) -> list[float]:
     over all of it: its bound is -inf, and ~(q < bound) keeps NaNs too.
     Every segment keeps its largest q, so each has a position taken.  All
     segments go through the same few array calls, however many there are.
-    q is one fresh array per call: a retained buffer would only add to the
-    peak memory of every stream.
+    q is one square of each float64 of prefix and one strided add, the
+    bits of re*re + im*im, in fresh arrays: a retained buffer would only
+    add to the peak memory of every stream.
+
+    With gaussian, prefix holds Gaussian integers (an exact spec's sums).
+    When every segment's largest q is an integer below NORM_CAP, q is exact
+    there and the margin holds only q equal to it, so every position taken
+    is a representation of that top as a^2 + b^2.  When all of them give
+    one np.hypot (_hypot_of_norm), that is the segment's max, found with no
+    gather; otherwise every segment goes the general way.
     """
-    re, im = prefix.real, prefix.imag
-    q = np.multiply(re, re)
-    q += im * im
+    squares = prefix.view(np.float64) * prefix.view(np.float64)
+    q = np.add(squares[::2], squares[1::2])
+    del squares
     tops = np.maximum.reduceat(q, cuts)
+    if gaussian and (tops < NORM_CAP).all() and (tops == np.floor(tops)).all():
+        sups = [_hypot_of_norm(int(t)) for t in tops.tolist()]
+        if None not in sups:
+            return sups
+    re, im = prefix.real, prefix.imag
     bound = np.where((tops >= _NORMAL) & (tops < math.inf), tops * (1 - NORM_MARGIN), -math.inf)
     if len(cuts) > 1:  # one bound per position; a single one broadcasts
         bound = np.repeat(bound, np.diff(cuts, append=len(prefix)))
@@ -1045,6 +1136,19 @@ def _norm_sups(prefix: np.ndarray, cuts: list[int]) -> list[float]:
     del q, bound  # 2-4 MB not needed by the gathers below, which would add to them
     return np.maximum.reduceat(np.hypot(re[near], im[near]),
                                np.searchsorted(near, cuts)).tolist()
+
+
+def _hypot_of_norm(t: int) -> float | None:
+    """The one np.hypot(x, y) over the integers x, y with x^2 + y^2 = t, in
+    either order and with either sign, or None when two give other bits or
+    there is none."""
+    a = np.arange(math.isqrt(t // 2) + 1)
+    b = np.sqrt(t - a * a).astype(np.int64)
+    hit = a * a + b * b == t
+    x = np.concatenate((a[hit], b[hit])).astype(np.float64)
+    y = np.concatenate((b[hit], a[hit])).astype(np.float64)
+    h = np.hypot(np.concatenate((x, -x, x, -x)), np.concatenate((y, y, -y, -y)))
+    return float(h[0]) if len(h) and (h == h[0]).all() else None
 
 
 @dataclass(eq=False)
@@ -1062,24 +1166,36 @@ class ProfileState:
     sup: float = 0.0
     re: NeumaierSum = field(default_factory=NeumaierSum)
     im: NeumaierSum = field(default_factory=NeumaierSum)
+    # whether the stream's exact real blocks lay out their whole prefix (a
+    # bounded sum, whose every group can reach the max): set by the first
+    # such block fed, and not part of snapshot()
+    full_prefix: bool | None = field(default=None, init=False, repr=False)
 
     def feed(
         self, blk: np.ndarray, checkpoints: list[int]
     ) -> list[tuple[int, complex, float]]:
         """Consume the contiguous block of values following n_done, which it
         overwrites; returns (c, M(c), max_{y<=c} |M(y)|) for each checkpoint
-        c inside it.  A real block is summarized and applied.
+        c inside it.  A real block is summarized and applied.  An exact real
+        stream's first block settles how all of its blocks are summarized:
+        when it would lay out more than half of its groups (_group_extremes),
+        every block lays out its whole prefix with no group sums.
 
         A complex block's running sums M go into the block itself, both lanes
         in one pass.  An exact spec adds the carry into the first value and
         runs one complex cumsum: every partial sum is an integer below 2^53,
         so each add is exact.  A float spec runs accum.compensated_cumsum
         with the (re, im) carry pair.  The running sup takes np.hypot only
-        near the largest |M|^2 of each segment between checkpoints
+        near the largest |M|^2 of each segment between checkpoints, and for
+        an exact spec at most once per segment where its sums stay small
         (_norm_sups).
         """
         if not np.iscomplexobj(blk):
-            return self.apply(summarize(blk, self.n_done + 1, checkpoints, self.exact))
+            scan, full = _scan(blk, self.n_done + 1, checkpoints, self.exact, None,
+                               bool(self.full_prefix))
+            if self.full_prefix is None:
+                self.full_prefix = full
+            return self.apply(scan)
         lo = self.n_done + 1
         first = bisect_right(checkpoints, self.n_done)
         here = checkpoints[first : bisect_right(checkpoints, self.n_done + len(blk), first)]
@@ -1093,7 +1209,7 @@ class ProfileState:
         # max |M| over the segments ending at each end, plus the rest of the
         # block, instead of a block-long running max
         cuts = [0] + [i + 1 for i in ends if i + 1 < len(blk)]
-        sups = list(accumulate(_norm_sups(blk, cuts), max, initial=self.sup))[1:]
+        sups = list(accumulate(_norm_sups(blk, cuts, self.exact), max, initial=self.sup))[1:]
         self.sup = sups[-1]
         self.n_done += len(blk)
         return [(c, complex(blk[i]), sup) for c, i, sup in zip(here, ends, sups)]
@@ -1120,13 +1236,20 @@ class ProfileState:
     @classmethod
     def restore(cls, d: dict) -> "ProfileState":
         """The state a snapshot() holds; ValueError when a field is missing
-        or ill-typed."""
+        or ill-typed, the sup is not a finite nonnegative float, a sum is not
+        finite, or an exact state's sums are not integers below 2^53 held
+        in hi alone (lo == 0), as every exact scan keeps them."""
         types = {"n_done": int, "exact": bool, "real": bool, "re": list, "im": list}
         try:
             if any(type(d[k]) is not t for k, t in types.items()) or d["n_done"] < 0:
                 raise TypeError("a field is ill-typed, or n_done is negative")
             (re_hi, re_lo), (im_hi, im_lo) = d["re"], d["im"]
             sup, *sums = map(float.fromhex, (d["sup"], re_hi, re_lo, im_hi, im_lo))
+            if not (0 <= sup < math.inf and all(map(math.isfinite, sums))):
+                raise ValueError("the sup is NaN, negative or infinite, or a sum is not finite")
+            if d["exact"] and not all(abs(hi) < 2**53 and hi == int(hi) and lo == 0
+                                      for hi, lo in (sums[:2], sums[2:])):
+                raise ValueError("an exact state's sums are not integers below 2^53")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed resume state ({exc!r})") from None
         return cls(d["exact"], d["real"], d["n_done"], sup,

@@ -39,10 +39,15 @@ from multsum.arith import SIEVE_PERIOD, FACTOR_LIMIT, euler_phi, primes_upto, sq
 from multsum.characters import DirichletCharacter
 from multsum.multfun import (
     BLOCK,
+    GROUP,
+    NORM_CAP,
     STREAM_LIMIT,
     _Stream,
     _eval_block,
+    _group_extremes,
+    _hypot_of_norm,
     _norm_sups,
+    _scan,
     ProfileState,
     RademacherSeeds,
     block_length,
@@ -637,6 +642,202 @@ def test_norm_sups_match_hypot_everywhere():
         assert got == want
 
 
+def exact_walk(kind: str, n: int, seed: int = 0) -> np.ndarray:
+    """n real values in {-1, 0, 1}: a walk that drifts up (few groups can
+    hold its max), one of 1s, a slower walk of signs and zeros whose zeros
+    are -0.0 at every third place (so are its first two values), a walk of
+    runs up to 100 long that drifts up (its peaks fall inside groups), a
+    swing of 10 groups up and 20 down (its extremes fall on group ends), or
+    a bounded period (char mod 4: every group reaches the max)."""
+    rng = np.random.default_rng(seed)
+    if kind == "drift":
+        return np.where(rng.random(n) < 0.6, 1.0, -1.0)
+    if kind == "one":
+        return np.ones(n)
+    if kind == "signs":
+        vals = rng.choice([-1.0, 0.0, 1.0], n, p=[0.3, 0.3, 0.4])
+        vals[::3] *= -1.0  # -0.0 where a zero lands
+        vals[:2] = -0.0
+        return vals
+    if kind == "runs":
+        signs = np.where(rng.random(n) < 0.55, 1.0, -1.0)
+        return np.repeat(signs, rng.integers(1, 101, n))[:n]
+    if kind == "swing":
+        return np.resize(np.repeat([1.0, -1.0], [10 * GROUP, 20 * GROUP]), n)
+    return np.resize([1.0, 0.0, -1.0, 0.0], n)
+
+
+EXACT_WALKS = ["drift", "one", "signs", "runs", "swing", "bounded"]
+
+
+def scan_fields(scan) -> list:
+    """A BlockScan's fields, sums and at in float hex; top and bottom by
+    value, as which zero a max of +-0 picks is numpy's choice."""
+    return [scan.lo, scan.length, [v.hex() for v in scan.sums], scan.chunk.tolist(),
+            scan.top.tolist(), scan.bottom.tolist(), scan.here,
+            [v.hex() for v in scan.at.tolist()], scan.piece.tolist()]
+
+
+@pytest.mark.parametrize("n", [16 * CHUNK + 5 * GROUP + 17, 16 * CHUNK])
+@pytest.mark.parametrize("kind", EXACT_WALKS)
+def test_grouped_exact_scan_matches_full_prefix(kind, n):
+    """summarize's group-bounded scan of an exact real block gives the
+    BlockScan of the block's full np.cumsum, with checkpoints at group
+    edges, mid-group, at CHUNK multiples and at the block's first and last
+    value, none at all, one at every value of a few groups, or one ending
+    a group with no laid group after it; blocks end in a short group or a
+    full one.  The walks lay out few groups, the bounded period more than
+    half, so it takes the full cumsum."""
+    vals = exact_walk(kind, n)
+    for lo in (1, 2**20 + 1):
+        offsets = [[], [0, GROUP - 1, GROUP, 2 * GROUP - 1, 2 * GROUP, 100, CHUNK - 1, CHUNK,
+                        2 * CHUNK + 37, n - GROUP - 1, n - 2, n - 1],
+                   list(range(5 * GROUP - 3, 7 * GROUP + 3)), [n - 17, n - 9, n - 1],
+                   [5 * GROUP - 1]]
+        for offs in offsets:
+            cps = [lo + i for i in offs]
+            grouped, fell_back = _scan(vals.copy(), lo, cps, True, np.empty(n), False)
+            full, took = _scan(vals.copy(), lo, cps, True, np.empty(n), True)
+            assert took and fell_back == (kind == "bounded")
+            assert scan_fields(grouped) == scan_fields(full), (kind, lo, offs)
+            assert scan_fields(summarize(vals.copy(), lo, cps, True)) == scan_fields(full)
+
+
+@pytest.mark.parametrize("kind", EXACT_WALKS)
+def test_exact_real_feed_matches_naive_scan(kind):
+    """ProfileState.feed over exact real blocks of 2^14 values, the last
+    ending in a short group, gives oracles.naive_profile's rows bit for bit,
+    with every dyadic checkpoint (the first block holds 15 of them) and
+    checkpoints at group edges, mid-group, block ends and CHUNK multiples,
+    run through and resumed mid-block.  The first block settles the scan
+    per stream: 1s and the walks keep their group bounds, the bounded
+    period lays out its whole prefix."""
+    B = 1 << 14
+    x = 3 * B + 3 * GROUP + 17
+    values = np.concatenate(([0.0], exact_walk(kind, x, seed=5)))
+    values[1] = 1.0  # f(1)
+    cps = sorted({1 << k for k in range(x.bit_length())} | {
+        GROUP - 1, GROUP, GROUP + 1, 3 * GROUP + 40, CHUNK, 2 * CHUNK, B - 1, B, B + 1,
+        2 * B + GROUP, 3 * B, 3 * B + 2 * GROUP + 5, x - 1, x})
+
+    def run(state, start):
+        return [row for lo in range(start, x + 1, B)
+                for row in state.feed(values[lo : min(lo + B, x + 1)].copy(), cps)]
+
+    def bits(rows):
+        return [(c, m.real.hex(), m.imag.hex(), sup.hex()) for c, m, sup in rows]
+
+    sums, sups = oracles.naive_profile(values, cps, exact=True)
+    want = bits(zip(cps, sums, sups))
+    state = ProfileState(exact=True, real=True)
+    assert bits(run(state, 1)) == want
+    assert state.full_prefix == (kind == "bounded")
+    mid = B + B // 2 + 3
+    head = ProfileState(exact=True, real=True)
+    rows = [row for row in head.feed(values[1 : mid + 1].copy(), cps)]
+    rows += run(ProfileState.restore(head.snapshot()), mid + 1)
+    assert bits(rows) == want
+
+
+def norm_classes(limit: int) -> dict[int, set[int]]:
+    """np.hypot's bits over the integer pairs 0 <= a <= b with a^2 + b^2 <
+    limit, keyed by a^2 + b^2."""
+    a, b = np.meshgrid(np.arange(math.isqrt(limit) + 1), np.arange(math.isqrt(limit) + 1))
+    keep = (a <= b) & (a * a + b * b < limit)
+    a, b = a[keep].astype(np.float64), b[keep].astype(np.float64)
+    classes: dict[int, set[int]] = {}
+    for t, h in zip((a * a + b * b).astype(np.int64).tolist(),
+                    np.hypot(a, b).view(np.uint64).tolist()):
+        classes.setdefault(t, set()).add(h)
+    return classes
+
+
+def split_norms(count: int) -> list[int]:
+    """The first `count` norms below 2^14 whose representations give two
+    np.hypot bit patterns on this numpy."""
+    split = sorted(t for t, hs in norm_classes(1 << 14).items() if len(hs) > 1)
+    assert len(split) >= count, "no norm with differing np.hypot bits found"
+    return split[:count]
+
+
+def test_hypot_of_norm_matches_every_representation():
+    """_hypot_of_norm(t) is the np.hypot of every signed, ordered integer
+    pair with x^2 + y^2 = t when they all agree, else None: for norms with
+    one representation, several (25, 50, 65, 325, 5525), none (3), and ones
+    whose representations round apart under np.hypot."""
+    classes = norm_classes(6000)
+    for t in [0, 1, 2, 3, 25, 50, 65, 325, 5525, *split_norms(3)]:
+        hs = classes.get(t, set())
+        want = np.array(list(hs), dtype=np.uint64).view(np.float64)[0] if len(hs) == 1 else None
+        got = _hypot_of_norm(t)
+        assert (got if got is None else got.hex()) == (want if want is None else want.hex()), t
+        for x, y in itertools.product(range(-math.isqrt(t), math.isqrt(t) + 1), repeat=2):
+            if x * x + y * y == t and got is not None:
+                assert np.hypot(float(x), float(y)) == got
+
+
+def test_norm_sups_gaussian_tops(monkeypatch):
+    """_norm_sups over Gaussian-integer sums gives np.hypot's max per
+    segment bit for bit: each segment ties at its top in several signed,
+    ordered representations (25, 50, 65, 325, 5525), or in two that
+    np.hypot rounds apart (the fall-through), or has a top above NORM_CAP,
+    or is all zero; with one cut or a cut every 500 values.  The fast path
+    runs for the shared tops alone."""
+    calls = []
+    real_hypot_of_norm = multfun._hypot_of_norm
+    monkeypatch.setattr(multfun, "_hypot_of_norm",
+                        lambda t: calls.append(t) or real_hypot_of_norm(t))
+    rng = np.random.default_rng(11)
+    big = 1105 * 1105  # 5 * 13 * 17 squared, above NORM_CAP
+    assert big >= NORM_CAP
+    n = 3000
+    for tops in ([25, 50, 65, 325, 5525, 0], [5525], split_norms(2), [big]):
+        cuts = [0] if len(tops) == 1 else list(range(0, n, n // len(tops)))[: len(tops)]
+        prefix = np.zeros(n, dtype=np.complex128)
+        for lo, hi, t in zip(cuts, cuts[1:] + [n], tops):
+            reps = [(x, y) for x in range(-math.isqrt(t), math.isqrt(t) + 1)
+                    for y in (-math.isqrt(t - x * x), math.isqrt(t - x * x))
+                    if x * x + y * y == t]
+            if t:  # a walk well below the top, then every representation
+                r = math.isqrt(t) // 2
+                prefix[lo:hi] = rng.integers(-r, r + 1, hi - lo) + 1j * rng.integers(
+                    -r, r + 1, hi - lo) / 2
+                prefix[lo:hi] = np.round(prefix[lo:hi].real) + 1j * np.round(prefix[lo:hi].imag)
+                at = rng.choice(np.arange(lo, hi), len(reps), replace=False)
+                prefix[at] = [complex(x, y) for x, y in reps]
+        calls.clear()
+        got = [v.hex() for v in _norm_sups(prefix, cuts, gaussian=True)]
+        assert got == [v.hex() for v in hypot_sups(prefix, cuts)], tops
+        assert got == [v.hex() for v in _norm_sups(prefix, cuts)], tops
+        shared = all(t < NORM_CAP and real_hypot_of_norm(t) is not None for t in tops)
+        assert bool(calls) == all(t < NORM_CAP for t in tops)
+        if shared:
+            assert calls == tops
+    # sums off the integers leave the fast path, whatever gaussian says
+    halves = np.array([0.5 + 1.5j, -1.5 + 0.5j, 0.5 + 0.5j])  # top 2.5
+    assert [v.hex() for v in _norm_sups(halves, [0], gaussian=True)] == [
+        v.hex() for v in hypot_sups(halves, [0])]
+
+
+def test_exact_complex_feed_matches_naive_scan():
+    """ProfileState.feed over a walk of Gaussian units and zeros, in blocks
+    of CHUNK values, gives oracles.naive_profile's rows bit for bit, its
+    sup taken from the tops' representations where they share one np.hypot
+    and by the general way elsewhere."""
+    rng = np.random.default_rng(4)
+    x = 12 * CHUNK + 9
+    units = np.array([0, 1, 1j, -1, -1j], dtype=np.complex128)
+    values = np.concatenate(([0j], units[rng.integers(0, 5, x)]))
+    values[1] = 1
+    cps = sorted({1 << k for k in range(x.bit_length())} | {100, CHUNK + 1, 5 * CHUNK + 77, x})
+    state = ProfileState(exact=True, real=False)
+    rows = [row for lo in range(1, x + 1, CHUNK)
+            for row in state.feed(values[lo : min(lo + CHUNK, x + 1)].copy(), cps)]
+    sums, sups = oracles.naive_profile(values, cps, exact=True)
+    assert [(c, m.real.hex(), m.imag.hex(), sup.hex()) for c, m, sup in rows] == [
+        (c, m.real.hex(), m.imag.hex(), sup.hex()) for c, m, sup in zip(cps, sums, sups)]
+
+
 @pytest.mark.parametrize("scale", [1.0, 3e-161])
 def test_feed_sup_with_flipped_near_tie(scale):
     """A complex block whose running sums hold a near tie that squares and
@@ -712,7 +913,10 @@ def test_eval_block_near_stream_limit(cfg, rel):
 
 def test_restore_refuses_malformed_snapshots():
     """A missing or ill-typed field is a ValueError, not a KeyError; that
-    includes an exact snapshot of the older form, with re_int and im_int."""
+    includes an exact snapshot of the older form, with re_int and im_int.
+    So is a NaN, negative or infinite sup, a sum that is not finite, and an
+    exact state whose sums are not integers below 2^53 with no low part;
+    a float state keeps its fractional sums."""
     good = ProfileState(exact=True, real=True)
     good.feed(np.ones(10), [5, 10])
     snap = good.snapshot()
@@ -723,10 +927,16 @@ def test_restore_refuses_malformed_snapshots():
     bad = [old, None, [], {k: v for k, v in snap.items() if k != "exact"},
            {**snap, "n_done": "10"}, {**snap, "n_done": -1}, {**snap, "exact": 1},
            {**snap, "sup": 10.0}, {**snap, "sup": "ten"}, {**snap, "re": ["0x0p+0"]},
-           {**snap, "im": "ab"}, {**snap, "re": [1.0, 0.0]}]
+           {**snap, "im": "ab"}, {**snap, "re": [1.0, 0.0]},
+           {**snap, "sup": "nan"}, {**snap, "sup": (-1.0).hex()}, {**snap, "sup": "inf"},
+           {**snap, "re": ["inf", "0x0p+0"]}, {**snap, "im": ["0x0p+0", "nan"]},
+           {**snap, "re": ["0x1.8p+0", "0x0p+0"]}, {**snap, "re": ["0x1p+0", "0x1p-60"]},
+           {**snap, "re": [float(2**53).hex(), "0x0p+0"]}]
     for d in bad:
         with pytest.raises(ValueError, match="malformed resume state"):
             ProfileState.restore(d)
+    fractional = {**snap, "exact": False, "re": ["0x1.8p+0", "0x1p-60"]}
+    assert ProfileState.restore(fractional).re.lo == 2.0**-60
 
 
 @settings(max_examples=60, deadline=None)
