@@ -64,12 +64,16 @@ def _check_layout(values: np.ndarray, dst: np.ndarray) -> None:
         "chunk_sums: out overlaps values other than in place or CHUNK values before it")
 
 
-def chunk_sums(values: np.ndarray, out: np.ndarray) -> list[list[float]]:
+def chunk_sums(
+    values: np.ndarray, out: np.ndarray, laid: np.ndarray | None = None
+) -> list[list[float]]:
     """The carry-free half of compensated_cumsum: writes each CHUNK-value
     chunk's own prefix sums into out[:len(values)] and returns np.sum of
     each chunk, in order, for each lane of values (one for a real array;
     the real and imaginary parts of a complex one).  All sums are taken
-    before any prefix is written.
+    before any prefix is written.  With laid, an ascending array of chunk
+    indices, only those chunks' prefixes are written; the sums are those
+    of every chunk all the same.
 
     Each chunk's prefix is one 1-d np.add.accumulate, whose bits equal that
     row of a 2-d np.cumsum(axis=1): numpy releases the GIL in an accumulate
@@ -77,12 +81,13 @@ def chunk_sums(values: np.ndarray, out: np.ndarray) -> list[list[float]]:
     chunks never reaches, while a 1-d one releases it when its operands do
     not overlap.  So out should be a separate array, or start exactly CHUNK
     values before values in one buffer: chunk r's prefix then lands on
-    chunk r - 1's values, already read, and no two operands of one call
-    overlap.  out may also be values itself (numpy then copies each chunk
-    first, holding the GIL); any other overlap raises ValueError.  The
-    ufunc is called directly: np.cumsum's wrapper holds the GIL longer per
-    call, and 64 per-chunk np.cumsum calls ran at 0.8-1.3x in two threads
-    against 1.5-1.8x for these.
+    chunk r - 1's values, already read (and, when chunk r - 1 is not laid,
+    never read again), and no two operands of one call overlap.  out may
+    also be values itself (numpy then copies each chunk first, holding the
+    GIL); any other overlap raises ValueError.  The ufunc is called
+    directly: np.cumsum's wrapper holds the GIL longer per call, and 64
+    per-chunk np.cumsum calls ran at 0.8-1.3x in two threads against
+    1.5-1.8x for these.
 
     A lane's sums are real np.sum calls over the strided .real or .imag
     rows, whose bits equal those of the contiguous lane.  A complex np.sum
@@ -99,7 +104,7 @@ def chunk_sums(values: np.ndarray, out: np.ndarray) -> list[list[float]]:
     if full < n:
         for lane_sums, lane in zip(sums, _lanes(values[full:])):
             lane_sums.append(float(np.sum(lane)))
-    for r in range(0, n, CHUNK):
+    for r in range(0, n, CHUNK) if laid is None else (laid * CHUNK).tolist():
         np.add.accumulate(values[r : r + CHUNK], out=dst[r : r + CHUNK])
     return sums
 

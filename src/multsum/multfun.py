@@ -823,6 +823,17 @@ class RademacherSeeds:
             words[above] = _sign_words(self.groups[g], ps[above], words.dtype)
         return words
 
+    def _carry_bound(self, lo: int) -> float:
+        """Twice a bound on the sum of n^(-scale_r) over n < lo, which holds
+        |hi| + |lo| of a fresh state's running total before lo with room for
+        every rounding.  The terms decrease, so the sum from n = 2 to m = lo
+        - 1 is at most the integral of t^(-r) from 1 to m."""
+        m = lo - 1
+        if m <= 1:
+            return 2.0 * m
+        r, log_m = self.scale_r, math.log(m)
+        return 2.0 * (1 + (log_m if r == 1 else math.expm1((1 - r) * log_m) / (1 - r)))
+
     def _scratch(self) -> _Scratch:
         """The calling thread's scratch arrays."""
         if not hasattr(self._local, "scratch"):
@@ -850,7 +861,11 @@ class RademacherSeeds:
         """Every seed's BlockScan of each block (seeds in order), block by
         block.  A pool of thread_cap() threads evaluates and summarizes the
         next blocks, so the caller's ProfileStates only apply them, in block
-        order: the results never depend on the thread count."""
+        order: the results never depend on the thread count.  A damped
+        family's float bounds allow a fresh state's running total
+        (_carry_bound), and its sums of |f(n)| over each group are taken
+        once per block from the damping, which |f(n)| equals bit for bit,
+        for every seed."""
         count = sum(map(len, self.groups))
 
         def scan_block(k: int) -> list[BlockScan]:
@@ -869,8 +884,10 @@ class RademacherSeeds:
             else:
                 buf = scratch.get("values", np.float64, n + CHUNK)
                 vals, prefix = buf[CHUNK:], buf[:n]
-            return [summarize(blk.values(i, vals), self.ranges[k][0], checkpoints, self.exact,
-                              prefix) for i in range(count)]
+            spread = None if self.exact else _group_sums(blk.damp)
+            lo = self.ranges[k][0]
+            return [_scan(blk.values(i, vals), lo, checkpoints, self.exact, prefix, False,
+                          self._carry_bound(lo), spread)[0] for i in range(count)]
 
         return _evaluated_ahead(scan_block, len(self), min(thread_cap(), len(self)))
 
@@ -957,10 +974,18 @@ class BlockScan:
     to nearest is monotone, so over a piece max fl(c + s) = fl(max c + s)
     and min fl(c + s) = fl(min c + s), and since |y| = max(y, -y), max |M|
     over the piece is max(fl(top + s), -fl(bottom + s)): applied with its
-    carry, a BlockScan gives the bits of the full prefix array.  An exact
-    spec's top, bottom and at come from 64-value group sums, with prefix
-    sums laid out only where a piece's max or min can lie (_group_extremes),
-    and are those of the full prefix all the same.
+    carry, a BlockScan gives the bits of the full prefix array.
+
+    Prefix sums are laid out only where a segment's max or min can lie, a
+    segment being the stretch after one checkpoint up to the next (or the
+    block's end).  An exact spec's top, bottom and at come from 64-value
+    group sums (_group_extremes) and are those of the full prefix all the
+    same.  A float spec accumulates only the chunks whose group bounds
+    reach a segment's max or min, and the chunks a checkpoint ends in
+    (_float_chunks); a piece of any other chunk holds neither, and has top
+    -inf and bottom +inf, so that it adds nothing to the running sup.  Those
+    bounds allow a running total before the block, |re.hi| + |re.lo|, of at
+    most `carry`, which apply checks.
 
     A complex block has no BlockScan: max |M| over a piece does not follow
     from each lane's max and min, so ProfileState.feed lays both running
@@ -977,9 +1002,10 @@ class BlockScan:
     here: list[int]  # the checkpoints in the block
     at: np.ndarray  # c at each of them
     piece: np.ndarray  # the piece each of them ends
+    carry: float = math.inf  # the largest running total the bounds allow
 
 
-GROUP = 64  # values per group of an exact block's bounded scan
+GROUP = 64  # values per group of a real block's bounded scan
 
 
 def summarize(
@@ -987,14 +1013,18 @@ def summarize(
     out: np.ndarray | None = None,
 ) -> BlockScan:
     """The BlockScan of the real block `values` of f(lo), f(lo + 1), ...,
-    a contiguous float64 array.
+    a contiguous float64 array.  A float block's bounds allow a running
+    total before lo of at most 2 (lo - 1) in modulus, as that of any stream
+    of values |f(n)| <= 1 is (ProfileState.apply checks it).
 
     A float block's within-chunk prefix sums c go into out, a contiguous
-    float64 array of the same length, or values itself when None.  An
-    exact block's extremes come from its group sums (_group_extremes), and
-    out is left as it is, unless that would lay out the prefix of more than
-    half the groups: one np.cumsum then lays the whole block's into out.
-    No caller reads out afterwards.
+    float64 array of the same length, or values itself when None, but only
+    in the chunks that can hold a segment's max or min or a checkpoint
+    (_float_chunks).  An exact block's extremes come from its group sums
+    (_group_extremes), and out is left as it is.  Either way, where that
+    would lay out more than half of the block (its chunks, or an exact
+    block's groups), the whole block's prefix goes into out instead.  out
+    is scratch: what it holds afterwards is not read.
 
     numpy releases the GIL in an accumulate only out of place, and in a
     2-d one only past 500 rows, so a pool thread overlaps others only when
@@ -1003,35 +1033,80 @@ def summarize(
     into the same buffer starting CHUNK values before values, each chunk's
     prefix over the chunk before it, which is read by then.
     """
-    return _scan(values, lo, checkpoints, exact, out, False)[0]
+    return _scan(values, lo, checkpoints, exact, out, False, 2.0 * (lo - 1))[0]
 
 
 def _scan(
     values: np.ndarray, lo: int, checkpoints: list[int], exact: bool,
-    out: np.ndarray | None, full_prefix: bool,
+    out: np.ndarray | None, full_prefix: bool, carry: float = math.inf,
+    spread: np.ndarray | None = None,
 ) -> tuple[BlockScan, bool]:
-    """summarize, with an exact block sent straight to the whole block's
-    np.cumsum when full_prefix; also returns whether an exact block took it."""
+    """summarize, with the whole block's prefix laid out straight away when
+    full_prefix, and float bounds that allow a running total of at most
+    `carry` before the block (none when inf) and take the sum of |f(n)|
+    over each GROUP values from `spread` when given; also returns whether
+    the whole prefix was laid out."""
     n = len(values)
     if out is None:
         out = values
-    size = n if exact else CHUNK
     first = bisect_right(checkpoints, lo - 1)
     here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
     ends = np.array(here, dtype=np.int64) - lo
-    cuts = np.union1d(np.arange(0, n, size), ends[ends + 1 < n] + 1)
+    after = ends[ends + 1 < n] + 1
+    segments = np.union1d(0, after)
+    cuts = segments if exact else np.union1d(np.arange(0, n, CHUNK), after)
     piece = np.searchsorted(cuts, ends, "right") - 1
-    grouped = _group_extremes(values, cuts, ends) if exact and not full_prefix else None
-    if grouped is not None:
-        total, top, bottom, at = grouped
-        return BlockScan(lo, n, [total], cuts // size, top, bottom, here, at, piece), False
+    chunk = cuts // (n if exact else CHUNK)
+    laid = None
     if exact:
+        grouped = None if full_prefix else _group_extremes(values, cuts, ends)
+        if grouped is not None:
+            total, top, bottom, at = grouped
+            return BlockScan(lo, n, [total], chunk, top, bottom, here, at, piece), False
         np.cumsum(values, out=out)
         sums = [float(out[-1])]
     else:
-        (sums,) = chunk_sums(values, out)
-    return BlockScan(lo, n, sums, cuts // size, np.maximum.reduceat(out, cuts),
-                     np.minimum.reduceat(out, cuts), here, out[ends], piece), exact
+        laid = None if full_prefix else _float_chunks(values, segments, ends, carry, spread)
+        (sums,) = chunk_sums(values, out, laid)
+    top, bottom = np.maximum.reduceat(out, cuts), np.minimum.reduceat(out, cuts)
+    if laid is None:
+        return BlockScan(lo, n, sums, chunk, top, bottom, here, out[ends], piece), True
+    # a piece of a chunk left out (whose reduceat read stale values of out)
+    # holds neither extreme of its segment
+    out_of_reach = np.ones(len(sums), dtype=bool)
+    out_of_reach[laid] = False
+    out_of_reach = out_of_reach[chunk]
+    top[out_of_reach], bottom[out_of_reach] = -math.inf, math.inf
+    return BlockScan(lo, n, sums, chunk, top, bottom, here, out[ends], piece, carry), False
+
+
+def _reach(
+    up: np.ndarray, down: np.ndarray, e: np.ndarray, segments: np.ndarray,
+    forced: np.ndarray, per: int,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """The bound rule of both bounded scans.  Group j's prefix sums lie in
+    [down[j], up[j]] and end at e[j]; the segment [segments[k], segments[k
+    + 1]) (the last one running to the block's end) holds the ends of the
+    groups held[k] up to held[k + 1], held = segments // GROUP.  A group
+    can hold its segment's max only when up passes the segment's max of e,
+    and its min only when down passes the min of e.  Returns the ascending
+    indices of the units of `per` groups that hold such a group, or are in
+    forced, or None when that is more than half the units; and the max and
+    min of e over each segment (-inf and inf for one with no group end).
+
+    A group across a segment's start is compared with the segment its end
+    lies in, so a caller forces the unit of each checkpoint's end.
+    """
+    held = segments // GROUP
+    count = np.diff(held, append=len(e))
+    e_top = np.where(count > 0, np.maximum.reduceat(e, held), -math.inf)
+    e_bottom = np.where(count > 0, np.minimum.reduceat(e, held), math.inf)
+    lay = (up > np.repeat(e_top, count)) | (down < np.repeat(e_bottom, count))
+    if per > 1:
+        lay = np.logical_or.reduceat(lay, np.arange(0, len(lay), per))
+    lay[forced] = True
+    units = np.flatnonzero(lay)
+    return (None if 2 * len(units) > len(lay) else units), e_top, e_bottom
 
 
 def _group_extremes(
@@ -1048,28 +1123,22 @@ def _group_extremes(
     [s - (L - g)/2, s + (L + g)/2], and GROUP in place of L only widens it.
     The group ends' prefixes e, a cumsum of the group totals, are values c
     takes.  So a piece's max and min lie in the groups whose bounds pass
-    the extremes of e over the piece, or at those e; only those groups, and
-    the ones a piece starts in or a checkpoint ends in, have their prefix
-    laid out, by a row cumsum plus s.  Every group outside them lies inside
-    one piece.  Each add is of integers below 2^53, so exact, and an exact
-    sum is -0.0 only when every term is: every e and laid c has the bits of
-    np.cumsum(values), with the first group's s = -0.0, which adds exactly.
+    the extremes of e over the piece, or at those e (_reach); only those
+    groups, and the ones a piece starts in or a checkpoint ends in, have
+    their prefix laid out, by a row cumsum plus s.  Every group outside them
+    lies inside one piece.  Each add is of integers below 2^53, so exact,
+    and an exact sum is -0.0 only when every term is: every e and laid c
+    has the bits of np.cumsum(values), with the first group's s = -0.0,
+    which adds exactly.
     """
     n = len(values)
     g = np.add.reduceat(values, np.arange(0, n, GROUP))
     e = np.cumsum(g)
     s = np.concatenate(([-0.0], e[:-1]))
-    # piece k holds the ends of the groups held[k] up to held[k + 1]
     held = cuts // GROUP
-    count = np.diff(held, append=len(e))
-    e_top = np.where(count > 0, np.maximum.reduceat(e, held), -math.inf)
-    e_bottom = np.where(count > 0, np.minimum.reduceat(e, held), math.inf)
-    lay = ((s + (GROUP + g) / 2 > np.repeat(e_top, count))
-           | (s - (GROUP - g) / 2 < np.repeat(e_bottom, count)))
-    lay[held] = True
-    lay[ends // GROUP] = True
-    rows = np.flatnonzero(lay)
-    if 2 * len(rows) > len(e):
+    rows, e_top, e_bottom = _reach(s + (GROUP + g) / 2, s - (GROUP - g) / 2, e, cuts,
+                                   np.concatenate((held, ends // GROUP)), 1)
+    if rows is None:
         return None
     full = n // GROUP
     k = np.searchsorted(rows, full)  # a laid short tail group comes last
@@ -1086,6 +1155,75 @@ def _group_extremes(
     at = flat[np.searchsorted(rows, ends // GROUP) * GROUP + ends % GROUP]
     return (float(e[-1]), np.maximum(np.maximum.reduceat(flat, starts), e_top),
             np.minimum(np.minimum.reduceat(flat, starts), e_bottom), at)
+
+
+def _group_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of each GROUP values of the contiguous array values, the last
+    group possibly short, in an order numpy chooses: they only bound."""
+    full = len(values) - len(values) % GROUP
+    sums = np.einsum("ij->i", values[:full].reshape(-1, GROUP))
+    return np.append(sums, np.sum(values[full:])) if full < len(values) else sums
+
+
+def _float_chunks(
+    values: np.ndarray, segments: np.ndarray, ends: np.ndarray, carry: float,
+    spread: np.ndarray | None,
+) -> np.ndarray | None:
+    """The ascending indices of the CHUNK-value chunks of a float real block
+    whose prefix sums must be laid out for every segment's max and min of
+    M, and for each checkpoint's M: the chunks holding a group whose
+    bounds reach its segment's max or min of e (_reach), and those a
+    checkpoint ends in.  None when that is more than half the chunks, or
+    no bound is finite.  The running total before the block must be at
+    most `carry`, |hi| + |lo| of its Neumaier pair.  spread is the sum of
+    |f(n)| over each group, computed here when None.
+
+    Let u = 2^-53, gamma_k = k u / (1 - k u) <= 2 k u, A the exact sum of
+    |f| over the block, K = carry, H = 2 (K + A), X = hi + lo the carry,
+    P_i the exact prefix sum of the block to i, n_c its number of chunks
+    and m of groups.  The scan's partial sum at i in chunk r is M_i =
+    fl(c_i + t_r), c_i the chunk's np.add.accumulate (a left-to-right
+    chain) and t_r = fl(hi_r + lo_r) the Neumaier pair after the np.sum
+    totals sigma_j of the chunks before r.  Bounds after N. J. Higham, "The
+    accuracy of floating point summation" (1993): c_i errs from its exact
+    sum by at most gamma_(CHUNK-1) times the sum of |f| over the chunk, and
+    sigma_j, a pairwise sum (any order), likewise.  Each Neumaier step
+    adds sigma_j to hi exactly (two_sum) and rounds its error into lo, by at
+    most u |lo| <= u H; rounding hi_r + lo_r and c_i + t_r costs u H each
+    (|lo|, t_r and M_i all stay below H).  So |M_i - (X + P_i)| <= E =
+    gamma_(CHUNK-1) A + (n_c + 2) u H.
+
+    Computed alone, the group sums g and a of f and |f| (any order) err by
+    gamma_(GROUP-1) times a group's sum of |f|, and e = cumsum(g), the
+    group ends' prefix sums, and s, the one before each group, by eps =
+    gamma_(GROUP+m) A.  Group j's exact prefix sums run inside [Q - (A_j -
+    G_j)/2, Q + (A_j + G_j)/2], Q the exact prefix before it and A_j, G_j
+    its exact sums of |f| and f: its positives and negatives can be summed
+    apart.  fl((a + g) / 2) errs from (A_j + G_j)/2 by gamma_(2 GROUP) A
+    plus 2^-1075 for halving a subnormal, and fl(s + that) by 3 u A more.
+    A group whose M reaches its segment's max M* has X + Q + (A_j + G_j)/2
+    + E >= M* >= M at the segment's group ends >= X + e - eps - E, so its
+    computed up = fl(s + fl((a + g)/2)) >= e_top - (2 E + 2 eps + gamma_(2
+    GROUP) A + 3 u A + 2^-1075), and fl(up + delta) > e_top once delta (1
+    - u) exceeds that and the 3 u A rounding of the last add: in all, under
+    u (4 CHUNK + 4 m + 8 GROUP + 4 n_c + 10) A + 4 (n_c + 2) u K + 2^-1075.
+    delta takes 2 u (4 CHUNK + 4 m + 8 GROUP + 4 n_c + 16) times the float
+    sum of a, which is at least A / 2, plus 8 (n_c + 2) u K and the least
+    normal float; the slack covers u delta and the roundings of delta
+    itself.  The min is the mirror image.
+    """
+    n = len(values)
+    g = _group_sums(values)
+    a = _group_sums(np.abs(values)) if spread is None else spread
+    e = np.cumsum(g)
+    s = np.concatenate(([0.0], e[:-1]))
+    chunks = -(-n // CHUNK)
+    delta = 2.0**-53 * (2 * (4 * CHUNK + 4 * len(e) + 8 * GROUP + 4 * chunks + 16)
+                        * float(np.sum(a)) + 8 * (chunks + 2) * carry) + _NORMAL
+    if not delta < math.inf:
+        return None
+    return _reach(s + (a + g) / 2 + delta, s - (a - g) / 2 - delta, e, segments,
+                  ends // CHUNK, CHUNK // GROUP)[0]
 
 
 NORM_MARGIN = 1e-12  # relative window below a segment's largest |M|^2
@@ -1166,9 +1304,9 @@ class ProfileState:
     sup: float = 0.0
     re: NeumaierSum = field(default_factory=NeumaierSum)
     im: NeumaierSum = field(default_factory=NeumaierSum)
-    # whether the stream's exact real blocks lay out their whole prefix (a
-    # bounded sum, whose every group can reach the max): set by the first
-    # such block fed, and not part of snapshot()
+    # whether the stream's real blocks lay out their whole prefix (a
+    # bounded sum, whose every group or chunk can reach the max): set by the
+    # first real block fed, and not part of snapshot()
     full_prefix: bool | None = field(default=None, init=False, repr=False)
 
     def feed(
@@ -1176,10 +1314,14 @@ class ProfileState:
     ) -> list[tuple[int, complex, float]]:
         """Consume the contiguous block of values following n_done, which it
         overwrites; returns (c, M(c), max_{y<=c} |M(y)|) for each checkpoint
-        c inside it.  A real block is summarized and applied.  An exact real
-        stream's first block settles how all of its blocks are summarized:
-        when it would lay out more than half of its groups (_group_extremes),
-        every block lays out its whole prefix with no group sums.
+        c inside it.  A real block is summarized and applied: its prefix
+        sums are laid out only in the groups (exact) or chunks (float) whose
+        bounds reach a segment's max or min, or that a checkpoint ends in,
+        with float bounds for the running total held now.  A real stream's
+        first block settles how all of its blocks are summarized: when it
+        would lay out more than half of its groups (_group_extremes) or
+        chunks (_float_chunks), every block lays out its whole prefix with
+        no group sums.
 
         A complex block's running sums M go into the block itself, both lanes
         in one pass.  An exact spec adds the carry into the first value and
@@ -1192,7 +1334,7 @@ class ProfileState:
         """
         if not np.iscomplexobj(blk):
             scan, full = _scan(blk, self.n_done + 1, checkpoints, self.exact, None,
-                               bool(self.full_prefix))
+                               bool(self.full_prefix), abs(self.re.hi) + abs(self.re.lo))
             if self.full_prefix is None:
                 self.full_prefix = full
             return self.apply(scan)
@@ -1219,6 +1361,9 @@ class ProfileState:
         through its chunks and the running sup.  Returns the rows of feed."""
         if scan.lo != self.n_done + 1:
             raise ValueError(f"block from n={scan.lo} does not follow n_done={self.n_done}")
+        if not abs(self.re.hi) + abs(self.re.lo) <= scan.carry:
+            raise ValueError(f"running total before n={scan.lo} exceeds the {scan.carry} "
+                             "its scan's bounds allow")
         s = np.array(chunk_starts(scan.sums, self.re))[scan.chunk]  # per piece
         run = np.maximum.accumulate(np.maximum(scan.top + s, -(scan.bottom + s))).tolist()
         rows = [(c, complex(m, 0.0), max(self.sup, run[i])) for c, m, i in

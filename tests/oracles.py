@@ -118,8 +118,10 @@ def ruzsa_density(exceptions: dict[int, Fraction]) -> Fraction:
     return c
 
 
-def naive_profile(values, checkpoints, exact: bool, resume_at: int = 0):
+def naive_profile(values, checkpoints, exact: bool, resume_at: int = 0, carry=(0.0, 0.0)):
     """(sums, sups) at checkpoints from a materialized f(1..x), values[n] = f(n).
+    A float spec's real sums start from the Neumaier pair `carry` (hi, lo),
+    as a restored state's do.
 
     One prefix sum over the whole range, then a running max of |M|.  Exact
     specs use a plain cumsum (integers below 2^53 add exactly).  Float specs
@@ -140,9 +142,9 @@ def naive_profile(values, checkpoints, exact: bool, resume_at: int = 0):
         re, im = (np.cumsum(p) for p in parts)
     else:
         re, im = (
-            np.concatenate([compensated_cumsum(np.ascontiguousarray(seg), carry)
+            np.concatenate([compensated_cumsum(np.ascontiguousarray(seg), lane_carry)
                             for seg in (p[:resume_at], p[resume_at:])])
-            for p, carry in zip(parts, (NeumaierSum(), NeumaierSum()))
+            for p, lane_carry in zip(parts, (NeumaierSum(*carry), NeumaierSum()))
         )
     absval = np.hypot(re, im) if np.iscomplexobj(vals) else np.abs(re)
     run_max = np.maximum.accumulate(absval)
@@ -187,6 +189,46 @@ def chunk_rows(values):
         row_sums = np.sum(lane[:full].reshape(-1, CHUNK), axis=1).tolist()
         sums.append(row_sums + ([float(np.sum(lane[full:]))] if full < n else []))
     return prefix, sums
+
+
+def prefix_chain(values) -> list[float]:
+    """Prefix sums of a float sequence by a left-to-right Python += chain."""
+    out, c = [], None
+    for v in map(float, values):
+        c = v if c is None else c + v
+        out.append(c)
+    return out
+
+
+def pairwise_sum(values) -> float:
+    """np.sum of float64 values its documented way: 0.0 plus a pairwise sum
+    that splits n > 128 values at n // 2 less n // 2 % 8, sums a leaf of 8
+    to 128 values in 8 interleaved running sums joined as ((r0 + r1) + (r2
+    + r3)) + ((r4 + r5) + (r6 + r7)) and then adds its last n % 8 values,
+    and sums fewer than 8 in order."""
+    vals = list(map(float, values))
+
+    def part(lo: int, n: int) -> float:
+        if n < 8:
+            res = 0.0
+            for v in vals[lo : lo + n]:
+                res += v
+            return res
+        if n <= 128:
+            r = vals[lo : lo + 8]
+            i = 8
+            while i < n - n % 8:
+                for j in range(8):
+                    r[j] += vals[lo + i + j]
+                i += 8
+            res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for v in vals[lo + i : lo + n]:
+                res += v
+            return res
+        half = n // 2 - n // 2 % 8
+        return part(lo, half) + part(lo + half, n - half)
+
+    return 0.0 + part(0, len(vals))
 
 
 def residue_values(spec, lo: int, hi: int):

@@ -142,3 +142,31 @@ def test_numpy_lane_rules():
         "np.sum over strided .real rows differs from the contiguous rows")
     assert same(np.sum(z[:1000].imag), np.sum(im[:1000])), (
         "np.sum over a strided .imag view differs from its contiguous copy")
+
+
+def test_numpy_summation_orders():
+    """The summation orders multfun._float_chunks' rounding margin and the
+    fixed SUM_BLOCK grouping rest on.  np.add.accumulate over a CHUNK-value
+    chunk is a left-to-right chain (the recursive summation whose error
+    bound the margin takes), out of place and in place; float64 np.sum is
+    numpy's pairwise split, over contiguous values and over the strided
+    .real of a complex array alike.  If an upgrade breaks one of these,
+    change the code that relies on it, do not loosen this test."""
+    rng = np.random.default_rng(29)
+    chunk = rng.standard_normal(CHUNK) * np.exp(rng.uniform(-40, 40, CHUNK))
+    chunk[::7] = -0.0
+    chunk[5::11] = 1e-300
+    want = np.array(oracles.prefix_chain(chunk))
+    assert np.add.accumulate(chunk).tobytes() == want.tobytes(), (
+        "np.add.accumulate is no longer a left-to-right chain")
+    same = chunk.copy()
+    np.add.accumulate(same, out=same)
+    assert same.tobytes() == want.tobytes(), "an in-place accumulate changed order"
+    for n in [0, 1, 7, 8, 9, 127, 128, 129, 1000, CHUNK - 1, CHUNK, CHUNK + 1,
+              64 * CHUNK + 13]:
+        v = rng.standard_normal(n) * np.exp(rng.uniform(-20, 20, n))
+        z = v + 1j * rng.standard_normal(n)
+        want = oracles.pairwise_sum(v).hex()
+        assert float(np.sum(v)).hex() == want, f"np.sum of {n} contiguous values"
+        assert float(np.sum(z.real)).hex() == want, f"np.sum of {n} strided .real values"
+    assert float(np.sum(np.full(9, -0.0))).hex() == oracles.pairwise_sum([-0.0] * 9).hex()

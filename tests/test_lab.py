@@ -366,11 +366,13 @@ MC_CPS = [1, 10, 1000, (1 << 18) - 1, 1 << 18, (1 << 18) + 1, 1 << 19, MC_N]
 
 def test_random_walk_mc_multi_block_thread_invariance():
     """Over several blocks the pool evaluates ahead of the scan; the bytes
-    match for one worker, two, three and more workers than blocks, for a
-    damped family and an exact one (whose prefix sums go out of place)."""
+    match for one worker, two, three and more workers than blocks, for two
+    damped families (r = 1: steps near 1/n, where the float bounds' margin
+    is widest beside |f|) and an exact one (whose prefix sums go out of
+    place)."""
     script = (
         "import json, multsum\n"
-        "for r in (0.25, 0.0):\n"
+        "for r in (0.25, 0.0, 1.0):\n"
         f"    out = multsum.random_walk_mc([0, 1, 2, 3, 4, 5, 6, -1, 2**64 + 100], r, "
         f"{MC_N}, {MC_CPS})\n"
         "    print(json.dumps([[v.hex() for v in row] for row in out.sups_per_seed]"

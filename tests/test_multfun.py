@@ -34,7 +34,7 @@ from multsum import (
     spec_config,
     stream_profile,
 )
-from multsum.accum import CHUNK
+from multsum.accum import CHUNK, NeumaierSum
 from multsum.arith import SIEVE_PERIOD, FACTOR_LIMIT, euler_phi, primes_upto, squarefree_block
 from multsum.characters import DirichletCharacter
 from multsum.multfun import (
@@ -737,6 +737,151 @@ def test_exact_real_feed_matches_naive_scan(kind):
     rows = [row for row in head.feed(values[1 : mid + 1].copy(), cps)]
     rows += run(ProfileState.restore(head.snapshot()), mid + 1)
     assert bits(rows) == want
+
+
+FLOAT_SPECS = {
+    "damped": "rademacher:seed=9;scale_r=0.25",
+    "harmonic": "rademacher:seed=4;scale_r=1.0",  # steps near 1/n: delta largest beside |f|
+    "monotone": "one;scale_r=0.25",
+    "except2": "one;except=2~0.5~0",
+    "zeros": "liouville;except=2~1e-300~0,3~-0.0~0",  # +-0.0, 1e-300 and its underflow
+    "bounded": "char:q=5,index=real;scale_r=0.1",
+}
+
+
+def row_bits(rows) -> list:
+    return [(c, m.real.hex(), m.imag.hex(), sup.hex()) for c, m, sup in rows]
+
+
+def float_checkpoints(B: int, x: int) -> list[int]:
+    """Few checkpoints in the first block of B values, so that it keeps its
+    bounds (the first block decides for the stream); after it, checkpoints
+    at group and chunk edges, mid-chunk, at every value of one chunk, at
+    the block ends and at every power of two."""
+    return sorted({GROUP - 1, GROUP, GROUP + 1, 3 * GROUP + 40, CHUNK - 1, CHUNK,
+                   B - 1, B, B + 1, B + GROUP, B + CHUNK // 2 + 7, B + 3 * CHUNK, 2 * B - 1,
+                   3 * B + CHUNK, x - 1, x}
+                  | set(range(2 * B + 5 * CHUNK + 1, 2 * B + 6 * CHUNK + 1))
+                  | {1 << k for k in range(B.bit_length(), x.bit_length())})
+
+
+@pytest.mark.parametrize("B", [16 * CHUNK, 32 * CHUNK])
+@pytest.mark.parametrize("kind", FLOAT_SPECS)
+def test_float_real_feed_matches_naive_scan(kind, B, monkeypatch):
+    """ProfileState.feed over float real blocks of B values, the last ending
+    in a short chunk, gives oracles.naive_profile's rows and those of the
+    full chunk scan (full_prefix set) bit for bit.  The first block settles
+    the scan per stream: the walks accumulate only some chunks, the bounded
+    walk every one."""
+    spec = build_spec(FLOAT_SPECS[kind])
+    x = 3 * B + 5 * CHUNK + 3 * GROUP + 17
+    cps = float_checkpoints(B, x)
+    sums, sups = oracles.naive_profile(eval_range(spec, x).values, cps, exact=False)
+    want = row_bits(zip(cps, sums, sups))
+    short_blocks(monkeypatch, B)
+    state, full = ProfileState(exact=False, real=True), ProfileState(exact=False, real=True)
+    full.full_prefix = True
+    rows, full_rows, skipped = [], [], False
+    for blk in iter_blocks(spec, x):
+        scan, _ = _scan(blk.copy(), state.n_done + 1, cps, False, None, False,
+                        abs(state.re.hi) + abs(state.re.lo))
+        skipped |= bool(np.isinf(scan.top).any())
+        full_rows += full.feed(blk.copy(), cps)
+        rows += state.feed(blk, cps)
+    assert row_bits(rows) == want
+    assert row_bits(full_rows) == want
+    assert state.full_prefix == (kind == "bounded")
+    assert skipped == (kind != "bounded")
+
+
+@pytest.mark.parametrize("walk", ["drift", "flat"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_float_feed_from_a_large_carry(sign, walk):
+    """A state restored with re.hi near +-1e9 (and a nonzero lo), fed walks
+    whose steps lie below ulp(1e9) / 2, so that fl(c + s) rounds the sums of
+    different chunks past one another: the rows equal oracles.naive_profile's
+    from that carry and the full chunk scan's, bit for bit.  A drifting walk
+    keeps its bounds; a flat one, whose whole range is below one ulp, lays
+    out every chunk, as delta's carry term is wider than the walk."""
+    B = 16 * CHUNK
+    x = 4 * B + 3 * CHUNK + 5
+    cps = [1000, B + 77, 2 * B + CHUNK, 3 * B, x]
+    carry = (sign * (1e9 - 0.375), sign * 2.0**-40)
+    snap = {"n_done": 0, "sup": "0x0p+0", "exact": False, "real": True,
+            "re": [v.hex() for v in carry], "im": ["0x0p+0", "0x0p+0"]}
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        if walk == "drift":
+            steps = np.where(rng.random(x) < 0.56, 1.0, -1.0) * rng.uniform(1e-8, 5e-8, x)
+        else:
+            steps = np.where(rng.random(x) < 0.5, 1.0, -1.0) * rng.uniform(1e-10, 5e-10, x)
+        values = np.concatenate(([0.0], steps))
+        sums, sups = oracles.naive_profile(values, cps, exact=False, carry=carry)
+        want = row_bits(zip(cps, sums, sups))
+        state, full = ProfileState.restore(snap), ProfileState.restore(snap)
+        full.full_prefix = True
+        rows, full_rows = [], []
+        for lo in range(1, x + 1, B):
+            rows += state.feed(values[lo : lo + B].copy(), cps)
+            full_rows += full.feed(values[lo : lo + B].copy(), cps)
+        assert row_bits(rows) == want, seed
+        assert row_bits(full_rows) == want, seed
+        assert state.full_prefix == (walk == "flat"), seed
+
+
+@pytest.mark.parametrize("r", [0.25, 1.0, 2.0])
+def test_rademacher_scans_match_naive_scan(r, monkeypatch):
+    """RademacherSeeds.scans of a damped family, whose bounds share one
+    group sum of |f| per block and allow the running total of a fresh state
+    (RademacherSeeds._carry_bound), applied to fresh states give the rows
+    of oracles.naive_profile and of the full chunk scan bit for bit, with
+    chunks left out."""
+    B = 16 * CHUNK
+    short_blocks(monkeypatch, B)
+    x = 3 * B + 2 * CHUNK + 77
+    seeds = [3, 8, 2**64 + 100]
+    cps = sorted({GROUP, CHUNK, B // 3, B, B + CHUNK + 1, 2 * B + GROUP - 1, x - 1, x})
+    family = RademacherSeeds(seeds, r, x)
+    states = [ProfileState(exact=False, real=True) for _ in seeds]
+    fulls = [ProfileState(exact=False, real=True) for _ in seeds]
+    rows, full_rows = [[] for _ in seeds], [[] for _ in seeds]
+    skipped = False
+    for k, scans in enumerate(family.scans(cps)):
+        blk, lo = family.block(k), family.ranges[k][0]
+        for i, scan in enumerate(scans):
+            skipped |= bool(np.isinf(scan.top).any())
+            rows[i] += states[i].apply(scan)
+            full_rows[i] += fulls[i].apply(_scan(blk.values(i), lo, cps, False, None, True)[0])
+    assert skipped
+    for seed, row, full_row in zip(seeds, rows, full_rows):
+        values = eval_range(make_spec(RandomRademacher(seed=seed), scale_r=r), x).values
+        sums, sups = oracles.naive_profile(values, cps, exact=False)
+        assert row_bits(row) == row_bits(zip(cps, sums, sups)) == row_bits(full_row), seed
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0, 7.0])
+def test_rademacher_carry_bound_covers_the_damped_sum(r):
+    """_carry_bound(lo) lies between twice the sum of n^(-r) over n < lo and
+    twice that plus 2: the integral bound is at most one term off."""
+    family = RademacherSeeds([1], r, 1000)
+    for lo in [1, 2, 3, 10, 1000, 10**5]:
+        total = math.fsum(n**-r for n in range(1, lo))
+        assert 2 * total <= family._carry_bound(lo) <= 2 * total + 2, lo
+
+
+def test_apply_refuses_a_carry_past_the_scan_bounds():
+    """A float scan whose chunks were left out holds only for a running
+    total up to its carry bound, 2 (lo - 1) from summarize: a state past it
+    is refused, one at it is applied."""
+    lo = 16 * CHUNK + 1
+    scan = summarize(np.full(16 * CHUNK, 0.5), lo, [], False)
+    assert scan.carry == 2.0 * (lo - 1) and np.isinf(scan.top).any()
+    state = ProfileState(False, True, lo - 1, 0.0, NeumaierSum(2.0 * lo))
+    with pytest.raises(ValueError, match="exceeds"):
+        state.apply(scan)
+    state.re.hi = 2.0 * (lo - 1)
+    assert state.apply(scan) == []
+    assert state.sup == 2.0 * (lo - 1) + 0.5 * 16 * CHUNK
 
 
 def norm_classes(limit: int) -> dict[int, set[int]]:
