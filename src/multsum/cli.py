@@ -235,6 +235,8 @@ def _run_profile(args, prefix: str):
                    or not all(type(v) in (int, float) for v in r) for r in rows):
                 raise ValueError(f"malformed resume state (a row is not {width} numbers)")
             rows = [list(map(float, r)) for r in rows]
+            if state.n_done > n:
+                raise ValueError(f"resume state stops at {state.n_done}, past --n {n}")
             if state.n_done != n and state.n_done % CHUNK:
                 # blocks laid from there would regroup the compensated chunks
                 raise ValueError(f"resume state stops at {state.n_done}, not a multiple of {CHUNK}")

@@ -859,34 +859,26 @@ class RademacherSeeds:
 
     def scans(self, checkpoints: list[int]) -> Iterator[list[BlockScan]]:
         """Every seed's BlockScan of each block (seeds in order), block by
-        block.  A pool of thread_cap() threads evaluates and summarizes the
+        block.  A pool of thread_cap() threads evaluates and scans the
         next blocks, so the caller's ProfileStates only apply them, in block
         order: the results never depend on the thread count.  A damped
         family's float bounds allow a fresh state's running total
         (_carry_bound), and its sums of |f(n)| over each group are taken
         once per block from the damping, which |f(n)| equals bit for bit,
-        for every seed."""
+        for every seed, as is the block's Pieces."""
         count = sum(map(len, self.groups))
 
         def scan_block(k: int) -> list[BlockScan]:
             blk = self.block(k)
-            n = len(blk)
-            # one buffer per thread, reused for every seed and block.  The
-            # prefix sums go out of place, as only then does numpy release
-            # the GIL in an accumulate: an exact family's whole-block cumsum
-            # into a second array, a damped family's per-chunk ones CHUNK
-            # values before its values, each chunk's over the chunk before
-            # it, already read (accum.chunk_sums)
-            scratch = self._scratch()
-            if self.exact:
-                vals = scratch.get("values", np.float64, n)
-                prefix = scratch.get("prefix", np.float64, n)
-            else:
-                buf = scratch.get("values", np.float64, n + CHUNK)
-                vals, prefix = buf[CHUNK:], buf[:n]
+            lo, n = self.ranges[k][0], len(blk)
+            pieces = _pieces(lo, n, checkpoints, self.exact)
+            # one buffer per thread, reused for every seed and block: the
+            # prefix sums go CHUNK values before the values, out of place,
+            # as only then does numpy release the GIL in an accumulate
+            buf = self._scratch().get("values", np.float64, n + CHUNK)
+            vals, prefix = buf[CHUNK:], buf[:n]
             spread = None if self.exact else _group_sums(blk.damp)
-            lo = self.ranges[k][0]
-            return [_scan(blk.values(i, vals), lo, checkpoints, self.exact, prefix, False,
+            return [_scan(blk.values(i, vals), pieces, self.exact, prefix, False,
                           self._carry_bound(lo), spread)[0] for i in range(count)]
 
         return _evaluated_ahead(scan_block, len(self), min(thread_cap(), len(self)))
@@ -961,31 +953,59 @@ class PartialSumProfile:
 
 
 @dataclass(eq=False)
+class Pieces:
+    """The layout a scan of the block f(lo), ..., f(lo + length - 1) reads,
+    shared by every spec of one block and exactness.  A segment runs from
+    one checkpoint's next value to the next checkpoint (or the block's
+    end); a piece is a segment cut at the edges of the accum.CHUNK-value
+    chunks of accum.compensated_cumsum (an exact spec's block is one chunk).
+    """
+
+    lo: int
+    length: int
+    here: list[int]  # the checkpoints in the block
+    ends: np.ndarray  # the offset of each of them in the block
+    segments: np.ndarray  # the offset each segment starts at
+    cuts: np.ndarray  # the offset each piece starts at
+    piece: np.ndarray  # the piece each checkpoint ends
+    chunk: np.ndarray  # the chunk of each piece
+
+
+def _pieces(lo: int, n: int, checkpoints: list[int], exact: bool) -> Pieces:
+    """The Pieces of the n-value block from lo, checkpoints ascending."""
+    first = bisect_right(checkpoints, lo - 1)
+    here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
+    ends = np.array(here, dtype=np.int64) - lo
+    after = ends[ends + 1 < n] + 1
+    segments = np.union1d(0, after)
+    cuts = segments if exact else np.union1d(np.arange(0, n, CHUNK), after)
+    return Pieces(lo, n, here, ends, segments, cuts, np.searchsorted(cuts, ends, "right") - 1,
+                  cuts // (n if exact else CHUNK))
+
+
+@dataclass(eq=False)
 class BlockScan:
-    """The carry-free half of scanning the real values f(lo), ..., f(lo +
-    length - 1): what ProfileState.apply needs to move past them.
+    """The carry-free half of scanning the real values of the block that
+    `pieces` lays out: what ProfileState.apply needs to move past them.
 
-    The block is cut into chunks, accum.CHUNK values each as in
-    accum.compensated_cumsum (an exact spec: the whole block), and the
-    chunks into pieces after each checkpoint.  With c the prefix sum within
-    a chunk and s the running total at the chunk's start, the scan's partial
-    sum is M = fl(c + s), which is compensated_cumsum's value (an exact
-    spec's c and s are integers below 2^53, so M = c + s exactly).  Rounding
-    to nearest is monotone, so over a piece max fl(c + s) = fl(max c + s)
-    and min fl(c + s) = fl(min c + s), and since |y| = max(y, -y), max |M|
-    over the piece is max(fl(top + s), -fl(bottom + s)): applied with its
-    carry, a BlockScan gives the bits of the full prefix array.
+    With c the prefix sum within a chunk and s the running total at the
+    chunk's start, the scan's partial sum is M = fl(c + s), which is
+    compensated_cumsum's value (an exact spec's c and s are integers below
+    2^53, so M = c + s exactly).  Rounding to nearest is monotone, so over
+    a piece max fl(c + s) = fl(max c + s) and min fl(c + s) = fl(min c +
+    s), and since |y| = max(y, -y), max |M| over the piece is max(fl(top +
+    s), -fl(bottom + s)): applied with its carry, a BlockScan gives the
+    bits of the full prefix array.
 
-    Prefix sums are laid out only where a segment's max or min can lie, a
-    segment being the stretch after one checkpoint up to the next (or the
-    block's end).  An exact spec's top, bottom and at come from 64-value
-    group sums (_group_extremes) and are those of the full prefix all the
-    same.  A float spec accumulates only the chunks whose group bounds
-    reach a segment's max or min, and the chunks a checkpoint ends in
+    Prefix sums are laid out only where a segment's max or min can lie.
+    An exact spec's top, bottom and at come from 64-value group sums
+    (_group_extremes) and are those of the full prefix all the same.  A
+    float spec accumulates only the chunks whose group bounds reach a
+    segment's max or min, and the chunks a checkpoint ends in
     (_float_chunks); a piece of any other chunk holds neither, and has top
-    -inf and bottom +inf, so that it adds nothing to the running sup.  Those
-    bounds allow a running total before the block, |re.hi| + |re.lo|, of at
-    most `carry`, which apply checks.
+    -inf and bottom +inf, so that it adds nothing to the running sup.
+    Those bounds allow a running total before the block, |re.hi| +
+    |re.lo|, of at most `carry`, which apply checks.
 
     A complex block has no BlockScan: max |M| over a piece does not follow
     from each lane's max and min, so ProfileState.feed lays both running
@@ -993,29 +1013,26 @@ class BlockScan:
     largest |M|^2.
     """
 
-    lo: int
-    length: int
+    pieces: Pieces  # shared by every scan of the block
     sums: list[float]  # np.sum of each chunk (an exact spec: the block's total)
-    chunk: np.ndarray  # the chunk of each piece
     top: np.ndarray  # max of c over each piece
     bottom: np.ndarray  # min of c over each piece
-    here: list[int]  # the checkpoints in the block
-    at: np.ndarray  # c at each of them
-    piece: np.ndarray  # the piece each of them ends
+    at: np.ndarray  # c at each checkpoint in the block
     carry: float = math.inf  # the largest running total the bounds allow
 
 
 GROUP = 64  # values per group of a real block's bounded scan
 
 
-def summarize(
-    values: np.ndarray, lo: int, checkpoints: list[int], exact: bool,
-    out: np.ndarray | None = None,
-) -> BlockScan:
-    """The BlockScan of the real block `values` of f(lo), f(lo + 1), ...,
-    a contiguous float64 array.  A float block's bounds allow a running
-    total before lo of at most 2 (lo - 1) in modulus, as that of any stream
-    of values |f(n)| <= 1 is (ProfileState.apply checks it).
+def _scan(
+    values: np.ndarray, pieces: Pieces, exact: bool, out: np.ndarray | None,
+    full_prefix: bool, carry: float = math.inf, spread: np.ndarray | None = None,
+) -> tuple[BlockScan, bool]:
+    """The BlockScan of the real block `values`, a contiguous float64 array
+    laid out by pieces (from _pieces with the same exact), and whether the
+    whole block's prefix was laid out.  Float bounds allow a running total
+    of at most `carry` before the block (none when inf) and take the sum of
+    |f(n)| over each GROUP values from `spread` when given.
 
     A float block's within-chunk prefix sums c go into out, a contiguous
     float64 array of the same length, or values itself when None, but only
@@ -1023,46 +1040,24 @@ def summarize(
     (_float_chunks).  An exact block's extremes come from its group sums
     (_group_extremes), and out is left as it is.  Either way, where that
     would lay out more than half of the block (its chunks, or an exact
-    block's groups), the whole block's prefix goes into out instead.  out
-    is scratch: what it holds afterwards is not read.
-
-    numpy releases the GIL in an accumulate only out of place, and in a
-    2-d one only past 500 rows, so a pool thread overlaps others only when
-    out is not values: an exact block's one cumsum needs a separate out; a
-    float block's per-chunk accumulates (accum.chunk_sums) may also write
-    into the same buffer starting CHUNK values before values, each chunk's
-    prefix over the chunk before it, which is read by then.
+    block's groups), or with full_prefix, the whole block's prefix goes
+    into out instead.  out is scratch: what it holds afterwards is not
+    read.  numpy releases the GIL in an accumulate only out of place, and
+    in a 2-d one only past 500 rows, so a pool thread overlaps others only
+    when out is not values.  out may also start CHUNK values before values
+    in one buffer, as each prefix sum then lands on a value already read: a
+    float block's per-chunk accumulates (accum.chunk_sums) write each
+    chunk's prefix over the chunk before it.
     """
-    return _scan(values, lo, checkpoints, exact, out, False, 2.0 * (lo - 1))[0]
-
-
-def _scan(
-    values: np.ndarray, lo: int, checkpoints: list[int], exact: bool,
-    out: np.ndarray | None, full_prefix: bool, carry: float = math.inf,
-    spread: np.ndarray | None = None,
-) -> tuple[BlockScan, bool]:
-    """summarize, with the whole block's prefix laid out straight away when
-    full_prefix, and float bounds that allow a running total of at most
-    `carry` before the block (none when inf) and take the sum of |f(n)|
-    over each GROUP values from `spread` when given; also returns whether
-    the whole prefix was laid out."""
-    n = len(values)
     if out is None:
         out = values
-    first = bisect_right(checkpoints, lo - 1)
-    here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
-    ends = np.array(here, dtype=np.int64) - lo
-    after = ends[ends + 1 < n] + 1
-    segments = np.union1d(0, after)
-    cuts = segments if exact else np.union1d(np.arange(0, n, CHUNK), after)
-    piece = np.searchsorted(cuts, ends, "right") - 1
-    chunk = cuts // (n if exact else CHUNK)
+    segments, cuts, ends = pieces.segments, pieces.cuts, pieces.ends
     laid = None
     if exact:
         grouped = None if full_prefix else _group_extremes(values, cuts, ends)
         if grouped is not None:
             total, top, bottom, at = grouped
-            return BlockScan(lo, n, [total], chunk, top, bottom, here, at, piece), False
+            return BlockScan(pieces, [total], top, bottom, at), False
         np.cumsum(values, out=out)
         sums = [float(out[-1])]
     else:
@@ -1070,14 +1065,14 @@ def _scan(
         (sums,) = chunk_sums(values, out, laid)
     top, bottom = np.maximum.reduceat(out, cuts), np.minimum.reduceat(out, cuts)
     if laid is None:
-        return BlockScan(lo, n, sums, chunk, top, bottom, here, out[ends], piece), True
+        return BlockScan(pieces, sums, top, bottom, out[ends]), True
     # a piece of a chunk left out (whose reduceat read stale values of out)
     # holds neither extreme of its segment
     out_of_reach = np.ones(len(sums), dtype=bool)
     out_of_reach[laid] = False
-    out_of_reach = out_of_reach[chunk]
+    out_of_reach = out_of_reach[pieces.chunk]
     top[out_of_reach], bottom[out_of_reach] = -math.inf, math.inf
-    return BlockScan(lo, n, sums, chunk, top, bottom, here, out[ends], piece, carry), False
+    return BlockScan(pieces, sums, top, bottom, out[ends], carry), False
 
 
 def _reach(
@@ -1231,7 +1226,7 @@ NORM_CAP = float(1 << 20)  # Gaussian-integer tops below this skip the window
 _NORMAL = float(np.finfo(np.float64).tiny)
 
 
-def _norm_sups(prefix: np.ndarray, cuts: list[int], gaussian: bool = False) -> list[float]:
+def _norm_sups(prefix: np.ndarray, cuts: np.ndarray, gaussian: bool = False) -> list[float]:
     """max np.hypot(M.real, M.imag) over each segment [cuts[j], cuts[j+1])
     of the contiguous complex array prefix (the last one running to its
     end), bit for bit, with np.hypot taken only where it can reach that max.
@@ -1314,11 +1309,11 @@ class ProfileState:
     ) -> list[tuple[int, complex, float]]:
         """Consume the contiguous block of values following n_done, which it
         overwrites; returns (c, M(c), max_{y<=c} |M(y)|) for each checkpoint
-        c inside it.  A real block is summarized and applied: its prefix
+        c inside it.  A real block is scanned and applied: its prefix
         sums are laid out only in the groups (exact) or chunks (float) whose
         bounds reach a segment's max or min, or that a checkpoint ends in,
         with float bounds for the running total held now.  A real stream's
-        first block settles how all of its blocks are summarized: when it
+        first block settles how all of its blocks are scanned: when it
         would lay out more than half of its groups (_group_extremes) or
         chunks (_float_chunks), every block lays out its whole prefix with
         no group sums.
@@ -1332,44 +1327,43 @@ class ProfileState:
         an exact spec at most once per segment where its sums stay small
         (_norm_sups).
         """
+        pieces = _pieces(self.n_done + 1, len(blk), checkpoints, self.exact)
         if not np.iscomplexobj(blk):
-            scan, full = _scan(blk, self.n_done + 1, checkpoints, self.exact, None,
-                               bool(self.full_prefix), abs(self.re.hi) + abs(self.re.lo))
+            scan, full = _scan(blk, pieces, self.exact, None, bool(self.full_prefix),
+                               abs(self.re.hi) + abs(self.re.lo))
             if self.full_prefix is None:
                 self.full_prefix = full
             return self.apply(scan)
-        lo = self.n_done + 1
-        first = bisect_right(checkpoints, self.n_done)
-        here = checkpoints[first : bisect_right(checkpoints, self.n_done + len(blk), first)]
-        ends = [c - lo for c in here]
         if self.exact:
             blk[0] += complex(self.re.hi, self.im.hi)
             np.cumsum(blk, out=blk)
             self.re.hi, self.im.hi = float(blk[-1].real), float(blk[-1].imag)
         else:
             compensated_cumsum(blk, (self.re, self.im), blk)
-        # max |M| over the segments ending at each end, plus the rest of the
-        # block, instead of a block-long running max
-        cuts = [0] + [i + 1 for i in ends if i + 1 < len(blk)]
-        sups = list(accumulate(_norm_sups(blk, cuts, self.exact), max, initial=self.sup))[1:]
+        # max |M| over the segments ending at each checkpoint, plus the rest
+        # of the block, instead of a block-long running max
+        sups = list(accumulate(_norm_sups(blk, pieces.segments, self.exact), max,
+                               initial=self.sup))[1:]
         self.sup = sups[-1]
         self.n_done += len(blk)
-        return [(c, complex(blk[i]), sup) for c, i, sup in zip(here, ends, sups)]
+        return [(c, complex(blk[i]), sup)
+                for c, i, sup in zip(pieces.here, pieces.ends.tolist(), sups)]
 
     def apply(self, scan: BlockScan) -> list[tuple[int, complex, float]]:
         """Move past a real block from its BlockScan: the carry's chain
         through its chunks and the running sup.  Returns the rows of feed."""
-        if scan.lo != self.n_done + 1:
-            raise ValueError(f"block from n={scan.lo} does not follow n_done={self.n_done}")
+        pieces = scan.pieces
+        if pieces.lo != self.n_done + 1:
+            raise ValueError(f"block from n={pieces.lo} does not follow n_done={self.n_done}")
         if not abs(self.re.hi) + abs(self.re.lo) <= scan.carry:
-            raise ValueError(f"running total before n={scan.lo} exceeds the {scan.carry} "
+            raise ValueError(f"running total before n={pieces.lo} exceeds the {scan.carry} "
                              "its scan's bounds allow")
-        s = np.array(chunk_starts(scan.sums, self.re))[scan.chunk]  # per piece
+        s = np.array(chunk_starts(scan.sums, self.re))[pieces.chunk]  # per piece
         run = np.maximum.accumulate(np.maximum(scan.top + s, -(scan.bottom + s))).tolist()
         rows = [(c, complex(m, 0.0), max(self.sup, run[i])) for c, m, i in
-                zip(scan.here, (scan.at + s[scan.piece]).tolist(), scan.piece.tolist())]
+                zip(pieces.here, (scan.at + s[pieces.piece]).tolist(), pieces.piece.tolist())]
         self.sup = max(self.sup, run[-1])
-        self.n_done += scan.length
+        self.n_done += pieces.length
         return rows
 
     def snapshot(self) -> dict:

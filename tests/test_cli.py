@@ -436,6 +436,33 @@ def test_profile_resume_refuses_a_state_off_a_chunk(tmp_path, capsys):
         assert "stops at 5000, not a multiple of 4096" in err and "rerun without --resume" in err
 
 
+def test_profile_resume_refuses_a_state_past_n(tmp_path, capsys):
+    """A state file with the right config_hash and rows for every
+    checkpoint of --n 10000, whose snapshot stops at 16384, exits 1 and
+    leaves the CSV as it was."""
+    argv = ["profile", "--spec", "char:q=4,index=1", "--n", "10000"]
+    code, full_prefix = run(tmp_path / "full", *argv)
+    assert code == 0
+    with open(full_prefix + ".json") as fh:
+        chash = json.load(fh)["config_hash"]
+    f = multsum.build_spec("char:q=4,index=1")
+    state = cli.ProfileState(cli.is_exact_spec(f), cli.is_real_spec(f))
+    rows = [cli._profile_row(*row) for blk in cli.iter_blocks(f, 16384)
+            for row in state.feed(blk, cli.dyadic_checkpoints(10000))]
+    assert state.n_done == 16384
+    prefix = str(tmp_path / "part")
+    with open(prefix + ".state.json", "w") as fh:
+        json.dump({"config_hash": chash, "snapshot": state.snapshot(), "rows": rows}, fh)
+    with open(prefix + ".csv", "w") as fh:
+        fh.write("left as it was\n")
+    code = cli.main([*argv, "--out", prefix, "--resume"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "stops at 16384, past --n 10000" in err and "rerun without --resume" in err
+    with open(prefix + ".csv") as fh:
+        assert fh.read() == "left as it was\n"
+
+
 def test_profile_resume_refuses_a_state_of_other_value_modes(tmp_path, capsys):
     """A state file with the right config_hash whose snapshot flips the
     spec's exact flag exits 1: its scan would not be the spec's."""

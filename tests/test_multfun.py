@@ -47,13 +47,13 @@ from multsum.multfun import (
     _group_extremes,
     _hypot_of_norm,
     _norm_sups,
+    _pieces,
     _scan,
     ProfileState,
     RademacherSeeds,
     block_length,
     differing_primes,
     rademacher_signs,
-    summarize,
     unit_pow,
     value_at_primes,
 )
@@ -394,33 +394,49 @@ def test_rademacher_seeds_table_stays_in_bound():
     assert family.top >= family.base_primes[-1]
 
 
-def test_summarize_through_the_shifted_buffer():
-    """A damped block summarized with out CHUNK values before its values in
-    one buffer, as RademacherSeeds.scans does, gives every BlockScan field
-    of a fresh out and of an in-place scan: checkpoints inside the blocks,
-    and a last block ending in a partial chunk."""
+def scan_bytes(scan) -> list:
+    """Every field of a BlockScan and of its Pieces, arrays as bytes."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else v
+            for obj in (scan.pieces, scan) for k, v in vars(obj).items() if k != "pieces"]
+
+
+def test_scan_through_the_shifted_buffer():
+    """A block scanned with out CHUNK values before its values in one
+    buffer, as RademacherSeeds.scans does, gives every BlockScan field of a
+    fresh out and of an in-place scan, each with a fresh layout: every
+    seed of a damped and of an undamped family, whose scans of one block
+    share one Pieces, with checkpoints inside the blocks and a last block
+    ending in a partial chunk; and the bounded exact walk, whose whole-block
+    np.cumsum then overlaps its values."""
     x = BLOCK + 3 * CHUNK + 5
     cps = [1, 1000, 10 * CHUNK + 17, BLOCK - 1, BLOCK, BLOCK + CHUNK + 3, x]
-    family = RademacherSeeds([3, 7], 0.25, x)
-    assert [hi - lo for lo, hi in family.ranges] == [BLOCK, 3 * CHUNK + 5]
-    for k, (lo, hi) in enumerate(family.ranges):
-        blk = family.block(k)
-        n = hi - lo
-        for i in range(2):
-            values = blk.values(i)
-            buf = np.empty(n + CHUNK)
-            scans = [summarize(values.copy(), lo, cps, False, np.empty(n)),
-                     summarize(values.copy(), lo, cps, False),
-                     summarize(blk.values(i, buf[CHUNK:]), lo, cps, False, buf[:n])]
-            fields = [[v.tobytes() if isinstance(v, np.ndarray) else v
-                       for v in vars(scan).values()] for scan in scans]
-            assert fields[0] == fields[1] == fields[2], (k, i)
-            assert scans[0].here == [c for c in cps if lo <= c < hi], (k, i)
+    for r in (0.25, 0.0):
+        family = RademacherSeeds([3, 7], r, x)
+        assert [hi - lo for lo, hi in family.ranges] == [BLOCK, 3 * CHUNK + 5]
+        for k, ((lo, hi), shared) in enumerate(zip(family.ranges, family.scans(cps))):
+            blk, n, exact, carry = family.block(k), hi - lo, r == 0, family._carry_bound(lo)
+            assert shared[0].pieces is shared[1].pieces, (r, k)
+            for i in range(2):
+                values = blk.values(i)
+                buf = np.empty(n + CHUNK)
+                scans = [_scan(v, _pieces(lo, n, cps, exact), exact, out, False, carry)[0]
+                         for v, out in [(values.copy(), np.empty(n)), (values.copy(), None),
+                                        (blk.values(i, buf[CHUNK:]), buf[:n])]]
+                want = scan_bytes(shared[i])
+                assert all(scan_bytes(scan) == want for scan in scans), (r, k, i)
+                assert shared[i].pieces.here == [c for c in cps if lo <= c < hi], (r, k, i)
+    n = 16 * CHUNK + 5 * GROUP + 17
+    buf = np.empty(n + CHUNK)
+    buf[CHUNK:] = exact_walk("bounded", n)
+    cps = [1, 100, CHUNK + 3, n]
+    fresh, laid = _scan(buf[CHUNK:].copy(), _pieces(1, n, cps, True), True, np.empty(n), False)
+    shifted, took = _scan(buf[CHUNK:], _pieces(1, n, cps, True), True, buf[:n], False)
+    assert laid and took and scan_bytes(shifted) == scan_bytes(fresh)
 
 
 def test_apply_refuses_a_block_out_of_order():
     state = ProfileState(exact=False, real=True)
-    scan = summarize(np.ones(10), 11, [15], False)
+    scan = _scan(np.ones(10), _pieces(11, 10, [15], False), False, None, False)[0]
     with pytest.raises(ValueError, match="does not follow"):
         state.apply(scan)
     state.feed(np.ones(10), [5])
@@ -673,15 +689,16 @@ EXACT_WALKS = ["drift", "one", "signs", "runs", "swing", "bounded"]
 def scan_fields(scan) -> list:
     """A BlockScan's fields, sums and at in float hex; top and bottom by
     value, as which zero a max of +-0 picks is numpy's choice."""
-    return [scan.lo, scan.length, [v.hex() for v in scan.sums], scan.chunk.tolist(),
-            scan.top.tolist(), scan.bottom.tolist(), scan.here,
-            [v.hex() for v in scan.at.tolist()], scan.piece.tolist()]
+    pieces = scan.pieces
+    return [pieces.lo, pieces.length, [v.hex() for v in scan.sums], pieces.chunk.tolist(),
+            scan.top.tolist(), scan.bottom.tolist(), pieces.here,
+            [v.hex() for v in scan.at.tolist()], pieces.piece.tolist()]
 
 
 @pytest.mark.parametrize("n", [16 * CHUNK + 5 * GROUP + 17, 16 * CHUNK])
 @pytest.mark.parametrize("kind", EXACT_WALKS)
 def test_grouped_exact_scan_matches_full_prefix(kind, n):
-    """summarize's group-bounded scan of an exact real block gives the
+    """_scan's group-bounded scan of an exact real block gives the
     BlockScan of the block's full np.cumsum, with checkpoints at group
     edges, mid-group, at CHUNK multiples and at the block's first and last
     value, none at all, one at every value of a few groups, or one ending
@@ -695,12 +712,13 @@ def test_grouped_exact_scan_matches_full_prefix(kind, n):
                    list(range(5 * GROUP - 3, 7 * GROUP + 3)), [n - 17, n - 9, n - 1],
                    [5 * GROUP - 1]]
         for offs in offsets:
-            cps = [lo + i for i in offs]
-            grouped, fell_back = _scan(vals.copy(), lo, cps, True, np.empty(n), False)
-            full, took = _scan(vals.copy(), lo, cps, True, np.empty(n), True)
+            pieces = _pieces(lo, n, [lo + i for i in offs], True)
+            grouped, fell_back = _scan(vals.copy(), pieces, True, np.empty(n), False)
+            full, took = _scan(vals.copy(), pieces, True, np.empty(n), True)
             assert took and fell_back == (kind == "bounded")
             assert scan_fields(grouped) == scan_fields(full), (kind, lo, offs)
-            assert scan_fields(summarize(vals.copy(), lo, cps, True)) == scan_fields(full)
+            in_place = _scan(vals.copy(), pieces, True, None, False)[0]
+            assert scan_fields(in_place) == scan_fields(full)
 
 
 @pytest.mark.parametrize("kind", EXACT_WALKS)
@@ -783,8 +801,8 @@ def test_float_real_feed_matches_naive_scan(kind, B, monkeypatch):
     full.full_prefix = True
     rows, full_rows, skipped = [], [], False
     for blk in iter_blocks(spec, x):
-        scan, _ = _scan(blk.copy(), state.n_done + 1, cps, False, None, False,
-                        abs(state.re.hi) + abs(state.re.lo))
+        scan, _ = _scan(blk.copy(), _pieces(state.n_done + 1, len(blk), cps, False), False,
+                        None, False, abs(state.re.hi) + abs(state.re.lo))
         skipped |= bool(np.isinf(scan.top).any())
         full_rows += full.feed(blk.copy(), cps)
         rows += state.feed(blk, cps)
@@ -851,7 +869,8 @@ def test_rademacher_scans_match_naive_scan(r, monkeypatch):
         for i, scan in enumerate(scans):
             skipped |= bool(np.isinf(scan.top).any())
             rows[i] += states[i].apply(scan)
-            full_rows[i] += fulls[i].apply(_scan(blk.values(i), lo, cps, False, None, True)[0])
+            pieces = _pieces(lo, len(blk), cps, False)
+            full_rows[i] += fulls[i].apply(_scan(blk.values(i), pieces, False, None, True)[0])
     assert skipped
     for seed, row, full_row in zip(seeds, rows, full_rows):
         values = eval_range(make_spec(RandomRademacher(seed=seed), scale_r=r), x).values
@@ -871,10 +890,11 @@ def test_rademacher_carry_bound_covers_the_damped_sum(r):
 
 def test_apply_refuses_a_carry_past_the_scan_bounds():
     """A float scan whose chunks were left out holds only for a running
-    total up to its carry bound, 2 (lo - 1) from summarize: a state past it
-    is refused, one at it is applied."""
+    total up to its carry bound, here 2 (lo - 1): a state past it is
+    refused, one at it is applied."""
     lo = 16 * CHUNK + 1
-    scan = summarize(np.full(16 * CHUNK, 0.5), lo, [], False)
+    scan = _scan(np.full(16 * CHUNK, 0.5), _pieces(lo, 16 * CHUNK, [], False), False, None,
+                 False, 2.0 * (lo - 1))[0]
     assert scan.carry == 2.0 * (lo - 1) and np.isinf(scan.top).any()
     state = ProfileState(False, True, lo - 1, 0.0, NeumaierSum(2.0 * lo))
     with pytest.raises(ValueError, match="exceeds"):
