@@ -448,15 +448,18 @@ def _big_primes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions in the block from lo where n has a prime factor above the
     sieve, and that prime (n // smooth there), from the block's int32
-    smooth part, which this uses up; iota is 0, 1, ... as int32.  smooth
-    divides n < 2^31, so the float64 quotient is exact, and faster than an
-    integer one; it is cast to int64 in place.  Only the block-long mask
-    is a scratch array: keeping the shorter arrays too raised the peak
-    memory of a thread pool more than it saved in page faults."""
+    smooth part; iota is 0, 1, ... as int32.  smooth divides n < 2^31, so
+    the float64 quotient is exact, and faster than an integer one; it is
+    cast to int64 in place.  smooth is shifted by iota and back, both
+    int32 passes: adding the int64 positions to the gathered part instead
+    would go through a buffered cast, several times slower.  Only the
+    block-long mask is a scratch array: keeping the shorter arrays too
+    raised the peak memory of a thread pool more than it saved in page
+    faults."""
     smooth -= iota  # s - i is below lo exactly where s < n = lo + i
     pos = np.flatnonzero(np.less(smooth, lo, out=scratch.get("big", np.bool_, len(smooth))))
+    smooth += iota
     part = smooth.take(pos, mode="clip")
-    part += pos
     quotient = np.add(pos, lo, dtype=np.float64)
     quotient /= part
     cof = quotient.view(np.int64)
@@ -517,17 +520,23 @@ class _Stream:
         return ps, q, np.array(w, dtype=np.float64 if real else np.complex128)
 
     @cached_property
+    def unit_table(self) -> np.ndarray:
+        """A complex character's table times 1+0j: each value with the
+        signed zeros the product with an all-ones array gives it."""
+        return self.spec.base.chi.values * (1 + 0j)
+
+    @cached_property
     def passes(self) -> tuple[arith.SievePass, ...]:
-        """The +-1 base's sieve passes (see _sign_parity): Liouville's log
-        weights, or Rademacher's smooth part and sign parity."""
+        """The +-1 base's sieve pass (see _sign_parity): Liouville's log
+        weights, or Rademacher's signed smooth part."""
         base = self.spec.base
         plan = arith.PowerPlan.of(self.base_primes, self.spec.exceptions, self.x)
         if isinstance(base, Liouville):  # odd weights; even at the extra, exception primes
             weights = 2 * np.rint(8 * np.log2(plan.primes)).astype(np.int64) + ~plan.extra
             return (arith.SievePass.of(plan, weights, np.add, np.uint16),)
-        masks = np.where(plan.extra, 0, _rademacher_minus(base.seed, plan.primes))
-        return (arith.SievePass.of(plan, plan.primes, np.multiply, np.int32),
-                arith.SievePass.of(plan, masks, np.bitwise_xor, np.uint8))
+        minus = (_rademacher_minus(base.seed, plan.primes) == 1) & ~plan.extra
+        return (arith.SievePass.of(plan, np.where(minus, -plan.primes, plan.primes),
+                                   np.multiply, np.int32),)
 
 
 def _sign_parity(stream: _Stream, lo: int, hi: int) -> np.ndarray:
@@ -554,9 +563,17 @@ def _sign_parity(stream: _Stream, lo: int, hi: int) -> np.ndarray:
     parity.  The gap between the two bounds grows with h: near 1e9 it is
     over 160 weight units.  acc <= 18 log2 n < 540 fits in uint16.
 
-    Rademacher keeps the exact int32 smooth part s (it divides n <= 1e9 <
-    2^31) to find c and hash its sign, and XORs each -1 prime's bit into a
-    uint8 parity along the strides of its powers.
+    Rademacher sieves one int32 product, the smooth part with the sign
+    riding in it: each power p^k dividing n multiplies it by -p where p's
+    hashed sign is -1 and by p elsewhere (an exception prime included).  A
+    parity that XORs p's bit once per power dividing n and this product's
+    factor (-1) once per power carry the same parity, so the product is
+    negative exactly where f(s) is.  Its magnitude is s, which divides n
+    <= STREAM_LIMIT < 2^31, so no partial product leaves int32.  The sign
+    is read off into the parity (np.less, a bool viewed as uint8), np.abs
+    makes the product s again in place, and s finds c, whose hashed sign
+    flips the parity.  RademacherSeeds keeps an unsigned smooth part and
+    per-group parity words, as one sign bit holds only one seed.
     """
     length = hi - lo
     scratch = stream.scratch
@@ -566,10 +583,10 @@ def _sign_parity(stream: _Stream, lo: int, hi: int) -> np.ndarray:
         acc = log(lo, scratch.get("acc", np.uint16, length))
         acc ^= _left_above(acc, lo, scratch.get("left", np.bool_, length))
         return acc
-    smooth, parity = stream.passes
-    pos, cof = _big_primes(lo, smooth(lo, scratch.get("smooth", np.int32, length)),
-                           scratch.iota(length), scratch)
-    bits = parity(lo, scratch.get("parity", np.uint8, length))
+    (signed,) = stream.passes
+    smooth = signed(lo, scratch.get("smooth", np.int32, length))
+    bits = np.less(smooth, 0, out=scratch.get("parity", np.bool_, length)).view(np.uint8)
+    pos, cof = _big_primes(lo, np.abs(smooth, out=smooth), scratch.iota(length), scratch)
     bits[pos] ^= _rademacher_minus(base.seed, cof, cof.view(np.uint64)).astype(np.uint8)
     return bits
 
@@ -594,7 +611,7 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
     along d's stride chi(m) is a run of the table and u an arange; laid in
     ascending d, the largest such divisor of n writes last and leaves u.
     _exception_walk lists those strides.  +-1 bases sieve the exception
-    primes with no sign (an even log weight, or no parity bit), and the
+    primes with no sign (an even log weight, or a positive factor), and the
     coprime indicator leaves their strides to the exception values.
 
     Complex products are written np.multiply(fresh, factor, out=fresh), the
@@ -602,6 +619,14 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
     its complex multiply rounds differently with the operands swapped, and
     elision swaps them only for temporaries of 2^14 or more values, so the
     order is fixed here whatever the block length.
+
+    A complex block with no exception below hi has no product to take, but
+    its values are those of one by 1+0j, which clears some signed zeros.
+    A character lays its table times 1+0j (_Stream.unit_table) in place of
+    multiplying the block: in (a+bi)(1+0i) every product is exact, so any
+    numpy loop, fused or not, gives each value the same bits, signed zeros
+    included.  A +-1 base's complex values are (+-1, +0), which 1+0j leaves
+    as they are.
     """
     spec, real = stream.spec, stream.real
     length = hi - lo
@@ -609,13 +634,10 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
     dtype = np.float64 if real else np.complex128
     exception_primes = sorted(p for p in spec.exceptions if p < hi)
 
-    # mult is the product of exception values.  Without any below hi it is
-    # the scalar 1+0j for complex specs, which clears signed zeros exactly as
-    # an all-ones array would, and None for real ones, where 1.0 changes
-    # nothing
+    # mult is the product of exception values, None without any below hi
     factors, powers, values = stream.factors
     multiplied = len(factors) > 0 and factors[0] < hi
-    mult = np.ones(length, dtype=dtype) if multiplied else None if real else 1 + 0j
+    mult = np.ones(length, dtype=dtype) if multiplied else None
     if multiplied:
         arith.stride_fold(mult, lo, powers, values, np.multiply)
 
@@ -632,7 +654,7 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
     else:  # CharacterTwist
         chi = base.chi
         table = chi.values.real if real else chi.values  # .real: a float64 view
-        out = arith.periodic(table, lo, length)
+        out = arith.periodic(table if real or multiplied else stream.unit_table, lo, length)
         u = np.arange(lo, hi, dtype=np.float64) if base.t else None
         if exception_primes:
             q = chi.modulus
@@ -972,7 +994,10 @@ class Pieces:
 
 
 def _pieces(lo: int, n: int, checkpoints: list[int], exact: bool) -> Pieces:
-    """The Pieces of the n-value block from lo, checkpoints ascending."""
+    """The Pieces of the n-value block from lo, checkpoints ascending.
+    With exact the block is one chunk, so its pieces are its segments: the
+    layout a complex block's scan, which reads only the segments, asks for
+    too."""
     first = bisect_right(checkpoints, lo - 1)
     here = checkpoints[first : bisect_right(checkpoints, lo - 1 + n, first)]
     ends = np.array(here, dtype=np.int64) - lo
@@ -1040,11 +1065,14 @@ def _scan(
     (_float_chunks).  An exact block's extremes come from its group sums
     (_group_extremes), and out is left as it is.  Either way, where that
     would lay out more than half of the block (its chunks, or an exact
-    block's groups), or with full_prefix, the whole block's prefix goes
-    into out instead.  out is scratch: what it holds afterwards is not
-    read.  numpy releases the GIL in an accumulate only out of place, and
-    in a 2-d one only past 500 rows, so a pool thread overlaps others only
-    when out is not values.  out may also start CHUNK values before values
+    block's groups), or with full_prefix, the whole block's prefix is laid
+    out instead: a float block's into out; an exact block's in int8
+    groups (_prefix_extremes), with out left as it is, unless its first
+    value is -0.0, whose run of -0.0 prefixes only np.cumsum into out
+    keeps.  out is scratch: what it holds afterwards is not read.  numpy
+    releases the GIL in an accumulate only out of place, and in a 2-d one
+    only past 500 rows, so a pool thread overlaps others only when out is
+    not values.  out may also start CHUNK values before values
     in one buffer, as each prefix sum then lands on a value already read: a
     float block's per-chunk accumulates (accum.chunk_sums) write each
     chunk's prefix over the chunk before it.
@@ -1058,6 +1086,11 @@ def _scan(
         if grouped is not None:
             total, top, bottom, at = grouped
             return BlockScan(pieces, [total], top, bottom, at), False
+        # a first value of -0.0 starts a run of -0.0 prefixes, which the
+        # integers of _prefix_extremes cannot carry
+        if not (values[0] == 0 and np.signbit(values[0])):
+            total, top, bottom, at = _prefix_extremes(values, cuts, ends)
+            return BlockScan(pieces, [total], top, bottom, at), True
         np.cumsum(values, out=out)
         sums = [float(out[-1])]
     else:
@@ -1124,7 +1157,9 @@ def _group_extremes(
     lies inside one piece.  Each add is of integers below 2^53, so exact,
     and an exact sum is -0.0 only when every term is: every e and laid c
     has the bits of np.cumsum(values), with the first group's s = -0.0,
-    which adds exactly.
+    which adds exactly.  Where this returns None, _scan takes the whole
+    prefix from int8 group prefixes (_prefix_extremes), or from
+    np.cumsum when the first value is -0.0.
     """
     n = len(values)
     g = np.add.reduceat(values, np.arange(0, n, GROUP))
@@ -1150,6 +1185,72 @@ def _group_extremes(
     at = flat[np.searchsorted(rows, ends // GROUP) * GROUP + ends % GROUP]
     return (float(e[-1]), np.maximum(np.maximum.reduceat(flat, starts), e_top),
             np.minimum(np.minimum.reduceat(flat, starts), e_bottom), at)
+
+
+def _prefix_extremes(
+    values: np.ndarray, cuts: np.ndarray, ends: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """What _group_extremes returns, with every group laid out: an exact
+    block's total, the max and min of its prefix sums c over each piece
+    [cuts[k], cuts[k + 1]) (the last one running to its end), and c at
+    ends, all as float64 with the values of np.cumsum(values).
+
+    The values lie in {-1, 0, 1}, so a prefix sum inside one GROUP-value
+    group lies in [-GROUP, GROUP] and fits int8.  Group j of the block is
+    column j of a (GROUP, m) int8 array (a short last group padded with
+    zeros, so its last sum repeats), and six Hillis-Steele steps (W. D.
+    Hillis and G. L. Steele, "Data parallel algorithms", CACM 29, 1986)
+    turn each column into its prefix sums, every step one add over whole
+    rows.  A group's max, min and total are then reductions over columns,
+    and its start's prefix s an int64 cumsum of the totals.  A piece's
+    extremes are those of the groups wholly inside it (max of s + group
+    max), and of the rows it holds of the one or two groups it starts
+    and ends in; every sum is an integer, so exact.  np.cumsum gives the
+    same integers, and -0.0 only in a run of -0.0 values from the first
+    one on, which _scan leaves to np.cumsum.
+    """
+    n = len(values)
+    m = -(-n // GROUP)
+    c, spare = np.empty((2, GROUP, m), dtype=np.int8)
+    flat = spare.reshape(-1)  # the values as int8, in block order
+    np.copyto(flat[:n], values, casting="unsafe")
+    flat[n:] = 0
+    np.copyto(c, flat.reshape(m, GROUP).T)
+    step = 1
+    while step < GROUP:
+        np.add(c[step:], c[:-step], out=spare[step:])
+        spare[:step] = c[:step]
+        c, spare = spare, c
+        step *= 2
+    s = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(c[-1], out=s[1:])
+    last = np.append(cuts[1:], n) - 1  # each piece's last value
+    first_group, last_group = cuts // GROUP, last // GROUP
+    # the rows of the group a piece starts in (with those of the group it
+    # ends in, when that is another) as float64 columns, -inf or inf
+    # outside the piece
+    groups = np.concatenate((first_group, last_group))
+    rows = np.arange(GROUP)[:, None]
+    start = np.concatenate((cuts % GROUP, np.zeros_like(cuts)))
+    two = last_group > first_group
+    stop = np.concatenate((np.where(two, GROUP - 1, last % GROUP),
+                           np.where(two, last % GROUP, -1)))
+    inside = (rows >= start) & (rows <= stop)
+    edge = c[:, groups] + s[groups].astype(np.float64)
+    k = len(cuts)
+    top = np.where(inside, edge, -math.inf).max(axis=0)
+    bottom = np.where(inside, edge, math.inf).min(axis=0)
+    top, bottom = np.maximum(top[:k], top[k:]), np.minimum(bottom[:k], bottom[k:])
+    # the groups strictly between: a reduceat over [first + 1, last) of each,
+    # kept only where that is not empty
+    spans = np.minimum(np.stack((first_group + 1, last_group), axis=1).ravel(), m - 1)
+    between = last_group - first_group > 1
+    mid_top = np.maximum.reduceat(s[:-1] + c.max(axis=0), spans)[::2]
+    mid_bottom = np.minimum.reduceat(s[:-1] + c.min(axis=0), spans)[::2]
+    top = np.where(between, np.maximum(top, mid_top), top)
+    bottom = np.where(between, np.minimum(bottom, mid_bottom), bottom)
+    at = s[ends // GROUP] + c[ends % GROUP, ends // GROUP]
+    return float(s[-1]), top, bottom, at.astype(np.float64)
 
 
 def _group_sums(values: np.ndarray) -> np.ndarray:
@@ -1221,7 +1322,7 @@ def _float_chunks(
                   ends // CHUNK, CHUNK // GROUP)[0]
 
 
-NORM_MARGIN = 1e-12  # relative window below a segment's largest |M|^2
+NORM_MARGIN = 1e-12  # relative window below a segment's largest |M| (or |M|^2)
 NORM_CAP = float(1 << 20)  # Gaussian-integer tops below this skip the window
 _NORMAL = float(np.finfo(np.float64).tiny)
 
@@ -1231,32 +1332,43 @@ def _norm_sups(prefix: np.ndarray, cuts: np.ndarray, gaussian: bool = False) -> 
     of the contiguous complex array prefix (the last one running to its
     end), bit for bit, with np.hypot taken only where it can reach that max.
 
-    With u = 2^-53, q = re*re + im*im is |M|^2 within a factor 1 +- 4u
-    (two rounded squares and one rounded sum of nonnegative terms; once the
-    segment's largest q is a normal float, a subnormal square errs by less
-    than u of it), and np.hypot rounds |M| within one ulp, a factor 1 +- 2u.
-    So where hypot is largest, q is at least (1 - 20u) times the segment's
-    largest q, far inside NORM_MARGIN = 1e-12, and only the positions within
-    that margin are taken.  A segment whose largest q is below the normal
-    range (all zero, or subnormal squares), or not finite, takes np.hypot
-    over all of it: its bound is -inf, and ~(q < bound) keeps NaNs too.
-    Every segment keeps its largest q, so each has a position taken.  All
-    segments go through the same few array calls, however many there are.
-    q is one square of each float64 of prefix and one strided add, the
-    bits of re*re + im*im, in fresh arrays: a retained buffer would only
-    add to the peak memory of every stream.
+    The window is w = np.abs(prefix), one pass and one 8-byte array per
+    value.  numpy's complex abs is not np.hypot: it gives other bits at
+    about a third of the values, but always within 2 ulp of np.hypot, and
+    infinite or NaN exactly where np.hypot is (pinned by
+    test_numpy_complex_abs_stays_near_hypot).  So at the position where
+    hypot is largest, h*, w >= pred^2(h*), and every w <= succ^2(h*): w
+    there is at most four float steps below the segment's largest w.  When
+    that largest w is a normal float, a step is at most 2^-52 of it, so w
+    there is at least (1 - 2^-50) times it, far inside NORM_MARGIN =
+    1e-12, and only the positions within that margin are taken.  A
+    segment whose largest w is below the normal range (all zero, or
+    subnormal), or not finite, takes np.hypot over all of it: its bound is
+    -inf, and ~(w < bound) keeps NaNs too.  Every segment keeps
+    its largest w, so each has a position taken.  All segments go through
+    the same few array calls, however many there are.  w is a fresh
+    array: a retained buffer would only add to the peak memory of every
+    stream.
 
-    With gaussian, prefix holds Gaussian integers (an exact spec's sums).
+    With gaussian, prefix holds Gaussian integers (an exact spec's sums),
+    and the window is q = re*re + im*im, one square of each float64 of
+    prefix and one strided add: |M|^2 within a factor 1 +- 4u (u = 2^-53;
+    two rounded squares of integers and one rounded sum of nonnegative
+    terms), while np.hypot rounds |M| within a factor 1 +- 2u, so where
+    hypot is largest q is at least (1 - 20u) times the segment's largest q.
     When every segment's largest q is an integer below NORM_CAP, q is exact
     there and the margin holds only q equal to it, so every position taken
     is a representation of that top as a^2 + b^2.  When all of them give
     one np.hypot (_hypot_of_norm), that is the segment's max, found with no
     gather; otherwise every segment goes the general way.
     """
-    squares = prefix.view(np.float64) * prefix.view(np.float64)
-    q = np.add(squares[::2], squares[1::2])
-    del squares
-    tops = np.maximum.reduceat(q, cuts)
+    if gaussian:
+        squares = prefix.view(np.float64) * prefix.view(np.float64)
+        window = np.add(squares[::2], squares[1::2])
+        del squares
+    else:
+        window = np.abs(prefix)
+    tops = np.maximum.reduceat(window, cuts)
     if gaussian and (tops < NORM_CAP).all() and (tops == np.floor(tops)).all():
         sups = [_hypot_of_norm(int(t)) for t in tops.tolist()]
         if None not in sups:
@@ -1265,8 +1377,8 @@ def _norm_sups(prefix: np.ndarray, cuts: np.ndarray, gaussian: bool = False) -> 
     bound = np.where((tops >= _NORMAL) & (tops < math.inf), tops * (1 - NORM_MARGIN), -math.inf)
     if len(cuts) > 1:  # one bound per position; a single one broadcasts
         bound = np.repeat(bound, np.diff(cuts, append=len(prefix)))
-    near = np.flatnonzero(~(q < bound))
-    del q, bound  # 2-4 MB not needed by the gathers below, which would add to them
+    near = np.flatnonzero(~(window < bound))
+    del window, bound  # 2-4 MB not needed by the gathers below, which would add to them
     return np.maximum.reduceat(np.hypot(re[near], im[near]),
                                np.searchsorted(near, cuts)).tolist()
 
@@ -1327,8 +1439,10 @@ class ProfileState:
         an exact spec at most once per segment where its sums stay small
         (_norm_sups).
         """
-        pieces = _pieces(self.n_done + 1, len(blk), checkpoints, self.exact)
-        if not np.iscomplexobj(blk):
+        complex_block = np.iscomplexobj(blk)
+        # a complex block reads only the segments: no chunk cuts its pieces
+        pieces = _pieces(self.n_done + 1, len(blk), checkpoints, self.exact or complex_block)
+        if not complex_block:
             scan, full = _scan(blk, pieces, self.exact, None, bool(self.full_prefix),
                                abs(self.re.hi) + abs(self.re.lo))
             if self.full_prefix is None:

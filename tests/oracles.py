@@ -200,6 +200,17 @@ def prefix_chain(values) -> list[float]:
     return out
 
 
+def exact_prefix_scan(values, cuts, ends):
+    """An exact real block's total, the max and min of np.cumsum(values)
+    over each piece [cuts[k], cuts[k + 1]) (the last one running to the
+    end), and the prefix at ends: the float64 whole-prefix scan that
+    multfun._scan's integer whole-prefix path must reproduce."""
+    import numpy as np
+
+    c = np.cumsum(np.asarray(values, dtype=np.float64))
+    return [float(c[-1])], np.maximum.reduceat(c, cuts), np.minimum.reduceat(c, cuts), c[ends]
+
+
 def pairwise_sum(values) -> float:
     """np.sum of float64 values its documented way: 0.0 plus a pairwise sum
     that splits n > 128 values at n // 2 less n // 2 % 8, sums a leaf of 8

@@ -1,5 +1,7 @@
 """Tests for accum: compensated prefix sums."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,42 @@ def test_numpy_summation_orders():
         assert float(np.sum(v)).hex() == want, f"np.sum of {n} contiguous values"
         assert float(np.sum(z.real)).hex() == want, f"np.sum of {n} strided .real values"
     assert float(np.sum(np.full(9, -0.0))).hex() == oracles.pairwise_sum([-0.0] * 9).hex()
+
+
+def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """How many float64 steps lie between the nonnegative a and b."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_numpy_complex_abs_stays_near_hypot():
+    """The bound multfun._norm_sups' window rests on: numpy's complex abs
+    lies within 2 ulp of np.hypot of the two lanes, and is infinite or NaN
+    exactly where np.hypot is.  Random values at exponents -300 to 300,
+    lanes nearly equal, one lane zero (either sign), subnormal values,
+    and every pairing of inf, NaN and finite lanes.  If an upgrade breaks
+    this, change _norm_sups' window or its proof, do not loosen this test."""
+    def lanes(re, im):
+        z = np.empty(len(re), dtype=np.complex128)
+        z.real, z.imag = re, im
+        return z
+
+    rng = np.random.default_rng(30)
+    parts = []
+    for e in range(-300, 301, 30):
+        re, im = rng.standard_normal((2, 4096)) * 10.0**e
+        zero = np.zeros(4096)
+        parts += [lanes(re, im), lanes(re, re * (1 + rng.uniform(-1e-15, 1e-15, 4096))),
+                  lanes(re, -re), lanes(re, zero), lanes(zero, re), lanes(-zero, re),
+                  lanes(re, -zero)]
+    tiny = rng.integers(0, 2**52, 4096).astype(np.float64) * 2.0**-1074  # subnormal
+    parts += [lanes(tiny, tiny[::-1]), lanes(tiny, np.zeros(4096)), lanes(tiny, tiny * 2.0**30)]
+    z = np.concatenate(parts)
+    a, h = np.abs(z), np.hypot(z.real, z.imag)
+    assert np.isfinite(h).all()
+    assert int(ulps_apart(a, h).max()) <= 2, "np.abs strays more than 2 ulp from np.hypot"
+    odd = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.5, 1e-310, 1e308])
+    re, im = np.meshgrid(odd, odd)
+    a, h = np.abs(lanes(re.ravel(), im.ravel())), np.hypot(re.ravel(), im.ravel())
+    assert np.array_equal(np.isnan(a), np.isnan(h)) and np.array_equal(np.isinf(a), np.isinf(h))
+    finite = np.isfinite(h)
+    assert int(ulps_apart(a[finite], h[finite]).max()) <= 2
