@@ -85,12 +85,17 @@ def periodic(
 def stride_fold(out: np.ndarray, lo: int, q: np.ndarray, w: np.ndarray, ufunc: np.ufunc) -> None:
     """out[i] = ufunc(out[i], w[j]) wherever q[j] divides lo + i, for each j
     in order: every start in one array expression, then one strided store
-    per q with a multiple in the block."""
+    per q with a multiple in the block.  numpy folds a one-value view into
+    itself by a scalar loop that rounds a complex product otherwise, so a
+    lone multiple takes a fresh output: its bits do not follow the block."""
     off = -lo % q
     hit = np.flatnonzero(off < len(out))
     for o, s, v in zip(off[hit].tolist(), q[hit].tolist(), w[hit].tolist()):
         view = out[o::s]
-        ufunc(view, v, out=view)
+        if len(view) > 1:
+            ufunc(view, v, out=view)
+        else:
+            view[0] = ufunc(view, v)[0]
 
 
 @dataclass(eq=False)

@@ -26,8 +26,8 @@ from .multfun import (
     RademacherSeeds,
     block_length,
     check_checkpoints,
-    eval_range,
     is_exact_spec,
+    iter_blocks,
     make_spec,
     prime_unit_value,
     stream_profile,
@@ -573,9 +573,12 @@ def concentration_experiment(
         raise CapacityError(
             f"Q*x + a = {Q}*{x} + {a} exceeds the evaluation capacity {EVAL_CAPACITY}")
     fq = f_of_q_sum(f, chi, t, Q, x)
-    rng = eval_range(f, Q * x + a)
+    picks, lo = [], Q + a  # f(Qn + a) for n = 1..x, block by block
+    for blk in iter_blocks(f, Q * x + a, start=Q + a):
+        picks.append(blk[(a - lo) % Q :: Q].copy())  # a view would keep the block
+        lo += len(blk)
+    samples = np.concatenate(picks)
     n = np.arange(1, x + 1, dtype=np.float64)
-    samples = rng.values[np.arange(1, x + 1, dtype=np.int64) * Q + a]
     model = chi(a) * cmath.exp(fq)
     if t:
         model = model * np.exp(1j * t * np.log(Q * n))

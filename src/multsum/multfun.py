@@ -30,9 +30,8 @@ from .errors import CapacityError
 EVAL_CAPACITY = 130_000_000  # largest materialized range (memory bound)
 STREAM_LIMIT = 10**9  # largest streamed profile
 BLOCK = 1 << 18  # shortest block: a 2 MB int64 array stays in one core's L2
-# Block length of sum_blocks: its per-block np.sum grouping is part of the
-# float results, so it stays fixed whatever block_length says.
-SUM_BLOCK = 1 << 22
+SUM_SPAN = 1 << 22  # values per np.sum of sum_blocks: fixes its summation order
+PAIRWISE_LEAF = 128  # most values numpy's pairwise np.sum adds without a split
 SIGN_TABLE_BYTES = 1 << 24  # largest per-prime sign-word table of RademacherSeeds
 HASH_BATCH = 1 << 15  # primes per pass of the sign hash: 256 KB arrays stay in L2
 
@@ -618,7 +617,10 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
     order numpy's temporary elision gives `factor * fresh` in a large block:
     its complex multiply rounds differently with the operands swapped, and
     elision swaps them only for temporaries of 2^14 or more values, so the
-    order is fixed here whatever the block length.
+    order is fixed here whatever the block length.  numpy also multiplies a
+    one-value array into itself by a scalar loop that rounds otherwise, so
+    a one-value block (and a lone multiple in arith.stride_fold) takes a
+    fresh output, as _twisted does: no bit follows the block layout.
 
     A complex block with no exception below hi has no product to take, but
     its values are those of one by 1+0j, which clears some signed zeros.
@@ -646,7 +648,7 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
         if not real:
             out = out.astype(np.complex128)
         if mult is not None:
-            np.multiply(out, mult, out=out)
+            out = np.multiply(out, mult, out=out if length > 1 else None)
     elif isinstance(base, (One, CoprimeIndicator)):
         out = mult if multiplied else np.ones(length, dtype=dtype)
         for p in _tail(spec)[1] - spec.exceptions.keys():  # Q's primes
@@ -668,7 +670,7 @@ def _eval_block(stream: _Stream, lo: int, hi: int) -> np.ndarray:
                 if u is not None:
                     np.add(iota[:count], m0, out=u[idx])
         if mult is not None:
-            np.multiply(out, mult, out=out)
+            out = np.multiply(out, mult, out=out if length > 1 else None)
         if u is not None:
             out = _twisted(out, u, base.t)
 
@@ -703,11 +705,10 @@ def block_length(x: int) -> int:
     BLOCK up to x near 1.7e7, then the power of two at or above 64 sqrt(x), so
     the per-block Python loop over the pi(sqrt x) base primes stays small
     next to the block's array work.  A power of two >= CHUNK keeps the
-    compensated-sum chunks on the same n whatever the length, so float
-    results do not depend on it for real specs and for complex values in
-    {0, +-1, +-i}.  A complex spec with other exception values can differ in
-    the last bits: numpy rounds the strided exception products differently
-    on some short slices, and their lengths follow the block length.
+    compensated-sum chunks on the same n whatever the length.  The layout is
+    a pure performance choice: f(n) has the same bits in any block of any
+    length from any start (_eval_block), and sum_blocks fixes its summation
+    order apart from the blocks, so no float result follows it.
     """
     return max(BLOCK, 1 << (64 * math.isqrt(x) - 1).bit_length())
 
@@ -915,18 +916,55 @@ def sum_blocks(
     """sum_{n<=x} term(n, f(n)), or sum f(n) without a term; f is multiplied
     by mu^2(n) when `squarefree`, and term gets n as float64.
 
-    Each SUM_BLOCK-value block is reduced by np.sum into compensated real and
-    imaginary totals, so the float result depends on that fixed grouping only.
+    The float result is, per lane, a NeumaierSum of np.sum over each
+    SUM_SPAN values of 1..x, replayed over iter_blocks' default blocks:
+    numpy halves n > PAIRWISE_LEAF values at n // 2 - n // 2 % 8 (pinned by
+    tests/test_accum.py), and so does the walk.  A part inside one block is
+    that slice's np.sum; only a leaf across a block edge is copied together.
+    np.sum is 0.0 plus its tree, and that 0.0 can only turn a -0.0 partial
+    into +0.0, which the span's own 0.0 + clears: every bit is that of np.sum
+    over the span, whatever the blocks.  Memory follows the blocks, not
+    SUM_SPAN.
     """
+    def lanes() -> Iterator[tuple[np.ndarray, ...]]:
+        lo = 1
+        for blk in iter_blocks(spec, x, squarefree=squarefree):
+            if term is not None:
+                blk = term(np.arange(lo, lo + len(blk), dtype=np.float64), blk)
+            lo += len(blk)
+            yield (blk.real, blk.imag) if np.iscomplexobj(blk) else (blk,)
+
+    blocks = lanes()
+    block, block_lo = next(blocks), 1
+
+    def offset(lo: int) -> int:
+        """lo's offset in the block that holds it, read on to that block."""
+        nonlocal block, block_lo
+        while lo - block_lo >= len(block[0]):
+            block_lo += len(block[0])
+            block = next(blocks)
+        return lo - block_lo
+
+    def pairwise(lo: int, n: int) -> list[float]:
+        """Each lane's pairwise sum of its values at lo..lo + n - 1."""
+        off = offset(lo)
+        if off + n <= len(block[0]):
+            return [float(np.sum(lane[off : off + n])) for lane in block]
+        if n > PAIRWISE_LEAF:
+            half = n // 2 - n // 2 % 8
+            return [a + b for a, b in zip(pairwise(lo, half), pairwise(lo + half, n - half))]
+        pieces = []
+        while n:
+            off = offset(lo)
+            take = min(n, len(block[0]) - off)
+            pieces.append([lane[off : off + take] for lane in block])
+            lo, n = lo + take, n - take
+        return [float(np.sum(np.concatenate(lane))) for lane in zip(*pieces)]
+
     re, im = NeumaierSum(), NeumaierSum()
-    lo = 1
-    for blk in iter_blocks(spec, x, SUM_BLOCK, squarefree=squarefree):
-        if term is not None:
-            blk = term(np.arange(lo, lo + len(blk), dtype=np.float64), blk)
-        re.add(float(np.sum(blk.real)))
-        if np.iscomplexobj(blk):
-            im.add(float(np.sum(blk.imag)))
-        lo += len(blk)
+    for lo in range(1, x + 1, SUM_SPAN):
+        for total, v in zip((re, im), pairwise(lo, min(SUM_SPAN, x + 1 - lo))):
+            total.add(0.0 + v)
     return complex(re.total(), im.total())
 
 

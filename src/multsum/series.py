@@ -147,12 +147,14 @@ class SeriesCheck:
 def dirichlet_partial(
     f: MultFnSpec, s: complex, N: int, squarefree_support: bool = False
 ) -> complex:
-    """sum_{n<=N} f(n) n^(-s), optionally restricted to squarefree n."""
+    """sum_{n<=N} f(n) n^(-s), optionally restricted to squarefree n.  Each
+    term is np.multiply(n^(-s), f(n)), fresh: the operand order, and so the
+    bits, that numpy's elision gives `f(n) * n^(-s)` only from 2^14 values."""
     s = complex(s)
     if not (s.real > 0 and cmath.isfinite(s)):
         raise ValueError(f"partial Dirichlet sums need a finite s with Re(s) > 0, got s = {s}")
     return sum_blocks(
-        f, N, lambda n, v: v * np.exp(-s * np.log(n)), squarefree_support
+        f, N, lambda n, v: np.multiply(np.exp(-s * np.log(n)), v), squarefree_support
     )
 
 

@@ -242,6 +242,21 @@ def pairwise_sum(values) -> float:
     return 0.0 + part(0, len(vals))
 
 
+def span_sums(values, span: int) -> complex:
+    """The sum of a materialized array the way multfun.sum_blocks defines
+    it: per lane, a NeumaierSum of np.sum over each `span` consecutive
+    values."""
+    import numpy as np
+    from multsum.accum import NeumaierSum
+
+    totals = [NeumaierSum(), NeumaierSum()]
+    lanes = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    for total, lane in zip(totals, lanes):
+        for lo in range(0, len(lane), span):
+            total.add(float(np.sum(lane[lo : lo + span])))
+    return complex(totals[0].total(), totals[1].total())
+
+
 def residue_values(spec, lo: int, hi: int):
     """f(n) for lo <= n < hi of an undamped, untwisted character or coprime
     spec, the per-value way: u is n with the exception primes divided out,

@@ -147,13 +147,14 @@ def test_numpy_lane_rules():
 
 
 def test_numpy_summation_orders():
-    """The summation orders multfun._float_chunks' rounding margin and the
-    fixed SUM_BLOCK grouping rest on.  np.add.accumulate over a CHUNK-value
+    """The summation orders multfun._float_chunks' rounding margin and
+    multfun.sum_blocks' walk rest on.  np.add.accumulate over a CHUNK-value
     chunk is a left-to-right chain (the recursive summation whose error
     bound the margin takes), out of place and in place; float64 np.sum is
     numpy's pairwise split, over contiguous values and over the strided
-    .real of a complex array alike.  If an upgrade breaks one of these,
-    change the code that relies on it, do not loosen this test."""
+    .real of a complex array alike, which sum_blocks replays over its
+    blocks.  If an upgrade breaks one of these, change the code that relies
+    on it, do not loosen this test."""
     rng = np.random.default_rng(29)
     chunk = rng.standard_normal(CHUNK) * np.exp(rng.uniform(-40, 40, CHUNK))
     chunk[::7] = -0.0

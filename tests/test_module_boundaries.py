@@ -5,7 +5,9 @@ whether by `from .x import _y` or by `x._y` on an imported module, and only
 `arith` imports sympy.  Block evaluation has one thread pool: only `multfun`
 imports concurrent.futures or names the MULTSUM_THREADS variable.  Only
 `multfun` knows what a base rule is at a prime: no other module calls
-isinstance on a base rule class.
+isinstance on a base rule class.  Every consumer reads iter_blocks' default
+layout: no module but `multfun` calls eval_range, and no call of
+iter_blocks passes a block length.
 """
 
 import ast
@@ -95,6 +97,22 @@ def base_rule_checks(source: str) -> list[str]:
     return found
 
 
+def layout_calls(source: str) -> list[str]:
+    """eval_range calls, and iter_blocks calls that pass a block length (a
+    third positional argument or block=), bare or as a module attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "eval_range":
+            found.append("calls eval_range")
+        elif name == "iter_blocks" and (
+                len(node.args) > 2 or any(kw.arg == "block" for kw in node.keywords)):
+            found.append("passes a block length to iter_blocks")
+    return found
+
+
 def test_rule_checker_sees_each_form():
     bad = (
         "from .multfun import _eval_block\n"
@@ -123,6 +141,14 @@ def test_rule_checker_sees_each_form():
     )
     assert len(base_rule_checks(checks)) == 4
     assert base_rule_checks("isinstance(b, int)\nb = CharacterTwist(chi)\n") == []
+    layouts = (
+        "v = eval_range(f, 10)\n"
+        "v = multfun.eval_range(f, 10)\n"
+        "b = iter_blocks(f, 10, 4)\n"
+        "b = multfun.iter_blocks(f, 10, block=4)\n"
+    )
+    assert len(layout_calls(layouts)) == 4
+    assert layout_calls("b = iter_blocks(f, 10, start=3, squarefree=True)\nr = eval_range\n") == []
 
 
 def test_no_private_cross_module_imports_and_sympy_only_in_arith():
@@ -147,3 +173,9 @@ def test_only_multfun_runs_a_pool():
     uses = {name: pool_uses(path.read_text()) for name, path in MODULES.items()}
     assert uses.pop("multfun")
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_one_block_layout_for_every_consumer():
+    calls = {name: layout_calls(path.read_text()) for name, path in MODULES.items()}
+    calls["multfun"] = [v for v in calls["multfun"] if v != "calls eval_range"]
+    assert {name: found for name, found in calls.items() if found} == {}

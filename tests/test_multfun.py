@@ -6,12 +6,13 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -54,6 +55,7 @@ from multsum.multfun import (
     block_length,
     differing_primes,
     rademacher_signs,
+    sum_blocks,
     unit_pow,
     value_at_primes,
 )
@@ -314,17 +316,20 @@ def test_rademacher_block_independence():
 PRODUCER_SPECS = [
     build_spec("char:q=4,index=1;except=3~1~0"),  # exact real
     build_spec("char:q=5,index=1,t=0.5;except=2~0.5~0"),  # float complex
+    build_spec("char:q=7,index=2;except=3~0.3~0.2"),  # inexact complex exception products
 ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    pick=st.integers(min_value=0, max_value=1),
+    pick=st.integers(min_value=0, max_value=len(PRODUCER_SPECS) - 1),
     x=st.integers(min_value=1, max_value=3 * CHUNK + 5),
     start_frac=st.floats(min_value=0.0, max_value=1.0),
     block=st.sampled_from([CHUNK, 2 * CHUNK, 1, 97, 1001, None]),
     squarefree=st.booleans(),
 )
+@example(pick=2, x=3 * CHUNK + 5, start_frac=0.0, block=97, squarefree=False)
+@example(pick=2, x=3 * CHUNK + 5, start_frac=0.0, block=1, squarefree=True)
 def test_iter_blocks_start_and_mask(pick, x, start_frac, block, squarefree):
     """Blocks laid from any start, of any length, masked or not, concatenate
     to eval_range's values from that start, times mu^2 when masked."""
@@ -1186,8 +1191,10 @@ PINNED_VALUES = {
         "05f10657999b3716b9620ad64d66d43e0f5793d94125fa3fa8f2b15f9aed2313",
     "char:q=5,index=real;except=2~1~0":
         "1466e9c89afa86404b73aed82087911127614dc49cd920816567f1a6c9430175",
+    # re-recorded when one-value strides took a fresh output: the real half
+    # of f(3^12), the one 3^12 multiple of its block, moved by one ulp
     "char:q=7,index=2;except=3~0.3~0.2":
-        "8ebaf2429e90e6313c82d4ca482da6628ed24345b7da2cf38720714365ddd1ad",
+        "b0790e056dd329bd7279febe68e8fc24e9236001648038f70fba2a981a1e4563",
     "char:q=5,index=1;except=5~-1~0":
         "4391758b48c4d7650aa6b48ad9874267ac5f9e6a6ac7e2d8f7f289d0bca52395",
     "coprime:Q=210;except=7~0.5~0":
@@ -1237,27 +1244,84 @@ def test_eval_range_bytes_pinned(cfg):
     assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_VALUES[cfg]
 
 
+def complex_hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
 def test_complex_values_do_not_depend_on_block_length(monkeypatch):
-    """A complex character with a non-Gaussian exception gives the same bits
-    at block lengths of 2^14 + 1 values and up.  Products are taken in one
-    operand order whatever the length: numpy elides `a * temp` into
-    `temp *= a` only for temporaries of 2^14 or more complex values, and its
-    complex multiply rounds differently with the operands swapped."""
-    spec = build_spec("char:q=7,index=2;except=3~0.3~0.2")
-    x = 10**6
-    want = eval_range(spec, x).values[1:].tobytes()
-    cps = [1 << k for k in range(20)] + [x]
-    prof = stream_profile(spec, x, cps)
-    for block in (2**14 + 1, 2**16, 2**18):
-        assert np.concatenate(list(iter_blocks(spec, x, block))).tobytes() == want, block
-        if block % CHUNK:  # a scan of such blocks lays its chunks from each block start
-            continue
-        with monkeypatch.context() as patch:
-            short_blocks(patch, block)
-            got = stream_profile(spec, x, cps)
-        assert [(s.real.hex(), s.imag.hex()) for s in got.sums] == [
-            (s.real.hex(), s.imag.hex()) for s in prof.sums], block
-        assert [v.hex() for v in got.sups] == [v.hex() for v in prof.sups], block
+    """Complex products give the same bits in blocks of any length, down to
+    one value: a character with a non-Gaussian exception, and a twist.
+    Products are taken in one operand order whatever the length (numpy
+    elides `a * temp` into `temp *= a` only for temporaries of 2^14 or more
+    complex values, and its complex multiply rounds differently with the
+    operands swapped), and a one-value operand takes a fresh output (numpy
+    multiplies a one-value array into itself by a scalar loop that rounds
+    otherwise).  Scans of CHUNK-multiple blocks give the default rows."""
+    for cfg, x, blocks in [
+        ("char:q=7,index=2;except=3~0.3~0.2", 10**6, (97, 1001, 4096, 2**14 + 1, 2**16, 2**18)),
+        ("char:q=7,index=2;except=3~0.3~0.2", 20000, (1,)),
+        ("char:q=7,index=2,t=0.5", 3000, (1, 97)),
+    ]:
+        spec = build_spec(cfg)
+        want = eval_range(spec, x).values[1:].tobytes()
+        cps = [1 << k for k in range(x.bit_length())] + [x]
+        prof = stream_profile(spec, x, cps)
+        for block in blocks:
+            got = np.concatenate(list(iter_blocks(spec, x, block)))
+            assert got.tobytes() == want, (cfg, block)
+            if block % CHUNK:  # a scan of such blocks lays its chunks from each block start
+                continue
+            with monkeypatch.context() as patch:
+                short_blocks(patch, block)
+                got = stream_profile(spec, x, cps)
+            assert [complex_hex(s) for s in got.sums] == [
+                complex_hex(s) for s in prof.sums], (cfg, block)
+            assert [v.hex() for v in got.sups] == [v.hex() for v in prof.sups], (cfg, block)
+
+
+@pytest.mark.parametrize("span, block, x", [
+    (1 << 10, 1, 3 * 1024 + 37),
+    (1 << 13, 97, 50001),
+    (1 << 13, 1001, 50001),
+    (1 << 13, 4096, 50001),
+    (1 << 13, None, 50001),
+    (multfun.SUM_SPAN, 97, 50001),
+    (multfun.SUM_SPAN, 4096, 50001),
+])
+def test_sum_blocks_matches_span_sums(monkeypatch, span, block, x):
+    """sum_blocks over blocks of any length gives the bits of one np.sum per
+    SUM_SPAN values of the materialized range, plain and with a term and
+    the mu^2 mask: its walk replays numpy's pairwise split, including the
+    leaves that cross a block edge."""
+    def term(n, v):
+        return np.multiply(np.exp(-(0.5 + 3j) * np.log(n)), v)
+
+    n = np.arange(1, x + 1, dtype=np.float64)
+    mu2 = squarefree_block(1, x + 1, primes_upto(math.isqrt(x)))
+    cases = []
+    for cfg in ["char:q=5,index=1;except=2~0.3~0.4", "one;scale_r=0.25", "liouville"]:
+        spec = build_spec(cfg)
+        v = eval_range(spec, x).values[1:]
+        cases.append((spec, oracles.span_sums(v, span), oracles.span_sums(term(n, v * mu2), span)))
+    monkeypatch.setattr(multfun, "SUM_SPAN", span)
+    if block:
+        short_blocks(monkeypatch, block)
+    for spec, plain, termed in cases:
+        assert complex_hex(sum_blocks(spec, x)) == complex_hex(plain), spec_config(spec)
+        assert complex_hex(sum_blocks(spec, x, term, squarefree=True)) == complex_hex(termed)
+
+
+def test_sum_blocks_memory_ceiling():
+    """sum_blocks holds default blocks and their terms, not a whole span:
+    its traced peak past 2^22 values stays below 48 MB."""
+    spec = build_spec("char:q=5,index=1;except=2~0.3~0.4")
+    tracemalloc.start()
+    try:
+        sum_blocks(spec, (1 << 22) + 5, lambda n, v: np.multiply(np.exp(-0.5 * np.log(n)), v))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20, peak
 
 
 @pytest.mark.parametrize("cfg", [
@@ -1277,15 +1341,6 @@ def test_prime_values_are_the_sieve_values(cfg):
     assert value_at_primes(spec, ps[:1000]).tobytes() == want[:1000].tobytes()
     scalar = np.array([prime_unit_value(spec, p) for p in ps.tolist()])
     assert scalar.tobytes() == want.tobytes()
-
-
-def test_twisted_values_do_not_depend_on_block_length():
-    """One-value blocks give a twisted character the bits of long ones:
-    numpy multiplies a one-value array into itself by a scalar loop, which
-    rounds the complex product differently."""
-    spec = build_spec("char:q=7,index=2,t=0.5")
-    want = eval_range(spec, 3000).values[1:].tobytes()
-    assert np.concatenate(list(iter_blocks(spec, 3000, 1))).tobytes() == want
 
 
 def test_prime_unit_value_past_int64():
